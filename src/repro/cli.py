@@ -962,14 +962,13 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
                              "(default 1 = serial; output is identical "
                              "either way — see docs/PERFORMANCE.md)")
     parser.add_argument("--env", default=None,
-                        choices=("inline", "thread", "process",
-                                 "process-static"),
+                        choices=("inline", "process"),
                         help="execution environment for the workers: "
-                             "serial in-process, worker threads, or a "
-                             "persistent work-stealing process pool "
+                             "serial in-process or a persistent "
+                             "work-stealing process pool "
                              "(default: process when --jobs > 1; "
-                             "output is digest-identical in every "
-                             "environment — see docs/PERFORMANCE.md)")
+                             "output is digest-identical in both "
+                             "environments — see docs/PERFORMANCE.md)")
 
 
 def _add_replay_flags(parser: argparse.ArgumentParser) -> None:

@@ -3,13 +3,14 @@
 Runs (benchmark × agent × variant count) configurations, normalizing each
 MVEE run against the benchmark's native execution on the same machine
 configuration — the paper's methodology ("relative to unprotected
-execution").  Results are memoized per process so the figure and table
-benches can share one sweep.
+execution").  Results are memoized per process, keyed on every input
+including the cost model's field values, so the figure and table benches
+can share one sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
@@ -74,7 +75,7 @@ def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
                   cores: int = PAPER_CORES,
                   costs: CostModel | None = None) -> float:
     """Native (unprotected) runtime of a benchmark slice, memoized."""
-    key = (benchmark, scale, seed, cores, id(costs) if costs else None)
+    key = (benchmark, scale, seed, cores, astuple(costs or DEFAULT_COSTS))
     cached = _native_cache.get(key)
     if cached is None:
         program = SyntheticWorkload(spec_by_name(benchmark), scale=scale)
@@ -99,13 +100,12 @@ def run_one(benchmark: str, agent: str, variants: int,
     costs = costs or DEFAULT_COSTS
     options_key = tuple(sorted((agent_options or {}).items()))
     key = (benchmark, agent, variants, scale, seed, cores, options_key,
-           id(costs) if costs is not DEFAULT_COSTS else None)
+           astuple(costs))
     if obs is None:
         cached = _cell_cache.get(key)
         if cached is not None:
             return cached
-    native = native_cycles(benchmark, scale, seed, cores,
-                           costs if costs is not DEFAULT_COSTS else None)
+    native = native_cycles(benchmark, scale, seed, cores, costs)
     program = SyntheticWorkload(spec_by_name(benchmark), scale=scale)
     outcome = run_mvee(program, variants=variants, agent=agent,
                        seed=seed, cores=cores, costs=costs,
@@ -238,16 +238,15 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
 
     ``jobs`` shards the (policy x kind) cells across workers via
     :mod:`repro.par` and ``env`` picks the execution environment
-    (``inline``/``thread``/``process``/``process-static``); results are
-    aggregated in matrix order, so every (jobs, env) combination is
-    structurally identical to ``jobs=1``.
+    (``inline``/``process``); results are aggregated in matrix order,
+    so every (jobs, env) combination is structurally identical to
+    ``jobs=1``.
     """
     if resync_mode not in ("history", "checkpoint"):
         raise ValueError(f"unknown resync mode {resync_mode!r}")
     kinds = tuple(kinds) if kinds else FAULT_KINDS
     policies = tuple(policies) if policies else FAULT_POLICIES
-    native = native_cycles(benchmark, scale, seed, cores,
-                           costs if costs is not DEFAULT_COSTS else None)
+    native = native_cycles(benchmark, scale, seed, cores, costs)
     tasks = []
     for policy_name in policies:
         for kind in kinds:

@@ -5,8 +5,8 @@ instead of serializing it; this package applies the same discipline to
 the reproduction's own experiment sweeps.  Sweep cells (fault-matrix
 cells, race-sweep rows, Figure 5 grid cells, table rows, benchmark
 matrix entries) run under a pluggable **execution environment**
-(:mod:`repro.par.environment`): serial inline, worker threads, or a
-persistent work-stealing pool of forked worker processes — with:
+(:mod:`repro.par.environment`): serial inline, or a persistent
+work-stealing pool of forked worker processes — with:
 
 * deterministic per-cell seed derivation
   (:func:`repro.par.seeds.derive_cell_seed`),
@@ -19,11 +19,13 @@ persistent work-stealing pool of forked worker processes — with:
 * shared-memory transport for large results
   (:mod:`repro.par.transport`),
 * aggregation ordered by task position, independent of completion
-  order, environment, and steal schedule.
+  order, environment, and steal schedule,
+* one dispatch loop (:class:`repro.par.runners.ProcessRunner`) shared
+  by batch sweeps and the serve daemon's :class:`CellExecutor`.
 
 ``jobs=1`` (the default everywhere) bypasses parallelism entirely and
 reproduces the historical serial behaviour; the differential suites
-under ``tests/par/`` pin every environment's output bit-equal to it.
+under ``tests/par/`` pin the process pool's output bit-equal to it.
 ``repro bench`` (:mod:`repro.par.bench`) measures the resulting
 speedup and pool amortisation and writes ``BENCH_par.json``.  See
 ``docs/PERFORMANCE.md``.
@@ -45,7 +47,6 @@ from repro.par.environment import (
     ExecutionEnvironment,
     InlineEnvironment,
     ProcessEnvironment,
-    ThreadEnvironment,
     environment_for,
     resolve_environment,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "derive_cell_seed",
     "ExecutionEnvironment",
     "InlineEnvironment",
-    "ThreadEnvironment",
     "ProcessEnvironment",
     "ENVIRONMENT_NAMES",
     "environment_for",

@@ -27,15 +27,15 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
 ``serial``/``parallel``
     Per-phase ``wall_s``, ``ok``, ``failed`` (``parallel`` is ``null``
     for ``--jobs 1``); ``serial`` additionally carries ``cell_wall_s``,
-    the per-cell host wall-clock in cell order (v2).  For process
-    environments ``parallel`` also carries ``warm_wall_s`` — the same
+    the per-cell host wall-clock in cell order (v2).  For the process
+    environment ``parallel`` also carries ``warm_wall_s`` — the same
     matrix re-run on the already-forked pool (worker memo caches reset
     first), isolating fork/import amortisation from cache effects.
 ``environment``/``pool``/``scheduler``
     The execution environment the parallel phase ran in
-    (``--env inline|thread|process|process-static``), the persistent
-    pool's lifecycle counters (spawned/respawns/tasks/batches), and the
-    work-stealing scheduler's steal counts.  Host diagnostics only —
+    (``--env inline|process``), the persistent pool's lifecycle
+    counters (spawned/respawns/tasks/batches), and the work-stealing
+    scheduler's steal counts.  Host diagnostics only —
     never part of the digest.
 ``speedup``
     serial wall / parallel wall (``null`` for ``--jobs 1``);
@@ -208,9 +208,9 @@ def run_bench(jobs: int = 1, quick: bool = False,
     the serial phase, so neither phase warms the other.
 
     ``env`` selects the execution environment for the parallel phase
-    (default ``process``).  Process environments run the matrix twice
-    on a *private* pool: a cold pass on a freshly created pool (fork
-    cost included, like the first sweep of a session) and a warm pass
+    (default ``process``).  The process environment runs the matrix
+    twice on a *private* pool: a cold pass on a freshly created pool
+    (fork cost included, like the first sweep of a session) and a warm pass
     on the same already-forked workers — with the workers' memo caches
     reset in between via the pool control plane, so ``warm_wall_s``
     measures fork/import amortisation rather than cache hits.
@@ -235,12 +235,11 @@ def run_bench(jobs: int = 1, quick: bool = False,
 
         environment_name = env or "process"
         pool = None
-        if environment_name in ("process", "process-static"):
+        if environment_name == "process":
             # Private pool: cold/warm measurement must not ride workers
             # another sweep already forked.
             pool = WorkerPool(jobs)
-            environment = ProcessEnvironment(
-                stealing=environment_name == "process", pool=pool)
+            environment = ProcessEnvironment(pool=pool)
         else:
             environment = environment_for(environment_name)
         runner = environment.make_runner(jobs)
@@ -377,7 +376,7 @@ def render_bench(report: dict) -> str:
                 f"respawn(s), {pool['tasks']} cell(s) over "
                 f"{pool['batches']} batch(es)")
         scheduler = report.get("scheduler")
-        if scheduler and scheduler.get("stealing"):
+        if scheduler:
             lines.append(
                 f"stealing : {scheduler['steals']} steal(s) moved "
                 f"{scheduler['cells_stolen']} cell(s)")

@@ -14,8 +14,8 @@ envelopes around without ever looking inside.
   host-side diagnostics that never enter any canonical digest.
 * :func:`execute_cell` runs one cell inline with per-cell error capture
   and optional obs-trace emission — the single code path shared by the
-  inline runner, thread workers, and pool worker processes, which is
-  what makes every execution environment produce the same failure shape.
+  inline runner, the executor's inline mode, and pool worker processes,
+  which is what makes both environments produce the same failure shape.
 """
 
 from __future__ import annotations

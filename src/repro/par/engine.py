@@ -1,24 +1,23 @@
-"""The parallel experiment engine: run sweep cells in any environment.
+"""The parallel experiment engine: run sweep cells inline or on a pool.
 
 Every sweep in the repo — the fault matrix, the race sweep, the Figure 5
 grid, table rows, the benchmark matrix — is a list of *cells*: pure
 functions of their parameters (including an explicit seed) that return a
-picklable result.  :func:`run_cells` executes such a list under a
-pluggable :mod:`execution environment <repro.par.environment>` —
-serial inline, worker threads, or a persistent work-stealing pool of
-forked processes — with three guarantees that hold in *every*
-environment:
+picklable result.  :func:`run_cells` executes such a list under an
+:mod:`execution environment <repro.par.environment>` — serial inline,
+or a persistent work-stealing pool of forked processes — with three
+guarantees that hold in both:
 
 * **determinism** — cell results are a function of the task list alone.
   Aggregated output is ordered by task position, never by completion
   order, and per-cell seeds come from
   :func:`repro.par.seeds.derive_cell_seed`, so worker count, scheduling
   and environment choice cannot leak into results.
-* **crash isolation** (process environments) — a worker that dies
+* **crash isolation** (process environment) — a worker that dies
   (``os._exit``, segfault, OOM kill) fails *its* cell with a diagnostic
   :class:`CellResult` and leaves every sibling cell untouched; the pool
   respawns the worker back to target size.  The inline path mirrors
-  this by catching per-cell exceptions, so every environment agrees on
+  this by catching per-cell exceptions, so both environments agree on
   failure shape.
 * **pickle-safe envelopes** — tasks carry a module-level callable plus
   plain-data kwargs; results carry plain data (value or error string).
@@ -33,18 +32,16 @@ aggregate).
 
 :class:`CellExecutor` is the ticket-based face of the same machinery
 for daemons (``repro serve``): cells arrive one at a time from many
-client connections and share one persistent pool.
+client connections and share one persistent pool, dispatched by the
+same :class:`~repro.par.runners.process.ProcessRunner` loop that runs
+batches.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
 import threading
-import time
 from collections import deque
-from multiprocessing import connection
 
 # Re-exported envelope API (the historical public surface of this
 # module; sweeps and tests import these names from here).
@@ -55,14 +52,14 @@ from repro.par.cells import (
     execute_cell,
     merge_cell_traces,
     raise_failures,
-    trace_path_for,
 )
 from repro.par.environment import (
+    ENVIRONMENT_NAMES,
     ExecutionEnvironment,
     resolve_environment,
 )
 from repro.par.pool import WorkerPool
-from repro.par import transport
+from repro.par.runners.process import STOP, ProcessRunner
 
 __all__ = [
     "CellTask",
@@ -74,18 +71,6 @@ __all__ = [
     "merge_cell_traces",
 ]
 
-# Backwards-compatible private aliases (pre-environment engine layout).
-_execute_cell = execute_cell
-_trace_path_for = trace_path_for
-
-
-def _mp_context():
-    """Fork when the platform offers it (cheap, inherits warm imports);
-    otherwise the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else None)
-
 
 def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
               env: str | ExecutionEnvironment | None = None,
@@ -93,11 +78,11 @@ def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
     """Run every task and return results **in task-list order**.
 
     ``env`` selects the execution environment by name (``inline``,
-    ``thread``, ``process``, ``process-static``) or instance; ``None``
-    keeps the historical behaviour — inline for ``jobs<=1``, the
-    persistent process pool otherwise.  Single-cell batches always run
-    inline (there is nothing to parallelise).  ``stall_timeout_s`` arms
-    the process environments' wedged-worker harvester.
+    ``process``) or instance; ``None`` keeps the historical behaviour —
+    inline for ``jobs<=1``, the persistent process pool otherwise.
+    Single-cell batches always run inline (there is nothing to
+    parallelise).  ``stall_timeout_s`` arms the process environment's
+    wedged-worker harvester.
     """
     tasks = list(tasks)
     if jobs <= 1 or len(tasks) <= 1:
@@ -122,11 +107,13 @@ class CellExecutor:
     the pool forks once and serves every subsequent session warm, and a
     worker that dies is respawned without disturbing its siblings.
 
+    The pool is private to the executor and driven by a
+    :class:`~repro.par.runners.process.ProcessRunner` on one dispatch
+    thread, fed from the pending queue and woken through a pipe.
     ``jobs == 0`` (or ``env="inline"``) runs every cell inline in the
     submitting thread — no fork at all, used by tests and fork-less
     platforms; results are identical because cells are pure functions of
-    their task.  ``env="thread"`` uses worker threads instead of forked
-    processes (shared caches, no crash isolation).
+    their task.
 
     Single-consumer per ticket: :meth:`wait` (or a :meth:`poll` that
     finds the cell done) hands the result over exactly once.
@@ -137,13 +124,11 @@ class CellExecutor:
                  stall_timeout_s: float | None = None):
         self.jobs = max(0, jobs)
         self.trace_dir = trace_dir
-        self.stall_timeout_s = stall_timeout_s
-        if self.jobs == 0:
-            self.env = "inline"
-        elif env is None:
-            self.env = "process"
-        else:
-            self.env = getattr(env, "name", env)
+        self.env = ("inline" if self.jobs == 0
+                    else getattr(env, "name", env) or "process")
+        if self.env not in ENVIRONMENT_NAMES:
+            raise ValueError(
+                f"unknown executor environment {self.env!r}")
         self._lock = threading.Lock()
         self._pending: deque = deque()
         self._done: dict[int, CellResult] = {}
@@ -152,27 +137,19 @@ class CellExecutor:
         self._closed = False
         self.submitted = 0
         self.completed = 0
-        self._pool: WorkerPool | None = None
-        if self.env in ("process", "process-static"):
+        self._runner: ProcessRunner | None = None
+        if self.env == "process":
             # Private pool: the executor's lifecycle (daemon start/stop)
             # owns these workers, independent of any shared sweep pool.
-            self._pool = WorkerPool(self.jobs)
+            self._runner = ProcessRunner(WorkerPool(self.jobs),
+                                         stall_timeout_s=stall_timeout_s,
+                                         owns_pool=True)
             self._wake_r, self._wake_w = os.pipe()
+            # A full pipe already means "wake up": never block a submit.
+            os.set_blocking(self._wake_w, False)
             self._thread = threading.Thread(
-                target=self._dispatch_loop, name="cell-executor",
-                daemon=True)
+                target=self._dispatch, name="cell-executor", daemon=True)
             self._thread.start()
-        elif self.env == "thread":
-            self._queue: queue.Queue = queue.Queue()
-            self._threads = [
-                threading.Thread(target=self._thread_worker,
-                                 name=f"cell-executor-{i}", daemon=True)
-                for i in range(self.jobs)]
-            for thread in self._threads:
-                thread.start()
-        elif self.env != "inline":
-            raise ValueError(
-                f"unknown executor environment {self.env!r}")
 
     # -- submit side -------------------------------------------------------
 
@@ -185,19 +162,15 @@ class CellExecutor:
             self._next_ticket += 1
             self._events[ticket] = threading.Event()
             self.submitted += 1
-            if self.env == "inline":
-                # Inline mode: run right here, same envelope semantics.
-                result = execute_cell(task, self.trace_dir)
-                self._done[ticket] = result
-                self.completed += 1
-                self._events[ticket].set()
+            if self._runner is not None:
+                self._pending.append((ticket, task))
+                self._wake()
                 return ticket
-            self._pending.append((ticket, task))
-        if self.env == "thread":
-            self._queue.put(ticket)
-        else:
-            self._wake()
-        return ticket
+            # Inline mode: run right here, same envelope semantics.
+            self._done[ticket] = execute_cell(task, self.trace_dir)
+            self.completed += 1
+            self._events[ticket].set()
+            return ticket
 
     def poll(self, ticket: int) -> CellResult | None:
         """The cell's result if it finished, else ``None`` (never blocks).
@@ -229,10 +202,10 @@ class CellExecutor:
             return len(self._pending)
 
     def pool_stats(self) -> dict | None:
-        """Persistent-pool diagnostics (``None`` outside process envs)."""
-        if self._pool is None:
+        """Persistent-pool diagnostics (``None`` when inline)."""
+        if self._runner is None:
             return None
-        return self._pool.stats()
+        return self._runner.pool.stats()
 
     def shutdown(self) -> None:
         """Stop the pool: running workers are terminated, queued cells
@@ -241,17 +214,15 @@ class CellExecutor:
             if self._closed:
                 return
             self._closed = True
-        if self.env in ("process", "process-static"):
-            self._wake()
+        if self._runner is not None:
+            # Blocking, and outside the lock: the stop byte must land
+            # even in a full pipe, which the loop drains.
+            os.set_blocking(self._wake_w, True)
+            os.write(self._wake_w, STOP)
             self._thread.join(timeout=30.0)
             os.close(self._wake_r)
             os.close(self._wake_w)
-        elif self.env == "thread":
-            for _ in self._threads:
-                self._queue.put(None)
-            for thread in self._threads:
-                thread.join(timeout=30.0)
-            self._fail_pending("executor shut down")
+        self._fail_pending("executor shut down")
 
     def _fail_pending(self, message: str) -> None:
         with self._lock:
@@ -261,7 +232,19 @@ class CellExecutor:
             self._deliver(ticket, CellResult(
                 index=task.index, ok=False, error=message))
 
-    # -- delivery ----------------------------------------------------------
+    # -- the dispatch thread -----------------------------------------------
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"x")
+        except BlockingIOError:  # pipe full: a wake-up is already pending
+            pass
+
+    def _next_cell(self, slot: int):
+        with self._lock:
+            if self._closed or not self._pending:
+                return None
+            return self._pending.popleft()
 
     def _deliver(self, ticket: int, result: CellResult) -> None:
         with self._lock:
@@ -271,127 +254,16 @@ class CellExecutor:
         if event is not None:
             event.set()
 
-    # -- thread environment ------------------------------------------------
-
-    def _thread_worker(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            with self._lock:
-                entry = None
-                for position, (ticket, task) in enumerate(self._pending):
-                    if ticket == item:
-                        entry = (ticket, task)
-                        del self._pending[position]
-                        break
-                closed = self._closed
-            if entry is None:
-                continue
-            ticket, task = entry
-            if closed:
-                self._deliver(ticket, CellResult(
-                    index=task.index, ok=False,
-                    error="executor shut down"))
-                continue
-            self._deliver(ticket, execute_cell(task, self.trace_dir))
-
-    # -- process environment dispatcher ------------------------------------
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:  # pragma: no cover - closed during shutdown
-            pass
-
-    def _dispatch_loop(self) -> None:
-        pool = self._pool
-        idle = set(range(pool.size))
-        # slot -> (ticket, task, the PoolWorker it went to)
-        in_flight: dict[int, tuple[int, CellTask, object]] = {}
-        while True:
-            with self._lock:
-                closed = self._closed
-                starts = []
-                while not closed and self._pending and idle:
-                    slot = idle.pop()
-                    starts.append((slot, *self._pending.popleft()))
-            for slot, ticket, task in starts:
-                try:
-                    worker = pool.dispatch(slot, task, self.trace_dir,
-                                           tag=ticket)
-                except (BrokenPipeError, OSError):
-                    pool.respawn(slot)
-                    worker = pool.dispatch(slot, task, self.trace_dir,
-                                           tag=ticket)
-                in_flight[slot] = (ticket, task, worker)
-            if closed:
-                break
-            waitables = [self._wake_r]
-            for _, _, worker in in_flight.values():
-                waitables.append(worker.conn)
-                waitables.append(worker.proc.sentinel)
-            ready = connection.wait(
-                waitables, timeout=self._stall_budget(in_flight))
-            ready = set(ready or ())
-            if self._wake_r in ready:
-                os.read(self._wake_r, 4096)
-            now = time.monotonic()
-            for slot in list(in_flight):
-                ticket, task, worker = in_flight[slot]
-                if worker.conn in ready or worker.proc.sentinel in ready:
-                    result = self._harvest(task, worker, slot)
-                elif (self.stall_timeout_s is not None
-                      and now - worker.dispatched_at
-                      > self.stall_timeout_s):
-                    pool.kill(slot, reason="stalled")
-                    pool.respawn(slot)
-                    result = CellResult(
-                        index=task.index, ok=False,
-                        error=(f"worker stalled: no result within "
-                               f"{self.stall_timeout_s:g}s; killed and "
-                               f"respawned"),
-                        worker_pid=worker.pid)
-                else:
-                    continue
-                del in_flight[slot]
-                idle.add(slot)
-                self._deliver(ticket, result)
-        # Shutdown: kill the survivors, fail the queue — never hang.
-        for slot, (ticket, task, worker) in in_flight.items():
+    def _dispatch(self) -> None:
+        survivors = self._runner.dispatch_loop(
+            self._next_cell, self._deliver, self.trace_dir,
+            wake_fd=self._wake_r)
+        # Shutdown: kill the survivors, fail their cells — never hang.
+        for ticket, task, worker in survivors.values():
             if worker.proc.is_alive():
                 worker.proc.terminate()
             worker.proc.join(timeout=5.0)
             self._deliver(ticket, CellResult(
                 index=task.index, ok=False,
                 error="executor shut down", worker_pid=worker.pid))
-        pool.shutdown()
-        self._fail_pending("executor shut down")
-
-    def _harvest(self, task: CellTask, worker, slot: int) -> CellResult:
-        pool = self._pool
-        result = None
-        if worker.conn.poll():
-            try:
-                result = transport.recv_result(worker.conn.recv())
-            except (EOFError, OSError):
-                result = None
-        if result is not None:
-            pool.mark_idle(worker)
-            return result
-        worker.proc.join(timeout=5.0)
-        result = CellResult(
-            index=task.index, ok=False,
-            error=(f"worker died before reporting "
-                   f"(exit code {worker.proc.exitcode})"),
-            worker_pid=worker.pid)
-        pool.respawn(slot)
-        return result
-
-    def _stall_budget(self, in_flight: dict) -> float | None:
-        if self.stall_timeout_s is None or not in_flight:
-            return None
-        now = time.monotonic()
-        deadline = min(worker.dispatched_at + self.stall_timeout_s
-                       for _, _, worker in in_flight.values())
-        return max(deadline - now, 0.05)
+        self._runner.close()

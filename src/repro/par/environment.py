@@ -1,32 +1,24 @@
-"""Execution environments: pluggable strategies for running sweeps.
+"""Execution environments: where a batch of cells runs.
 
-Following the environment/runner/buffer split (one object decides *how*
-cells execute, builds the matching runner and result-buffer types, and
-is selected by name), every driver in the repo — ``run_cells``, the
-serve daemon's :class:`~repro.par.engine.CellExecutor`, the fault
-matrix, the race and deadlock sweeps, ``table2``, the Figure 5 grid,
-``repro bench`` and ``repro profile`` — picks its environment with a
-single ``--env`` flag:
+One object decides *how* cells execute and builds the matching runner;
+every driver in the repo — ``run_cells``, the serve daemon's
+:class:`~repro.par.engine.CellExecutor`, the fault matrix, the race and
+deadlock sweeps, ``table2``, the Figure 5 grid, ``repro bench`` and
+``repro profile`` — picks it with a single ``--env`` flag:
 
 ========================  ==============================================
 ``inline``                calling thread, serial; the determinism oracle
-``thread``                worker threads + work stealing; shares caches,
-                          no crash isolation
 ``process``               persistent forked worker pool + work stealing;
                           crash isolation, shared-memory results
                           (the default for ``jobs>1``)
-``process-static``        the same pool with stealing disabled — the
-                          static ``i % jobs`` partition, kept as a
-                          comparison point and differential witness
 ========================  ==============================================
 
-The cycle-identity contract: **every environment produces the same
-canonical digest as serial execution.**  Environments choose where and
-when a cell runs; the cell's output is a pure function of its task
-(seeds derive from the cell index, aggregation is slotted by task
-position), so the choice can never leak into results.
-``tests/par/test_env_equivalence.py`` pins this for every sweep family
-in the repo.
+The cycle-identity contract: **both environments produce the same
+canonical digest.**  An environment chooses where and when a cell runs;
+the cell's output is a pure function of its task (seeds derive from the
+cell index, aggregation is slotted by task position), so the choice can
+never leak into results.  ``tests/par/test_env_equivalence.py`` pins
+this for every sweep family in the repo.
 """
 
 from __future__ import annotations
@@ -37,13 +29,10 @@ from repro.par.pool import WorkerPool, shared_pool
 from repro.par.runners.base import Runner
 from repro.par.runners.inline import InlineRunner
 from repro.par.runners.process import ProcessRunner
-from repro.par.runners.thread import ThreadRunner
-from repro.par.transport import ListBuffer, LockedBuffer
 
 __all__ = [
     "ExecutionEnvironment",
     "InlineEnvironment",
-    "ThreadEnvironment",
     "ProcessEnvironment",
     "ENVIRONMENT_NAMES",
     "environment_for",
@@ -52,7 +41,7 @@ __all__ = [
 
 
 class ExecutionEnvironment(ABC):
-    """How a batch of cells executes: runner + matching buffer types."""
+    """How a batch of cells executes: a factory for its runner."""
 
     #: Registry name (what ``--env`` selects).
     name: str = "?"
@@ -62,10 +51,6 @@ class ExecutionEnvironment(ABC):
                     stall_timeout_s: float | None = None) -> Runner:
         """Build a runner for ``jobs``-wide execution."""
 
-    def make_buffer(self, size: int) -> ListBuffer:
-        """Result buffer matching this environment's delivery pattern."""
-        return ListBuffer(size)
-
 
 class InlineEnvironment(ExecutionEnvironment):
     """Serial execution in the calling thread (the oracle)."""
@@ -74,58 +59,33 @@ class InlineEnvironment(ExecutionEnvironment):
 
     def make_runner(self, jobs: int = 1,
                     stall_timeout_s: float | None = None) -> Runner:
-        return InlineRunner(self)
-
-
-class ThreadEnvironment(ExecutionEnvironment):
-    """Worker threads sharing the parent interpreter."""
-
-    name = "thread"
-
-    def make_runner(self, jobs: int,
-                    stall_timeout_s: float | None = None) -> Runner:
-        return ThreadRunner(self, max(1, jobs))
-
-    def make_buffer(self, size: int) -> ListBuffer:
-        # Worker threads deliver concurrently: lock the slots.
-        return LockedBuffer(size)
+        return InlineRunner()
 
 
 class ProcessEnvironment(ExecutionEnvironment):
-    """Persistent forked worker pool (work stealing on by default).
+    """Persistent forked worker pool with work stealing.
 
     By default runners borrow the process-wide :func:`shared_pool` for
     their worker count — that is what makes consecutive sweeps reuse
     warm workers.  Pass ``pool=`` for a private pool (the benchmark
-    does, to measure cold vs warm honestly), or ``stealing=False`` for
-    the static-partition variant registered as ``process-static``.
+    does, to measure cold vs warm honestly).
     """
 
     name = "process"
 
-    def __init__(self, stealing: bool = True,
-                 pool: WorkerPool | None = None):
-        self.stealing = stealing
+    def __init__(self, pool: WorkerPool | None = None):
         self._pool = pool
-        if not stealing:
-            self.name = "process-static"
 
     def make_runner(self, jobs: int,
                     stall_timeout_s: float | None = None) -> Runner:
         pool = self._pool if self._pool is not None \
             else shared_pool(max(1, jobs))
-        runner = ProcessRunner(self, pool, stealing=self.stealing,
-                               stall_timeout_s=stall_timeout_s,
-                               owns_pool=False)
-        runner.env_name = self.name
-        return runner
+        return ProcessRunner(pool, stall_timeout_s=stall_timeout_s)
 
 
 _REGISTRY = {
     "inline": InlineEnvironment,
-    "thread": ThreadEnvironment,
-    "process": lambda: ProcessEnvironment(stealing=True),
-    "process-static": lambda: ProcessEnvironment(stealing=False),
+    "process": ProcessEnvironment,
 }
 
 #: Valid ``--env`` values, in documentation order.

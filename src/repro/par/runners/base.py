@@ -22,7 +22,7 @@ class Runner(ABC):
       interchangeable.
 
     ``close`` releases only resources the runner *owns* (a private
-    pool, worker threads); shared pools outlive their runners.
+    pool); shared pools outlive their runners.
     """
 
     #: Environment name this runner was built for (diagnostics).

@@ -7,9 +7,9 @@ from repro.par.runners.base import Runner
 
 
 class InlineRunner(Runner):
-    """The serial oracle: no pool, no threads, no scheduler.
+    """The serial oracle: no pool, no scheduler.
 
-    Every other environment is tested for digest-equality against this
+    The process environment is tested for digest-equality against this
     one; it is also what ``jobs<=1`` resolves to everywhere, preserving
     the historical serial behaviour (including memo-cache hits, which
     live in the calling process).
@@ -17,17 +17,6 @@ class InlineRunner(Runner):
 
     env_name = "inline"
 
-    def __init__(self, environment):
-        self._environment = environment
-        self._cells_run = 0
-
     def run(self, tasks: list[CellTask],
             trace_dir: str | None = None) -> list[CellResult]:
-        buffer = self._environment.make_buffer(len(tasks))
-        for position, task in enumerate(tasks):
-            buffer.put(position, execute_cell(task, trace_dir))
-            self._cells_run += 1
-        return buffer.collect()
-
-    def stats(self) -> dict:
-        return {"environment": self.env_name, "cells": self._cells_run}
+        return [execute_cell(task, trace_dir) for task in tasks]

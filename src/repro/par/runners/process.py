@@ -1,31 +1,33 @@
-"""Process runner: a persistent worker pool fed by the steal scheduler.
+"""Process runner: the one dispatch loop over a persistent worker pool.
 
-This is the default environment for ``jobs>1`` and the direct
-descendant of the original fork-per-cell engine, restructured around
-three upgrades:
+Every cell that leaves the calling process goes through
+:meth:`ProcessRunner.dispatch_loop`.  Two callers feed it:
 
-* **warm workers** — cells are dispatched to a persistent
-  :class:`~repro.par.pool.WorkerPool` instead of a fresh fork each, so
-  consecutive sweeps amortise fork + import cost;
-* **work stealing** — each worker slot owns a deque of cell positions
-  (``i % jobs``), and an idle slot steals half the busiest sibling's
-  backlog, so one expensive shard cannot strand the rest of the pool
-  (``stealing=False`` reproduces the static partition for comparison);
-* **shared-memory results** — large result payloads cross via
-  ``multiprocessing.shared_memory`` instead of the pipe
-  (:mod:`repro.par.transport`).
+* :meth:`ProcessRunner.run` — a batch (``run_cells``): each worker slot
+  is fed from a :class:`~repro.par.stealing.StealScheduler` (cell ``i``
+  starts on slot ``i % jobs``; an idle slot steals half the busiest
+  sibling's backlog) and results land in a position-slotted
+  :class:`~repro.par.transport.ListBuffer`;
+* :class:`~repro.par.engine.CellExecutor` — a daemon's ticket queue: its
+  dispatch thread feeds slots from the pending deque, delivers results
+  by ticket, and wakes the loop through a pipe when a cell arrives.
 
-The dispatch loop preserves the first-generation crash-isolation
-contract verbatim: it waits on worker pipes *and* process sentinels, so
-a worker that dies without reporting (SIGKILL, ``os._exit``, OOM) fails
-only its cell — same diagnostic string as before — and the pool
-respawns the slot back to target size before the next dispatch.  An
-optional stall budget additionally converts a wedged worker (alive but
-silent) into a failed cell plus a respawn instead of a hung sweep.
+Workers are persistent (:class:`~repro.par.pool.WorkerPool`), so
+consecutive batches amortise fork + import cost, and large results
+cross through shared memory (:mod:`repro.par.transport`).
+
+The loop waits on worker pipes *and* process sentinels, so a worker
+that dies without reporting (SIGKILL, ``os._exit``, OOM) fails only its
+cell and the pool respawns the slot back to target size.  An optional
+stall budget converts a wedged worker (alive but silent) into a failed
+cell plus a respawn instead of a hung sweep.  A cell whose dispatch
+fails even after its worker was replaced fails with a diagnostic
+result, and the loop keeps serving the rest.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from multiprocessing import connection
 
@@ -34,10 +36,16 @@ from repro.par.cells import CellResult, CellTask
 from repro.par.pool import PoolWorker, WorkerPool
 from repro.par.runners.base import Runner
 from repro.par.stealing import StealScheduler
+from repro.par.transport import ListBuffer
 
 #: Floor for the connection.wait timeout while a stall budget is armed,
 #: so a budget that just expired still polls promptly without spinning.
 _MIN_WAIT_S = 0.05
+
+#: Byte on a wake pipe that stops :meth:`ProcessRunner.dispatch_loop`
+#: (any other byte just wakes it).  A closed write end cannot signal the
+#: stop: forked workers inherit a copy of it.
+STOP = b"q"
 
 
 class ProcessRunner(Runner):
@@ -45,13 +53,10 @@ class ProcessRunner(Runner):
 
     env_name = "process"
 
-    def __init__(self, environment, pool: WorkerPool,
-                 stealing: bool = True,
+    def __init__(self, pool: WorkerPool,
                  stall_timeout_s: float | None = None,
                  owns_pool: bool = False):
-        self._environment = environment
         self.pool = pool
-        self.stealing = stealing
         self.stall_timeout_s = stall_timeout_s
         self._owns_pool = owns_pool
         self._last_scheduler: StealScheduler | None = None
@@ -59,74 +64,91 @@ class ProcessRunner(Runner):
     def run(self, tasks: list[CellTask],
             trace_dir: str | None = None) -> list[CellResult]:
         tasks = list(tasks)
-        buffer = self._environment.make_buffer(len(tasks))
-        scheduler = StealScheduler(len(tasks), self.pool.size,
-                                   stealing=self.stealing)
+        buffer = ListBuffer(len(tasks))
+        scheduler = StealScheduler(len(tasks), self.pool.size)
         self._last_scheduler = scheduler
-        # slot -> (task position, task, the PoolWorker it went to)
-        in_flight: dict[int, tuple[int, CellTask, PoolWorker]] = {}
+
+        def feed(slot: int):
+            position = scheduler.next_for(slot)
+            return None if position is None else (position, tasks[position])
+
         with self.pool.lock:
             self.pool.batches += 1
-            for slot in range(self.pool.size):
-                self._feed(slot, scheduler, tasks, trace_dir, in_flight)
-            while in_flight:
-                ready = connection.wait(
-                    [waitable
-                     for _, _, worker in in_flight.values()
-                     for waitable in (worker.conn, worker.proc.sentinel)],
-                    timeout=self._stall_budget(in_flight))
-                ready = set(ready or ())
-                now = time.monotonic()
-                for slot in list(in_flight):
-                    position, task, worker = in_flight[slot]
-                    if worker.conn in ready or worker.proc.sentinel in ready:
-                        result = self._harvest(task, worker, slot)
-                    elif self._stalled(worker, now):
-                        result = self._kill_stalled(task, worker, slot)
-                    else:
-                        continue
-                    buffer.put(position, result)
-                    del in_flight[slot]
-                    self._feed(slot, scheduler, tasks, trace_dir,
-                               in_flight)
+            self.dispatch_loop(feed, buffer.put, trace_dir)
         return buffer.collect()
 
-    # -- dispatch ----------------------------------------------------------
+    # -- the dispatch loop -------------------------------------------------
 
-    def _feed(self, slot: int, scheduler: StealScheduler, tasks,
-              trace_dir: str | None, in_flight: dict) -> None:
-        """Hand slot ``slot`` its next cell, if the scheduler has one."""
+    def dispatch_loop(self, feed, deliver, trace_dir: str | None,
+                      wake_fd: int | None = None) -> dict:
+        """Keep every slot busy with cells from ``feed``.
+
+        ``feed(slot)`` returns the next ``(key, task)`` for an idle slot,
+        or ``None`` when it has nothing; ``deliver(key, result)``
+        receives each fed cell's outcome exactly once.  Without
+        ``wake_fd`` the loop returns when ``feed`` is dry and nothing is
+        in flight.  With it, the loop also waits on that pipe: a byte
+        re-feeds idle slots, and :data:`STOP` stops the loop.  Returns
+        the cells still in flight when it stopped,
+        ``{slot: (key, task, worker)}``, for the caller to settle.
+        """
+        in_flight: dict[int, tuple[object, CellTask, PoolWorker]] = {}
+        idle = list(range(self.pool.size))
         while True:
-            position = scheduler.next_for(slot)
-            if position is None:
-                return
-            task = tasks[position]
-            try:
-                worker = self.pool.dispatch(slot, task, trace_dir,
-                                            tag=position)
-            except (BrokenPipeError, OSError):
-                # The worker died between health check and send; replace
-                # it and retry once — a second failure fails the cell.
-                self.pool.respawn(slot)
-                try:
-                    worker = self.pool.dispatch(slot, task, trace_dir,
-                                                tag=position)
-                except (BrokenPipeError, OSError) as exc:
-                    in_flight.pop(slot, None)
-                    # Slot is cursed: fail this cell, move to the next.
-                    self._buffer_orphan(position, task, exc)
+            idle = [slot for slot in idle
+                    if not self._start(slot, feed, deliver, trace_dir,
+                                       in_flight)]
+            if not in_flight and wake_fd is None:
+                return in_flight
+            waitables = [waitable for _, _, worker in in_flight.values()
+                         for waitable in (worker.conn, worker.proc.sentinel)]
+            if wake_fd is not None:
+                waitables.append(wake_fd)
+            ready = set(connection.wait(
+                waitables, timeout=self._stall_budget(in_flight)) or ())
+            if wake_fd in ready and STOP in os.read(wake_fd, 4096):
+                return in_flight
+            now = time.monotonic()
+            for slot, (key, task, worker) in list(in_flight.items()):
+                if worker.conn in ready or worker.proc.sentinel in ready:
+                    result = self._harvest(task, worker, slot)
+                elif self._stalled(worker, now):
+                    result = self._kill_stalled(task, worker, slot)
+                else:
                     continue
-            in_flight[slot] = (position, task, worker)
-            return
+                del in_flight[slot]
+                idle.append(slot)
+                deliver(key, result)
 
-    def _buffer_orphan(self, position: int, task: CellTask, exc) -> None:
-        # Stored via the scheduler path's buffer by the caller; kept as
-        # a hook so run() stays the only writer.  In practice dispatch
-        # failing twice in a row means fork itself is failing, so
-        # surface it loudly instead of mis-filing the result.
-        raise RuntimeError(
-            f"cannot dispatch cell {task.index}: worker pipe failed "
-            f"twice ({exc})")
+    def _start(self, slot: int, feed, deliver, trace_dir: str | None,
+               in_flight: dict) -> bool:
+        """Put slot ``slot``'s next cell in flight; False once ``feed``
+        has none for it."""
+        while True:
+            item = feed(slot)
+            if item is None:
+                return False
+            key, task = item
+            try:
+                in_flight[slot] = (key, task,
+                                   self._send(slot, key, task, trace_dir))
+                return True
+            except OSError as exc:
+                deliver(key, CellResult(
+                    index=task.index, ok=False,
+                    error=(f"cannot dispatch cell {task.index}: worker "
+                           f"pipe failed twice ({exc})")))
+
+    def _send(self, slot: int, key, task: CellTask,
+              trace_dir: str | None) -> PoolWorker:
+        """Dispatch to the slot's worker.  A worker that died between
+        health check and send is replaced and the send retried once; a
+        second failure raises."""
+        try:
+            return self.pool.dispatch(slot, task, trace_dir, tag=key)
+        except OSError:
+            self.pool.respawn(slot)
+            return self.pool.dispatch(slot, task, trace_dir, tag=key)
 
     # -- harvest -----------------------------------------------------------
 
@@ -143,7 +165,7 @@ class ProcessRunner(Runner):
             self.pool.mark_idle(worker)
             return result
         # Sentinel fired with nothing in the pipe: the worker died
-        # mid-cell.  Same failure shape as the fork-per-cell engine.
+        # mid-cell.
         worker.proc.join(timeout=5.0)
         result = CellResult(
             index=task.index, ok=False,
@@ -171,7 +193,7 @@ class ProcessRunner(Runner):
 
     def _stall_budget(self, in_flight: dict) -> float | None:
         """connection.wait timeout: time until the first stall fires."""
-        if self.stall_timeout_s is None:
+        if self.stall_timeout_s is None or not in_flight:
             return None
         now = time.monotonic()
         deadline = min(worker.dispatched_at + self.stall_timeout_s

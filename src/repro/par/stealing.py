@@ -27,9 +27,8 @@ with Hypothesis to pin exactly that: every cell scheduled exactly once,
 no losses, no duplicates, aggregation order independent of victim
 choice.
 
-The scheduler is deliberately not thread-safe: each runner drives it
-from a single dispatch thread (the parent process for the process pool,
-the submitting thread for the thread runner under its lock).
+The scheduler is deliberately not thread-safe: the process runner drives
+it from its single dispatch loop.
 """
 
 from __future__ import annotations
@@ -42,13 +41,12 @@ __all__ = ["StealScheduler"]
 class StealScheduler:
     """Deal ``items`` cell positions across ``workers`` local deques."""
 
-    def __init__(self, items: int, workers: int, stealing: bool = True):
+    def __init__(self, items: int, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if items < 0:
             raise ValueError(f"items must be >= 0, got {items}")
         self.workers = workers
-        self.stealing = stealing
         self._deques: list[deque[int]] = [deque()
                                           for _ in range(workers)]
         for position in range(items):
@@ -71,17 +69,16 @@ class StealScheduler:
     def next_for(self, worker: int) -> int | None:
         """The next cell position worker ``worker`` should run.
 
-        Pops the head of the worker's own deque; if it is empty and
-        stealing is enabled, steals half of the busiest victim's deque
-        first.  Returns ``None`` when no cell is available anywhere
-        (the sweep is fully handed out).
+        Pops the head of the worker's own deque; if it is empty, steals
+        half of the busiest victim's deque first.  Returns ``None`` when
+        no cell is available anywhere (the sweep is fully handed out).
         """
         own = self._deques[worker]
-        if not own and self.stealing:
-            self._steal_into(worker)
         if not own:
-            # Static mode (or nothing left to steal): this worker is done.
-            return None
+            self._steal_into(worker)
+            if not own:
+                # Nothing left to steal: this worker is done.
+                return None
         self._remaining -= 1
         return own.popleft()
 
@@ -121,7 +118,6 @@ class StealScheduler:
 
         stats = {
             "workers": self.workers,
-            "stealing": self.stealing,
             "steals": len(self.steals),
             "cells_stolen": sum(count for _, _, count in self.steals),
         }

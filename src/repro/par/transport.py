@@ -1,16 +1,10 @@
 """Buffers and transports: how cell results travel between runners.
 
-Following the puma ``environment``/``runner``/``buffer`` split, each
-execution environment pairs its runner with a matching result buffer:
-
-* :class:`ListBuffer` — plain slots, no locking; matches the inline
-  runner (one thread, no concurrency).
-* :class:`LockedBuffer` — the same slots under a lock; matches the
-  thread runner (worker threads deliver concurrently).
-* The process runner harvests on a single dispatch thread, so it also
-  uses :class:`ListBuffer` parent-side; what it needs instead is a
-  *wire transport* for the worker→parent hop, provided by
-  :func:`send_result` / :func:`recv_result`.
+The process runner harvests on a single dispatch thread, so its
+parent-side :class:`ListBuffer` is plain position-indexed slots with no
+locking.  What it needs beyond that is a *wire transport* for the
+worker→parent hop, provided by :func:`send_result` /
+:func:`recv_result`.
 
 The wire transport ships small results inline through the pipe (one
 pickled message, the historical behaviour) but diverts payloads larger
@@ -32,13 +26,11 @@ lives here.
 from __future__ import annotations
 
 import pickle
-import threading
 
 from repro.par.cells import CellResult
 
 __all__ = [
     "ListBuffer",
-    "LockedBuffer",
     "SHM_THRESHOLD_BYTES",
     "send_result",
     "recv_result",
@@ -78,22 +70,6 @@ class ListBuffer:
                 f"result buffer incomplete: slots {missing} never "
                 "received a result")
         return list(self._slots)
-
-
-class LockedBuffer(ListBuffer):
-    """The same slots, safe for concurrent worker-thread delivery."""
-
-    def __init__(self, size: int):
-        super().__init__(size)
-        self._lock = threading.Lock()
-
-    def put(self, position: int, result: CellResult) -> None:
-        with self._lock:
-            super().put(position, result)
-
-    def collect(self) -> list[CellResult]:
-        with self._lock:
-            return super().collect()
 
 
 def _unregister_from_tracker(name: str) -> None:

@@ -76,10 +76,10 @@ class ServeConfig:
         #: Worker processes for the batch (``run``) path; 0 executes
         #: batch sessions inline in the handler thread (fork-free).
         self.jobs = jobs
-        #: Execution environment for the batch path (``inline``,
-        #: ``thread``, ``process``); ``None`` derives it from ``jobs``.
-        #: Process environments keep a persistent warm worker pool for
-        #: the daemon's lifetime — forks amortise across sessions.
+        #: Execution environment for the batch path (``inline`` or
+        #: ``process``); ``None`` derives it from ``jobs``.  The process
+        #: environment keeps a persistent warm worker pool for the
+        #: daemon's lifetime — forks amortise across sessions.
         self.env = env
         self.step_budget = step_budget
         self.bundle_dir = bundle_dir

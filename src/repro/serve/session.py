@@ -15,7 +15,7 @@ can be driven two ways:
   sessions fan out across one *persistent* worker pool — workers fork
   once at daemon startup demand and serve every later session warm,
   in whichever execution environment the daemon was started with
-  (``--env inline|thread|process``) — without breaking per-cell seed
+  (``--env inline|process``) — without breaking per-cell seed
   derivation.
 
 Both paths end in the same result dict, whose ``obs_digest`` (see

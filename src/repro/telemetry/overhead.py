@@ -31,22 +31,26 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
 
     ``task`` is a :class:`~repro.par.cells.CellTask` (typically the
     bench matrix's first cell).  Both arms run after a shared warmup in
-    this process, so memo caches and imports are equally warm; the
-    traced arm carries a trace context, records spans to a scratch
-    directory, and feeds a host latency histogram — the full per-cell
-    telemetry path.
+    this process, so imports are equally warm, and the memo caches are
+    reset before every run, so each timed run really simulates the cell
+    instead of timing a cache hit.  The traced arm carries a trace
+    context, records spans to a scratch directory, and feeds a host
+    latency histogram — the full per-cell telemetry path.
     """
+    from repro.experiments.runner import reset_caches
     from repro.par.cells import execute_cell
     from repro.telemetry import hostmetrics
     from repro.telemetry.context import new_context
     from repro.telemetry.spans import read_spans, scoped
 
+    reset_caches()
     warmup = execute_cell(task, None)
 
     bare_wall = None
     bare_result = None
     with scoped(None):
         for _ in range(max(1, repeats)):
+            reset_caches()
             start = time.perf_counter()
             bare_result = execute_cell(task, None)
             wall = time.perf_counter() - start
@@ -62,6 +66,7 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
         traced_task = replace(task, trace=ctx.to_dict())
         with scoped(scratch, service="bench"):
             for _ in range(max(1, repeats)):
+                reset_caches()
                 start = time.perf_counter()
                 traced_result = execute_cell(traced_task, None)
                 wall = time.perf_counter() - start

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentResult,
     native_cycles,
+    reset_caches,
     run_benchmark_grid,
     run_one,
 )
@@ -26,6 +28,31 @@ class TestRunner:
     def test_native_cycles_memoized(self):
         assert native_cycles("fft", scale=0.1) == \
             native_cycles("fft", scale=0.1)
+
+    def test_cost_model_mutated_in_place_is_resimulated(self,
+                                                        monkeypatch):
+        # The memo caches key on the model's field values, not its id:
+        # the same object with a changed field is a different model.
+        from repro.perf.costs import CostModel
+
+        calls = []
+        real_run_mvee = runner.run_mvee
+
+        def counting_run_mvee(*args, **kwargs):
+            calls.append(kwargs["costs"].syscall_base)
+            return real_run_mvee(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_mvee", counting_run_mvee)
+        reset_caches()
+        costs = CostModel()
+        first = run_one("fft", "wall_of_clocks", 2, scale=0.05,
+                        costs=costs)
+        costs.syscall_base *= 4
+        second = run_one("fft", "wall_of_clocks", 2, scale=0.05,
+                         costs=costs)
+        assert calls == [400.0, 1600.0]
+        assert second.native_cycles != first.native_cycles
+        assert second.mvee_cycles != first.mvee_cycles
 
     def test_grid_covers_requested_cells(self):
         results = run_benchmark_grid(benchmarks=["fft", "x264"],

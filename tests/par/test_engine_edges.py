@@ -169,10 +169,20 @@ class TestOutOfOrderCompletion:
         assert [r.index for r in results] == [0, 1, 2, 3]
         assert [r.value for r in results] == [0, 10, 20, 30]
 
-    def test_thread_env_slots_by_position(self):
-        results = run_cells(self._delays(), jobs=4, env="thread")
-        assert [r.index for r in results] == [0, 1, 2, 3]
-        assert [r.value for r in results] == [0, 10, 20, 30]
+
+class TestDispatchFailure:
+    def test_double_dispatch_failure_fails_only_the_cell(self,
+                                                         monkeypatch):
+        def broken_dispatch(self, *args, **kwargs):
+            raise BrokenPipeError("pipe gone")
+
+        monkeypatch.setattr(WorkerPool, "dispatch", broken_dispatch)
+        results = _run_private([_task(i, _sleep_then_value, seconds=0,
+                                      value=i) for i in range(3)])
+        assert [r.index for r in results] == [0, 1, 2]
+        assert not any(r.ok for r in results)
+        assert all("worker pipe failed twice" in r.error
+                   for r in results)
 
 
 class TestBufferContract:

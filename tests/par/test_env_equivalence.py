@@ -2,11 +2,10 @@
 
 ``test_serial_parallel_equiv`` licenses *sharding* (jobs=N equals
 jobs=1); this suite licenses the *environment axis*: every registered
-:class:`~repro.par.environment.ExecutionEnvironment` — inline, worker
-threads, the persistent work-stealing process pool, and the static
-(non-stealing) process pool — must produce the same canonical digest as
-the serial path for every sweep family the engine carries, across
-seeds and worker counts.  If an environment ever leaks scheduling into
+:class:`~repro.par.environment.ExecutionEnvironment` — inline and the
+persistent work-stealing process pool — must produce the same canonical
+digest as the serial path for every sweep family the engine carries,
+across seeds and worker counts.  If an environment ever leaks scheduling into
 simulated results, the digest moves and this file names the family,
 environment, and seed that diverged.
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import serve_load
 from repro.par.engine import CellExecutor, CellTask
+from repro.par.pool import WorkerPool
 from repro.serve.session import run_session_cell
 
 
@@ -118,6 +119,28 @@ class TestForkPool:
         executor = CellExecutor(jobs=2)
         executor.shutdown()
         executor.shutdown()
+
+    def test_double_dispatch_failure_fails_the_cell_and_keeps_serving(
+            self, monkeypatch):
+        def broken_dispatch(self, *args, **kwargs):
+            raise BrokenPipeError("pipe gone")
+
+        monkeypatch.setattr(WorkerPool, "dispatch", broken_dispatch)
+        executor = CellExecutor(jobs=1)
+        try:
+            failed = executor.wait(
+                executor.submit(_task(0, _square, x=3)), timeout=30.0)
+            assert failed is not None and not failed.ok
+            assert "cannot dispatch cell 0" in failed.error
+            assert "pipe gone" in failed.error
+            assert executor.in_flight == 0
+            # The dispatch thread survived: once dispatch works again,
+            # the same executor serves the next cell.
+            monkeypatch.undo()
+            ticket = executor.submit(_task(1, _square, x=4))
+            assert executor.wait(ticket, timeout=60.0).value == 16
+        finally:
+            executor.shutdown()
 
 
 class TestJobsInvariance:

@@ -57,14 +57,6 @@ class TestExactlyOnce:
         assert sorted(handed) == list(range(items))
         assert scheduler.remaining == 0 and scheduler.done()
 
-    @given(counts, worker_counts,
-           st.lists(st.integers(min_value=0, max_value=7), max_size=200))
-    def test_static_mode_also_exactly_once(self, items, workers, order):
-        scheduler = StealScheduler(items, workers, stealing=False)
-        handed = drain(scheduler, order)
-        assert sorted(handed) == list(range(items))
-        assert scheduler.stats()["steals"] == 0
-
     @given(counts, worker_counts)
     def test_exhausted_scheduler_keeps_returning_none(self, items,
                                                       workers):

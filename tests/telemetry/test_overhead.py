@@ -1,5 +1,6 @@
 """The overhead gate: telemetry measures its own host cost."""
 
+from repro.experiments import runner
 from repro.par.bench import bench_tasks, build_matrix
 from repro.telemetry.overhead import measure_cell_overhead
 
@@ -16,4 +17,21 @@ class TestMeasureCellOverhead:
         # The traced arm actually recorded host spans...
         assert block["spans_recorded"] >= 1
         # ...and the simulated outputs did not move: the contract.
+        assert block["digest_identical"] is True
+
+    def test_every_timed_run_simulates(self, monkeypatch):
+        """Neither arm may time a memo-cache hit: the warmup and each
+        timed run of both arms call into the simulator."""
+        calls = []
+        real_run_mvee = runner.run_mvee
+
+        def counting_run_mvee(*args, **kwargs):
+            calls.append(1)
+            return real_run_mvee(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_mvee", counting_run_mvee)
+        task = bench_tasks(build_matrix(quick=True, scale=0.02))[0]
+        repeats = 2
+        block = measure_cell_overhead(task, repeats=repeats)
+        assert len(calls) == 1 + 2 * repeats
         assert block["digest_identical"] is True

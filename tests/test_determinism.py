@@ -546,6 +546,8 @@ class TestTelemetryZeroPerturbation:
         from repro.par.bench import (bench_tasks, build_matrix,
                                      canonical_cells, digest_of)
         from repro.par.engine import run_cells
+        from repro.par.environment import ProcessEnvironment
+        from repro.par.pool import WorkerPool
         from repro.telemetry.context import new_context
         from repro.telemetry.spans import read_spans, scoped
 
@@ -555,7 +557,14 @@ class TestTelemetryZeroPerturbation:
                  for task in bench_tasks(build_matrix(quick=True,
                                                       seed=1))]
         with scoped(str(tmp_path), service="worker"):
-            results = run_cells(tasks, jobs=2, env="thread")
+            # A private pool forks inside the scope, so its workers
+            # inherit the span directory.
+            pool = WorkerPool(2)
+            try:
+                results = run_cells(tasks, jobs=2,
+                                    env=ProcessEnvironment(pool=pool))
+            finally:
+                pool.shutdown()
             recorded = read_spans(str(tmp_path))
         assert len(recorded) == len(tasks)
         assert {r["trace"] for r in recorded} == {ctx.trace_id}
