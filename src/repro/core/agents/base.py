@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.perf.contention import ContentionTracker
 from repro.perf.costs import CostModel, DEFAULT_COSTS
+from repro.sched.hooks import Hooks
 from repro.sched.interceptor import SyncAgent
 
 
@@ -54,30 +55,30 @@ class AgentSharedState:
         self.stats = AgentStats()
         #: Bound to Machine.wake_key by the MVEE bootstrap.
         self.wake = lambda key: None
-        #: Optional :class:`repro.obs.ObsHub`; agents emit record/replay/
-        #: stall events and buffer-occupancy samples when set.
-        self.obs = None
+        #: The machine's hook table: agents fire record/replay/stall
+        #: events with buffer-occupancy samples, and the shared buffers
+        #: consult its fault injector.
+        self.hooks = Hooks()
         #: When True, slave agents verify that the replayed op's site label
         #: matches the recorded one — a debugging aid for diversity that
         #: changes sync behaviour (Section 4.5.1 documents that such
         #: diversity is unsupported).
         self.check_sites = False
-        #: Optional :class:`repro.faults.FaultInjector`; subclasses
-        #: propagate it into their shared buffers so corrupt_sync faults
-        #: reach the records.
-        self.faults = None
         #: Variants demoted by the monitor (quarantine): ring-buffer
         #: backpressure must stop waiting for their consumption or the
         #: master stalls forever behind a dead consumer.
         self.retired: set[int] = set()
 
     def bind_machine(self, machine) -> None:
-        """Install the simulator's wake callback (MVEE bootstrap)."""
+        """Install the simulator's wake callback and hook table (MVEE
+        bootstrap)."""
         self.wake = machine.wake_key
+        self.bind_hooks(machine.hooks)
 
-    def bind_faults(self, injector) -> None:
-        """Attach the fault injector to the shared sync structures."""
-        self.faults = injector
+    def bind_hooks(self, hooks) -> None:
+        """Share the hook table; subclasses hand it to their buffers so
+        corrupt_sync faults reach the records."""
+        self.hooks = hooks
 
     def retire_variant(self, variant: int) -> None:
         """Stop backpressure from waiting on a quarantined slave.

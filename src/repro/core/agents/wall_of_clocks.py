@@ -53,14 +53,14 @@ class WallOfClocksShared(AgentSharedState):
         buffer = self.buffers.get(thread_logical)
         if buffer is None:
             buffer = SPSCBuffer(producer=thread_logical)
-            buffer.faults = self.faults
+            buffer.hooks = self.hooks
             self.buffers[thread_logical] = buffer
         return buffer
 
-    def bind_faults(self, injector) -> None:
-        super().bind_faults(injector)
+    def bind_hooks(self, hooks) -> None:
+        super().bind_hooks(hooks)
         for buffer in self.buffers.values():
-            buffer.faults = injector
+            buffer.hooks = hooks
 
     def retire_variant(self, variant: int) -> None:
         super().retire_variant(variant)
@@ -102,8 +102,8 @@ class WallOfClocksAgent(BaseAgent):
                           default=buffer.produced())
             if buffer.produced() - slowest >= shared.buffer_capacity:
                 shared.stats.producer_waits += 1
-                if shared.obs is not None:
-                    shared.obs.sync_stall(
+                for hook in shared.hooks.sync_stall:
+                    hook(
                         self.variant_index, thread.logical_id,
                         "producer_wait", f"woc:{thread.logical_id}")
                 return Wait(("woc_full", thread.logical_id),
@@ -122,8 +122,8 @@ class WallOfClocksAgent(BaseAgent):
                                       addr=op.addr, site=op.site,
                                       payload=(clock_id, time)))
             shared.stats.recorded += 1
-            if shared.obs is not None:
-                shared.obs.sync_record(
+            for hook in shared.hooks.sync_record:
+                hook(
                     vm.index, thread.logical_id,
                     f"woc:{thread.logical_id}", buffer.occupancy())
             # SPSC buffer: no cursor sharing.  The clock line is shared
@@ -143,10 +143,10 @@ class WallOfClocksAgent(BaseAgent):
         shared.walls[variant].tick(clock_id)
         buffer.advance(variant)
         shared.stats.replayed += 1
-        if shared.obs is not None:
-            shared.obs.sync_replay(variant, thread.logical_id,
-                                   f"woc:{thread.logical_id}",
-                                   buffer.occupancy())
+        for hook in shared.hooks.sync_replay:
+            hook(variant, thread.logical_id,
+                 f"woc:{thread.logical_id}",
+                 buffer.occupancy())
         cost = (self.costs.buffer_consume
                 + self.costs.woc_clock_factor * shared.coherence_cost(("woc", "clock", variant, clock_id),
                                         thread.global_id))
@@ -164,10 +164,10 @@ class WallOfClocksAgent(BaseAgent):
         if record is None:
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
-            if shared.obs is not None:
-                shared.obs.sync_stall(variant, thread.logical_id,
-                                      "log_wait",
-                                      f"woc:{thread.logical_id}")
+            for hook in shared.hooks.sync_stall:
+                hook(variant, thread.logical_id,
+                     "log_wait",
+                     f"woc:{thread.logical_id}")
             return Wait(("woc_buf", variant, thread.logical_id),
                         cost=self.costs.buffer_consume)
         clock_id, time = record.payload
@@ -175,9 +175,8 @@ class WallOfClocksAgent(BaseAgent):
         if local < time:
             shared.stats.stalls += 1
             shared.stats.order_waits += 1
-            if shared.obs is not None:
-                shared.obs.clock_lag(variant, thread.logical_id,
-                                     clock_id, time - local)
+            for hook in shared.hooks.clock_lag:
+                hook(variant, thread.logical_id, clock_id, time - local)
             if len(shared.clock_granules.get(clock_id, ())) > 1:
                 # More than one 64-bit granule hashes to this clock: the
                 # stall may be pure collision serialization (Section 4.5's

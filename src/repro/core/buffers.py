@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.sched.hooks import Hooks
+
 
 @dataclass
 class SyncRecord:
@@ -48,14 +50,15 @@ class MultiProducerLog:
         #: (the "n-th op of thread T" correspondence of Section 4.5.1).
         self._thread_positions: dict[str, list[int]] = {}
         self.high_water = 0
-        #: Optional fault injector; may corrupt a record before it is
-        #: indexed (a flipped word in the shared IPC segment).
-        self.faults = None
+        #: The machine's hook table, installed by the agents' shared
+        #: state.  An attached fault injector may corrupt a record before
+        #: it is indexed (a flipped word in the shared IPC segment).
+        self.hooks = Hooks()
 
     def append(self, record: SyncRecord) -> int:
         """Log a record; returns its global position."""
-        if self.faults is not None:
-            self.faults.on_sync_produce(record)
+        if self.hooks.faults:
+            self.hooks.faults.on_sync_produce(record)
         position = len(self._entries)
         self._entries.append(record)
         self._thread_positions.setdefault(record.thread, []).append(position)
@@ -143,12 +146,12 @@ class SPSCBuffer:
         #: consumer key (slave variant index) -> next index to consume.
         self._cursors: dict[int, int] = {}
         self.high_water = 0
-        #: Optional fault injector (see MultiProducerLog.faults).
-        self.faults = None
+        #: The machine's hook table (see MultiProducerLog.hooks).
+        self.hooks = Hooks()
 
     def produce(self, record: SyncRecord) -> int:
-        if self.faults is not None:
-            self.faults.on_sync_produce(record)
+        if self.hooks.faults:
+            self.hooks.faults.on_sync_produce(record)
         position = len(self._entries)
         self._entries.append(record)
         self.high_water = max(self.high_water,

@@ -209,16 +209,7 @@ class MVEE:
         if (self.monitor_kind == "strict"
                 and self.policy.degradation == "restart"):
             self.monitor.set_restart_callback(self._restart_variant)
-        if self.obs is not None:
-            self._attach_obs(self.obs)
-        if self.fault_injector is not None:
-            self._attach_faults()
-        if self.races is not None:
-            self._attach_races()
-        if self.deadlocks is not None:
-            self._attach_deadlocks()
-        if self.replay is not None:
-            self._attach_replay()
+        self._attach_hooks()
         if self._checkpoint_request:
             self._attach_checkpoints()
         if self.network is not None:
@@ -229,84 +220,41 @@ class MVEE:
         if self.traffic is not None:
             self.traffic(self.machine, self.network)
 
-    def _attach_obs(self, hub) -> None:
-        """Point every instrumented component at the observability hub."""
-        hub.bind_clock(lambda: self.machine.now)
-        self.machine.obs = hub
-        self.monitor.obs = hub
-        if self.agent_shared is not None:
-            self.agent_shared.obs = hub
-        for vm in self.vms:
-            vm.kernel.futexes.obs = hub
+    def _attach_hooks(self) -> None:
+        """Compile every optional consumer into the machine's hook table.
 
-    def _attach_faults(self) -> None:
-        """Point every fault-capable hook at the injector.
-
-        Mirrors ``_attach_obs``: components test one attribute; a run
-        without a plan never pays more than that test.
-        """
-        injector = self.fault_injector
-        injector.bind_clock(lambda: self.machine.now)
-        if self.obs is not None:
-            injector.bind_obs(self.obs)
-        self.machine.faults = injector
-        orderer = getattr(self.monitor, "orderer", None)
-        if orderer is not None:
-            orderer.faults = injector
-        if self.agent_shared is not None:
-            self.agent_shared.bind_faults(injector)
-        for vm in self.vms:
-            vm.kernel.futexes.faults = injector
-            vm.kernel.futexes.variant = vm.index
-
-    def _attach_races(self) -> None:
-        """Point the machine and every futex table at the detector.
-
-        Same shape as ``_attach_obs``/``_attach_faults``: one attribute
-        per hook site, zero cost when absent.
-        """
-        detector = self.races
-        detector.bind_clock(lambda: self.machine.now)
-        if self.obs is not None:
-            detector.bind_obs(self.obs)
-        self.machine.races = detector
-        for vm in self.vms:
-            vm.kernel.futexes.races = detector
-
-    def _attach_deadlocks(self) -> None:
-        """Point the machine and every futex table at the wait-for-graph
-        detector, and let a completed cycle end the run (sticky flag)."""
-        detector = self.deadlocks
-        detector.bind_clock(lambda: self.machine.now)
-        detector.bind_machine(self.machine)
-        if self.obs is not None:
-            detector.bind_obs(self.obs)
-        self.machine.deadlocks = detector
-        for vm in self.vms:
-            vm.kernel.futexes.deadlocks = detector
-            vm.kernel.futexes.variant = vm.index
-
-    def _attach_replay(self) -> None:
-        """Wire the decision-stream sink into every decision point.
-
-        Same zero-cost shape as the other observers — plus the one
-        intrusive move the sink demands: the scheduler RNG is wrapped
-        (record) or substituted (replay) so every draw flows through the
-        decision stream.
+        Attach order is fan-out order: obs, its profiler, races,
+        deadlocks, replay.  The monitor, orderer, agents, buffers and
+        futex tables already share the table (``bind_machine`` /
+        ``add_vm``), so this is the only wiring a consumer needs.  The
+        one intrusive move is replay's: the scheduler RNG is wrapped
+        (record) or substituted (replay) so every draw flows through
+        the decision stream.
         """
         from repro.replay import RecordingRandom, ReplayRandom
 
-        sink = self.replay
-        self.machine.replay = sink
-        for vm in self.vms:
-            vm.kernel.futexes.replay = sink
-            vm.kernel.futexes.variant = vm.index
-        if sink.mode == "record":
-            self.machine.rng = RecordingRandom(self.machine.rng, sink)
-        elif sink.mode == "replay":
-            self.machine.rng = ReplayRandom(sink, self.machine.rng)
-            if self.obs is not None:
-                sink.obs = self.obs
+        machine = self.machine
+        obs = self.obs
+        consumers = (obs, obs.prof if obs is not None else None,
+                     self.races, self.deadlocks, self.replay)
+        # The injector is bound like the rest, but it defines no
+        # vocabulary event: its answers go through the one faults slot.
+        for consumer in (*consumers, self.fault_injector):
+            if consumer is None:
+                continue
+            if hasattr(consumer, "bind_clock"):
+                consumer.bind_clock(lambda: machine.now)
+            if obs is not None and hasattr(consumer, "bind_obs"):
+                consumer.bind_obs(obs)
+            machine.hooks.attach(consumer)
+        machine.hooks.faults = self.fault_injector
+        if self.deadlocks is not None:
+            self.deadlocks.bind_machine(machine)
+        if self.replay is not None:
+            if self.replay.mode == "record":
+                machine.rng = RecordingRandom(machine.rng, self.replay)
+            elif self.replay.mode == "replay":
+                machine.rng = ReplayRandom(self.replay, machine.rng)
 
     def _attach_checkpoints(self) -> None:
         """Attach a periodic checkpointer (watchdog lane, zero cycles)."""
@@ -362,30 +310,14 @@ class MVEE:
                 self.vms[position] = vm
                 break
         self.machine.replace_vm(vm)
-        if self.obs is not None:
-            vm.kernel.futexes.obs = self.obs
-        if self.fault_injector is not None:
-            vm.kernel.futexes.faults = self.fault_injector
-            vm.kernel.futexes.variant = vm.index
-        if self.races is not None:
-            # The replacement starts from fresh memory: drop the old
-            # incarnation's clocks so they can't fabricate races.
-            self.races.reset_variant(index)
-            vm.kernel.futexes.races = self.races
-        if self.deadlocks is not None:
-            # Fresh memory: stale lock ownership would fabricate
-            # wait-for edges against the new incarnation.
-            self.deadlocks.reset_variant(index)
-            vm.kernel.futexes.deadlocks = self.deadlocks
-            vm.kernel.futexes.variant = vm.index
-        if self.replay is not None:
-            vm.kernel.futexes.replay = self.replay
-            vm.kernel.futexes.variant = vm.index
         self.monitor.readmit(index)
         ctx = build_context(vm, self.program)
         self.machine.add_thread(vm, "main", self.program.main(ctx))
-        if self.obs is not None:
-            self.obs.variant_restarted(index)
+        # Consumers drop the old incarnation's state here: stale clocks
+        # or lock ownership would fabricate races and wait-for edges
+        # against the replacement's fresh memory.
+        for hook in self.machine.hooks.variant_restarted:
+            hook(index)
 
     # -- run ----------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sched.hooks import Hooks
 from repro.sched.interceptor import Proceed, Wait
 
 
@@ -51,12 +52,15 @@ class SyscallOrderer:
         self._wake = wake
         self._state = _OrderState(
             slave_clock={v: 0 for v in range(1, n_variants)})
-        #: Optional fault injector; a ``clock_skew`` fault silently
-        #: advances one slave's replay clock (see repro.faults).
-        self.faults = None
+        #: The machine's hook table; an attached fault injector's
+        #: ``clock_skew`` fault silently advances one slave's replay
+        #: clock (see repro.faults).
+        self.hooks = Hooks()
 
-    def bind_wake(self, wake) -> None:
-        self._wake = wake
+    def bind_machine(self, machine) -> None:
+        """Install the wake callback and the hook table."""
+        self._wake = machine.wake_key
+        self.hooks = machine.hooks
 
     # -- entry check (called from monitor.before_syscall) -------------------
 
@@ -99,9 +103,10 @@ class SyscallOrderer:
             for slave in range(1, self.n_variants):
                 self._wake(("order_log", slave))
         else:
-            if self.faults is not None:
-                state.slave_clock[variant] += (
-                    self.faults.check_clock_skew(variant))
+            faults = self.hooks.faults
+            if faults:
+                state.slave_clock[variant] += faults.check_clock_skew(
+                    variant)
             timestamp = state.slave_clock[variant]
             state.slave_clock[variant] += 1
             self._wake(("order_clock", variant))

@@ -11,9 +11,10 @@ package provides the other half of the robustness story:
   explicitly or drawn from a seeded RNG.  Same plan + same seed ⇒ the
   same faults at the same simulated cycles, every run.
 * :class:`FaultInjector` — the runtime that the simulator's hot paths
-  consult through ``faults is not None`` hooks (the same zero-cost
-  pattern as :mod:`repro.obs`): with no injector attached the timeline
-  is byte-identical to the seed simulator.
+  consult through the ``faults`` slot of the machine's hook table
+  (:mod:`repro.sched.hooks`): with no injector attached the slot is
+  None, one falsy test per site, and the timeline is byte-identical to
+  the seed simulator.
 
 The monitor-side resilience machinery that *survives* these faults
 (watchdog, quarantine, restart) lives in :mod:`repro.core.monitor`; the

@@ -1,11 +1,12 @@
 """The fault-injection runtime.
 
 One :class:`FaultInjector` is attached per MVEE run (never for native
-runs).  The simulator's hot paths consult it through the same zero-cost
-pattern as :mod:`repro.obs` — a single ``faults is not None`` attribute
-test when disabled — and each check is keyed to a deterministic logical
-counter, so a fixed plan and machine seed reproduce the same faults at
-the same simulated cycles.
+runs), in the ``faults`` slot of the machine's hook table
+(:mod:`repro.sched.hooks`).  It is not fanned out like the observers,
+because each check returns an answer; when disabled the slot is None
+and a site pays one falsy test.  Each check is keyed to a deterministic
+logical counter, so a fixed plan and machine seed reproduce the same
+faults at the same simulated cycles.
 
 The injector never *acts* on the simulation itself; it only answers
 "does a planned fault trigger here?" and records what fired.  The

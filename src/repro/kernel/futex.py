@@ -13,37 +13,27 @@ waiting.
 
 from __future__ import annotations
 
+from repro.sched.hooks import Hooks
+
 
 class FutexTable:
     """Per-variant map from futex word address to waiting thread ids."""
 
-    def __init__(self):
+    def __init__(self, variant: int = 0):
         self._waiters: dict[int, list[str]] = {}
-        #: Optional :class:`repro.obs.ObsHub`; when set, parking and
-        #: waking are reported as ``futex.*`` trace events.
-        self.obs = None
-        #: Optional :class:`repro.faults.FaultInjector` plus the owning
-        #: variant's index; when set, a planned ``drop_wake`` fault can
-        #: suppress wakeups (the waiters stay queued — a lost wake).
-        self.faults = None
-        self.variant = 0
-        #: Optional :class:`repro.races.RaceDetector`; a wake with a
-        #: known waker is a happens-before edge (waker → each wakee).
-        self.races = None
-        #: Optional replay sink (recorder or replayer); wake choices on
-        #: the master are part of the decision stream.
-        self.replay = None
-        #: Optional :class:`repro.races.DeadlockDetector`; parking on an
-        #: owned word adds a wait-for edge (and may complete a cycle).
-        self.deadlocks = None
+        #: Index of the variant whose kernel owns this table.
+        self.variant = variant
+        #: The machine's hook table (:mod:`repro.sched.hooks`), installed
+        #: when the variant is added to a machine.  Parks and wakes fire
+        #: ``futex_*`` events; a planned ``drop_wake`` fault can suppress
+        #: wakeups (the waiters stay queued: a lost wake).
+        self.hooks = Hooks()
 
     def add_waiter(self, addr: int, thread_id: str) -> None:
         """Register ``thread_id`` as blocked on the futex word ``addr``."""
         self._waiters.setdefault(addr, []).append(thread_id)
-        if self.obs is not None:
-            self.obs.futex_park(thread_id, addr)
-        if self.deadlocks is not None:
-            self.deadlocks.on_futex_wait(self.variant, thread_id, addr)
+        for hook in self.hooks.futex_park:
+            hook(self.variant, addr, thread_id)
 
     def remove_waiter(self, addr: int, thread_id: str) -> None:
         """Remove a waiter (e.g. on timeout or variant shutdown)."""
@@ -52,8 +42,8 @@ class FutexTable:
             queue.remove(thread_id)
             if not queue:
                 del self._waiters[addr]
-            if self.deadlocks is not None:
-                self.deadlocks.on_futex_unwait(thread_id)
+            for hook in self.hooks.futex_unpark:
+                hook(self.variant, addr, thread_id)
 
     def wake(self, addr: int, count: int,
              waker: str | None = None) -> list[str]:
@@ -61,23 +51,18 @@ class FutexTable:
         queue = self._waiters.get(addr)
         if not queue:
             return []
-        if self.faults is not None:
-            count = max(count - self.faults.check_drop_wake(self.variant,
-                                                            addr), 0)
+        hooks = self.hooks
+        if hooks.faults:
+            count = max(count - hooks.faults.check_drop_wake(self.variant,
+                                                             addr), 0)
         woken = queue[:count]
         remaining = queue[count:]
         if remaining:
             self._waiters[addr] = remaining
         else:
             del self._waiters[addr]
-        if self.obs is not None:
-            self.obs.futex_wake(addr, woken)
-        if self.races is not None and waker is not None and woken:
-            self.races.on_futex_wake(waker, woken)
-        if self.replay is not None:
-            self.replay.on_wake(self.variant, addr, woken)
-        if self.deadlocks is not None and woken:
-            self.deadlocks.on_futex_wake(woken)
+        for hook in hooks.futex_wake:
+            hook(self.variant, addr, waker, woken)
         return woken
 
     def waiters(self, addr: int) -> list[str]:

@@ -85,7 +85,7 @@ class VirtualKernel:
         self.variant_index = variant_index
         self.addr_space = AddressSpace(bases)
         self.fdt = FDTable()
-        self.futexes = FutexTable()
+        self.futexes = FutexTable(variant_index)
         self.signals = SignalState()
         self.clock = VirtualClock()
         self.pid = 4242  # replicated by the monitor; equal in all variants

@@ -1,10 +1,10 @@
 """``repro.obs`` — structured tracing, metrics, and divergence forensics.
 
-The simulator's hot paths carry *hook points*: one-line calls into an
-:class:`ObsHub` guarded by ``obs is not None``.  Without a hub attached
-(the default) every hook is a single attribute test and the run is
-observationally identical to the seed simulator; with a hub attached,
-each hook feeds
+The simulator's hot paths fire events through the machine's hook table
+(:mod:`repro.sched.hooks`), and an :class:`ObsHub` is one consumer on
+it.  Without a hub attached (the default) an event's tuple of callbacks
+is empty and the run is observationally identical to the seed
+simulator; with a hub attached, each event feeds
 
 * the **tracer** (:mod:`repro.obs.tracer`) — spans/instants keyed by
   (variant, logical thread), exportable to Chrome ``trace_event`` JSON
@@ -56,23 +56,18 @@ __all__ = [
 ]
 
 
-def _variant_of(thread_global: str) -> int:
-    """Variant index from a global thread id (``"v0:main/1"`` -> 0)."""
-    try:
-        return int(thread_global[1:thread_global.index(":")])
-    except (ValueError, IndexError):  # pragma: no cover - defensive
-        return -1
-
-
 class ObsHub:
     """One observability session: tracer + metrics + forensic state.
 
-    Every method here is a *hook target*: the simulator, monitor,
-    agents, and kernel call them from their hot paths when (and only
-    when) a hub is attached.  The hub translates each occurrence into
-    trace events and metric updates; it holds whatever cross-call state
-    that requires (e.g. rendezvous first-arrival timestamps) so the
-    instrumented components stay stateless about observability.
+    Every public method named in :data:`repro.sched.hooks.EVENTS` is a
+    hook-table callback: the simulator, monitor, agents, and kernel
+    fire them from their hot paths when (and only when) a hub is
+    attached.  The rest (``fault_injected``, ``race_detected``, ...)
+    are called by the other consumers the hub is bound to.  The hub
+    translates each occurrence into trace events and metric updates; it
+    holds whatever cross-call state that requires (e.g. rendezvous
+    first-arrival timestamps) so the instrumented components stay
+    stateless about observability.
     """
 
     def __init__(self, trace: bool = True, ring_size: int | None = None,
@@ -82,14 +77,14 @@ class ObsHub:
         self.tracer = (Tracer(ring_size=ring_size or DEFAULT_RING_SIZE)
                        if trace else NULL_TRACER)
         self.metrics = MetricsRegistry()
-        self._clock = None
         #: Optional cycle profiler (see :mod:`repro.prof.accounting`).
+        #: It rides along with the hub but attaches to the hook table
+        #: as a consumer of its own, right after the hub.
         self.prof = None
         if profile:
             from repro.prof.accounting import CycleProfiler
 
-            self.attach_profiler(
-                CycleProfiler(lag_sample_every=lag_sample_every))
+            self.prof = CycleProfiler(lag_sample_every=lag_sample_every)
         #: rendezvous key -> (first-arrival ts, arrival count).
         self._rdv_first: dict = {}
         self.divergence_report = None
@@ -106,18 +101,9 @@ class ObsHub:
         #: counter, and a clean run's digest is unchanged.
         self.deadlock_log: list[dict] = []
 
-    def attach_profiler(self, prof) -> None:
-        """Attach a :class:`repro.prof.accounting.CycleProfiler`."""
-        self.prof = prof
-        if self._clock is not None:
-            prof.bind_clock(self._clock)
-
     def bind_clock(self, clock) -> None:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
         self.tracer.bind_clock(clock)
-        self._clock = clock
-        if self.prof is not None:
-            self.prof.bind_clock(clock)
 
     @property
     def now(self) -> float:
@@ -210,32 +196,10 @@ class ObsHub:
 
     # -- machine hooks -------------------------------------------------------
 
-    def thread_created(self, variant: int, thread_global: str,
-                       thread: str) -> None:
-        """The machine admitted a new guest thread (profiler-only hook:
-        per-step bookkeeping is too hot for tracing/metrics)."""
-        if self.prof is not None:
-            self.prof.thread_created(variant, thread_global, thread)
-
-    def step_committed(self, variant: int, thread_global: str,
-                       thread: str, kind: str, duration: float) -> None:
-        """The machine committed one executed step (profiler-only)."""
-        if self.prof is not None:
-            self.prof.step_committed(variant, thread_global, thread,
-                                     kind, duration)
-
-    def thread_finished(self, variant: int, thread_global: str,
-                        thread: str) -> None:
-        """A guest thread ran to completion (profiler-only)."""
-        if self.prof is not None:
-            self.prof.thread_finished(variant, thread_global, thread)
-
     def sched_grant(self, variant: int, thread: str) -> None:
         """The scheduler granted a core to a thread."""
         self.metrics.counter("sched.grants").inc()
         self.tracer.instant("sched.grant", variant, thread, cat="sched")
-        if self.prof is not None:
-            self.prof.sched_grant(variant, thread)
 
     def park(self, variant: int, thread_global: str, thread: str,
              wait_key) -> None:
@@ -246,16 +210,12 @@ class ObsHub:
         self.tracer.begin_span(("park", thread_global),
                                f"wait:{kind}", variant, thread,
                                cat="wait")
-        if self.prof is not None:
-            self.prof.park(variant, thread, wait_key)
 
     def unpark(self, variant: int, thread_global: str,
                thread: str) -> None:
         """A parked thread became runnable; closes its wait span."""
         dur = self.tracer.end_span(("park", thread_global))
         self.metrics.histogram("machine.park_cycles").observe(dur)
-        if self.prof is not None:
-            self.prof.unpark(variant, thread)
 
     def divergence(self, report) -> None:
         """The monitor killed the run."""
@@ -314,8 +274,6 @@ class ObsHub:
         self.metrics.counter("resilience.restarts").inc()
         self.tracer.instant("restart", variant, "main",
                             cat="resilience", args={})
-        if self.prof is not None:
-            self.prof.variant_restarted(variant)
 
     def variant_caught_up(self, variant: int) -> None:
         """A restarted variant drained the master history and went live."""
@@ -325,8 +283,6 @@ class ObsHub:
         self.metrics.counter("resilience.caught_up").inc()
         self.tracer.instant("caught_up", variant, "main",
                             cat="resilience", args={})
-        if self.prof is not None:
-            self.prof.variant_caught_up(variant)
 
     # -- replay / checkpoint hooks -------------------------------------------
     # Tracer-only by design: the digest() payload (metrics + logs) must
@@ -384,8 +340,6 @@ class ObsHub:
         gauge.set(occupancy)
         self.tracer.counter(f"buf:{buffer}", variant, occupancy,
                             series="occupancy")
-        if self.prof is not None:
-            self.prof.sync_record(variant, thread, buffer)
 
     def sync_replay(self, variant: int, thread: str, buffer: str,
                     occupancy: int) -> None:
@@ -393,8 +347,6 @@ class ObsHub:
         self.metrics.counter("agent.replayed").inc()
         self.tracer.counter(f"buf:{buffer}", variant, occupancy,
                             series="occupancy")
-        if self.prof is not None:
-            self.prof.sync_replay(variant, thread, buffer)
 
     def sync_stall(self, variant: int, thread: str, kind: str,
                    buffer: str) -> None:
@@ -412,28 +364,23 @@ class ObsHub:
                                        256)).observe(lag)
         self.tracer.instant("clock.stall", variant, thread, cat="clock",
                             args={"clock": clock_id, "lag": lag})
-        if self.prof is not None:
-            self.prof.clock_lag(variant, thread, lag)
 
     # -- kernel hooks --------------------------------------------------------
 
-    def futex_park(self, thread_global: str, addr: int) -> None:
+    def futex_park(self, variant: int, addr: int,
+                   thread_global: str) -> None:
         """A thread queued on a futex word."""
-        variant = _variant_of(thread_global)
         self.metrics.counter("futex.parks").inc()
         self.tracer.instant("futex.park", variant,
                             thread_global.partition(":")[2],
                             cat="futex", args={"addr": addr})
-        if self.prof is not None:
-            self.prof.futex_park()
 
-    def futex_wake(self, addr: int, woken: list) -> None:
+    def futex_wake(self, variant: int, addr: int, waker,
+                   woken: list) -> None:
         """A futex wake released queued threads."""
         self.metrics.counter("futex.wakes").inc()
         self.metrics.counter("futex.woken").inc(len(woken))
-        if self.prof is not None:
-            self.prof.futex_wake(len(woken))
         for thread_global in woken:
-            self.tracer.instant("futex.wake", _variant_of(thread_global),
+            self.tracer.instant("futex.wake", variant,
                                 thread_global.partition(":")[2],
                                 cat="futex", args={"addr": addr})

@@ -18,9 +18,10 @@ Two sinks are supported:
 
 Cost discipline: the tracer is *never* consulted by hot paths unless an
 :class:`~repro.obs.ObsHub` was explicitly attached to the run — hook
-sites guard on ``obs is not None`` — and :data:`NULL_TRACER` provides a
-no-op implementation for code that wants an unconditional tracer-shaped
-object.  Recording an event never touches the simulated clock, so an
+sites fire through the machine's hook table (:mod:`repro.sched.hooks`),
+whose tuples are empty without a hub — and :data:`NULL_TRACER` provides
+a no-op implementation for code that wants an unconditional
+tracer-shaped object.  Recording an event never touches the simulated clock, so an
 instrumented run spends the exact same number of simulated cycles as an
 uninstrumented one.
 """
@@ -220,9 +221,9 @@ class Tracer:
 class NullTracer:
     """A tracer that records nothing; every method is a no-op.
 
-    Installed where callers want an unconditional tracer-shaped object;
-    the hook points in the simulator skip even this by testing
-    ``obs is not None``.
+    Installed where callers want an unconditional tracer-shaped object
+    (``ObsHub(trace=False)``); the simulator's hook sites never reach
+    even this without a hub attached to the hook table.
     """
 
     enabled = False

@@ -5,10 +5,12 @@ is doing — running a committed step, sitting in the core queue, or
 parked on a wait key whose *kind* names the subsystem responsible
 (``rdv``/``order_clock`` → the monitor, ``woc_buf``/``to_log`` → the
 agent, ``futex`` → the kernel, ``fault_stall`` → an injected fault).
-The :class:`CycleProfiler` listens to the machine's existing ObsHub
-hooks plus three new ones (``thread_created``, ``step_committed``,
-``thread_finished``) and tiles each thread's lifetime into contiguous
-spans, one category per span:
+The :class:`CycleProfiler` is a consumer on the machine's hook table
+(:mod:`repro.sched.hooks`): it listens to the scheduling, park/unpark,
+agent and futex events the tracer sees, plus three only it uses
+(``thread_created``, ``step_committed``, ``thread_finished``), and
+tiles each thread's lifetime into contiguous spans, one category per
+span:
 
 * a committed step charges its duration to ``guest-compute`` (compute,
   sync ops, annotations), ``syscall-service`` (syscalls, spawn, join),
@@ -179,12 +181,13 @@ class CycleProfile:
 
 
 class CycleProfiler:
-    """Hook sink building a :class:`CycleProfile` from an ObsHub stream.
+    """Hook-table consumer building a :class:`CycleProfile`.
 
-    Attach via ``ObsHub(profile=True)`` (or ``hub.attach_profiler``);
-    the hub forwards scheduling, park/unpark, step-commit, and agent
-    record/replay hooks here.  All methods are cheap dictionary work on
-    host time only.
+    Create it via ``ObsHub(profile=True)``; the MVEE attaches
+    ``hub.prof`` to the hook table right after the hub, so it sees the
+    same scheduling, park/unpark, agent and futex events, plus the
+    step-commit and thread-lifecycle events.  All methods are cheap
+    dictionary work on host time only.
     """
 
     def __init__(self, lag_sample_every: int = 1):
@@ -269,7 +272,8 @@ class CycleProfiler:
         account.charge(self._category_for(variant, category), duration)
         account.since = self._clock()
 
-    def park(self, variant: int, thread: str, wait_key) -> None:
+    def park(self, variant: int, thread_global: str, thread: str,
+             wait_key) -> None:
         account = self._accounts.get((variant, thread))
         if account is None:
             return
@@ -277,7 +281,8 @@ class CycleProfiler:
         account.wait_category = classify_wait_key(wait_key)
         account.since = self._clock()
 
-    def unpark(self, variant: int, thread: str) -> None:
+    def unpark(self, variant: int, thread_global: str,
+               thread: str) -> None:
         account = self._accounts.get((variant, thread))
         if account is None:
             return
@@ -290,22 +295,25 @@ class CycleProfiler:
 
     # -- agent / kernel hooks ----------------------------------------------
 
-    def sync_record(self, variant: int, thread: str,
-                    buffer: str) -> None:
+    def sync_record(self, variant: int, thread: str, buffer: str,
+                    occupancy: int) -> None:
         self.lag.record(self._clock())
 
-    def sync_replay(self, variant: int, thread: str,
-                    buffer: str) -> None:
+    def sync_replay(self, variant: int, thread: str, buffer: str,
+                    occupancy: int) -> None:
         self.lag.replay(self._clock(), variant)
 
-    def clock_lag(self, variant: int, thread: str, lag: float) -> None:
+    def clock_lag(self, variant: int, thread: str, clock_id: int,
+                  lag: float) -> None:
         self.lag.clock_sample(variant, lag)
 
-    def futex_park(self) -> None:
+    def futex_park(self, variant: int, addr: int,
+                   thread_global: str) -> None:
         self.futex_parks += 1
 
-    def futex_wake(self, woken: int) -> None:
-        self.futex_wakes += woken
+    def futex_wake(self, variant: int, addr: int, waker,
+                   woken: list) -> None:
+        self.futex_wakes += len(woken)
 
     # -- snapshot ----------------------------------------------------------
 

@@ -1,11 +1,10 @@
 """The dynamic side: per-variant held-sets and a runtime wait-for-graph.
 
-Attached to a :class:`~repro.sched.machine.Machine` as
-``machine.deadlocks`` (the same zero-cost ``is not None`` hook contract
-as ``obs`` / ``faults`` / ``races`` / ``replay``), the detector watches
-two event streams:
+Attached as a consumer on the machine's hook table
+(:mod:`repro.sched.hooks`, zero cost when absent, like every other
+observer), the detector watches two event streams:
 
-* **committed SyncOps** (:meth:`DeadlockDetector.on_sync_op`), from
+* **committed SyncOps** (:meth:`DeadlockDetector.sync_op`), from
   which lock ownership is reconstructed *structurally* — no site
   knowledge needed: a successful ``cas(0 -> nonzero)`` or an ``xchg``
   of a nonzero value returning 0 acquires the word; a store of 0, a
@@ -13,7 +12,7 @@ two event streams:
   covers the guest SpinLock and Mutex exactly and is inert for ticket
   locks, semaphores, barriers and condvars (their words never gain an
   owner, so they can never contribute a wait-for edge).
-* **futex parking** (:meth:`DeadlockDetector.on_futex_wait`, hooked in
+* **futex parking** (:meth:`DeadlockDetector.futex_park`, fired by
   :class:`~repro.kernel.futex.FutexTable`): a thread blocking on a word
   somebody owns adds a wait-for edge.  Each thread has at most one
   outgoing edge, so the cycle check at edge-insertion time is a linear
@@ -168,7 +167,7 @@ class DeadlockDetector:
         deadlock flag (unit tests may leave this unbound)."""
         self._machine = machine
 
-    def reset_variant(self, variant: int) -> None:
+    def variant_restarted(self, variant: int) -> None:
         """Forget one variant's state (quarantine-restart support).
 
         A restarted variant has fresh memory; stale ownership would
@@ -182,9 +181,9 @@ class DeadlockDetector:
             for key in [k for k in mapping if k[0] == variant]:
                 del mapping[key]
 
-    # -- machine hooks ---------------------------------------------------
+    # -- hook-table events ------------------------------------------------
 
-    def on_sync_op(self, vm, thread, event, value) -> None:
+    def sync_op(self, vm, thread, event, value) -> None:
         """Classify one committed SyncOp structurally as acquire /
         release / attempt; everything else is inert."""
         site = event.site
@@ -220,9 +219,9 @@ class DeadlockDetector:
                 self._release(vm.index, addr, tid)
         # load / fetch_add never transfer ownership.
 
-    # -- futex hooks (FutexTable) ----------------------------------------
+    # -- futex events (FutexTable) ---------------------------------------
 
-    def on_futex_wait(self, variant: int, tid: str, addr: int) -> None:
+    def futex_park(self, variant: int, addr: int, tid: str) -> None:
         """A thread parked on a futex word: add its wait-for edge and
         check for a cycle (linear: each thread has <= 1 outgoing edge)."""
         self.report.waits_seen += 1
@@ -231,10 +230,10 @@ class DeadlockDetector:
         if cycle is not None:
             self._emit(variant, cycle)
 
-    def on_futex_unwait(self, tid: str) -> None:
+    def futex_unpark(self, variant: int, addr: int, tid: str) -> None:
         self._waiting.pop(tid, None)
 
-    def on_futex_wake(self, woken) -> None:
+    def futex_wake(self, variant: int, addr: int, waker, woken) -> None:
         for tid in woken:
             self._waiting.pop(tid, None)
 

@@ -1,10 +1,9 @@
 """The dynamic side: a FastTrack-style happens-before race detector.
 
-Attached to a :class:`~repro.sched.machine.Machine` as ``machine.races``
-(the same zero-cost ``is not None`` hook contract as ``repro.obs`` and
-``repro.faults``), the detector observes the simulation's communication
-events and partitions every committed :class:`~repro.sched.events.SyncOp`
-into one of two roles:
+Attached as a consumer on the machine's hook table
+(:mod:`repro.sched.hooks`, zero cost when absent), the detector observes
+the simulation's communication events and partitions every committed
+:class:`~repro.sched.events.SyncOp` into one of two roles:
 
 * **synchronization** — the site is one the static pipeline identified
   (by default: the variant's instrumentation predicate says so).  These
@@ -184,7 +183,7 @@ class RaceDetector:
         """Mirror each detected race into an ObsHub's race log."""
         self.obs = hub
 
-    def reset_variant(self, variant: int) -> None:
+    def variant_restarted(self, variant: int) -> None:
         """Forget one variant's state (quarantine-restart support).
 
         A restarted variant re-runs ``main`` from scratch with fresh
@@ -223,16 +222,16 @@ class RaceDetector:
             return value == event.args[0]
         return True
 
-    # -- machine hooks ---------------------------------------------------
+    # -- hook-table events ------------------------------------------------
 
-    def on_sync_op(self, vm, thread, event, value) -> None:
+    def sync_op(self, vm, thread, event, value) -> None:
         """One committed SyncOp: build HB order or race-check it."""
         if self._is_sync_site(vm, event.site):
             self._sync_edge(vm, thread, event, value)
         else:
             self._plain_access(vm, thread, event, value)
 
-    def on_spawn(self, parent, child) -> None:
+    def spawn(self, parent, child) -> None:
         """``Spawn``: the child starts after the parent's clock."""
         parent_vc = self._vc(parent.global_id)
         child_vc = self._vc(child.global_id)
@@ -240,16 +239,17 @@ class RaceDetector:
         parent_vc.tick(parent.global_id)
         self.report.hb_edges += 1
 
-    def on_join(self, joiner, target) -> None:
+    def join(self, joiner, target) -> None:
         """``Join`` delivered: the target's whole history is ordered
         before the joiner's continuation."""
         self._vc(joiner.global_id).join(self._vc(target.global_id))
         self.report.hb_edges += 1
 
-    def on_futex_wake(self, waker: str, woken: list[str]) -> None:
+    def futex_wake(self, variant: int, addr: int, waker: str | None,
+                   woken: list[str]) -> None:
         """A futex wake: the waker's history precedes each wakee's
         continuation (the paper's one ordering-exempt blocking call)."""
-        if not woken:
+        if waker is None or not woken:
             return
         waker_vc = self._vc(waker)
         for wakee in woken:

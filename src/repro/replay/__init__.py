@@ -5,9 +5,9 @@ decisions, so a compact log of that decision stream reproduces any run
 bit-identically (rr's observation; see ``docs/REPLAY.md``):
 
 * :class:`DecisionRecorder` captures the master's sync-op grants,
-  syscall results, futex wake choices, and scheduler RNG draws behind
-  the same zero-cost ``machine.replay is not None`` hook pattern as
-  faults/races/obs;
+  syscall results, futex wake choices, and scheduler RNG draws as one
+  consumer on the machine's hook table (:mod:`repro.sched.hooks`),
+  beside the tracer and the race and deadlock detectors;
 * :class:`DecisionReplayer` re-drives a ``Machine``/``MVEE`` from a
   :class:`DecisionLog` alone — the scheduler's randomness is fed from
   the log, so the replay machine's own seed is irrelevant;

@@ -90,7 +90,8 @@ def _strip_index(record: dict) -> dict:
 
 @dataclass
 class DecisionReplayer:
-    """Hook sink consuming a :class:`DecisionLog` in commit order."""
+    """Hook-table consumer replaying a :class:`DecisionLog` in commit
+    order."""
 
     log: DecisionLog
     #: Record index at which to stop replaying and go live (checkpoint
@@ -139,9 +140,13 @@ class DecisionReplayer:
         # Desynced: stop steering/verifying, let the run limp on live.
         self.live = True
 
-    # -- machine hooks -----------------------------------------------------
+    def bind_obs(self, hub) -> None:
+        self.obs = hub
 
-    def on_step(self) -> None:
+    # -- hook-table events -------------------------------------------------
+
+    def step_committed(self, variant: int, thread_global: str,
+                       thread: str, kind: str, duration: float) -> None:
         self.steps += 1
         if self.tail_recorder is not None:
             self.tail_recorder.steps = self.steps
@@ -169,36 +174,32 @@ class DecisionReplayer:
         self._advance()
         self.verified += 1
 
-    def on_sync(self, variant: int, thread: str, op: str, site: str,
-                value) -> None:
-        if variant != 0:
+    def sync_op(self, vm, thread, event, value) -> None:
+        if vm.index != 0:
             return
         if self.live:
             if self.tail_recorder is not None:
-                self.tail_recorder.on_sync(variant, thread, op, site,
-                                           value)
+                self.tail_recorder.sync_op(vm, thread, event, value)
             return
-        self._verify({"k": "sync", "t": thread, "o": op, "s": site,
-                      "v": value})
+        self._verify({"k": "sync", "t": thread.logical_id, "o": event.op,
+                      "s": event.site, "v": value})
 
-    def on_syscall(self, variant: int, thread: str, name: str,
-                   result) -> None:
-        if variant != 0:
+    def syscall(self, vm, thread, event, result) -> None:
+        if vm.index != 0:
             return
         if self.live:
             if self.tail_recorder is not None:
-                self.tail_recorder.on_syscall(variant, thread, name,
-                                              result)
+                self.tail_recorder.syscall(vm, thread, event, result)
             return
-        self._verify({"k": "sys", "t": thread, "n": name,
-                      "r": repr(result)})
+        self._verify({"k": "sys", "t": thread.logical_id,
+                      "n": event.name, "r": repr(result)})
 
-    def on_wake(self, variant: int, addr: int, woken) -> None:
+    def futex_wake(self, variant: int, addr: int, waker, woken) -> None:
         if variant != 0 or not woken:
             return
         if self.live:
             if self.tail_recorder is not None:
-                self.tail_recorder.on_wake(variant, addr, woken)
+                self.tail_recorder.futex_wake(variant, addr, waker, woken)
             return
         self._verify({"k": "wake", "a": addr, "w": list(woken)})
 

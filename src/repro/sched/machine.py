@@ -17,7 +17,11 @@ Interposition points:
   (divergence);
 * before/after every *instrumented* sync op, the variant's injected
   :class:`~repro.sched.interceptor.SyncAgent` may park the thread (replay
-  ordering) and charges its buffer/contention costs.
+  ordering) and charges its buffer/contention costs;
+* every optional observer (tracing, profiling, race and deadlock
+  detection, record/replay) listens through one hook table,
+  :attr:`Machine.hooks` (:mod:`repro.sched.hooks`), without moving the
+  timeline; its ``faults`` slot holds the fault injector, if any.
 
 Scheduling nondeterminism comes from the seeded policy plus per-step
 duration jitter; the same seed always reproduces the same run.
@@ -43,6 +47,7 @@ from repro.sched.events import (
     SyncOp,
     Syscall,
 )
+from repro.sched.hooks import Hooks
 from repro.sched.interceptor import Kill, Result, Wait
 from repro.sched.scheduler import RandomPolicy, SchedulingPolicy
 from repro.sched.thread import GuestThread, ThreadState
@@ -96,28 +101,12 @@ class Machine:
         # called repeatedly (incremental driving) without re-running the
         # bootstrap dispatch.
         self._started = False
-        #: Optional callable(vm, thread, label, payload) for Annotate events.
-        self.trace_hook = None
-        #: Optional :class:`repro.obs.ObsHub`; hooks fire only when set,
-        #: so the disabled path costs one attribute test.
-        self.obs = None
-        #: Optional :class:`repro.faults.FaultInjector`; same zero-cost
-        #: contract as ``obs`` — disabled ⇒ one attribute test, and the
-        #: simulated timeline is byte-identical to the seed simulator.
-        self.faults = None
-        #: Optional :class:`repro.races.RaceDetector`; same zero-cost
-        #: contract again.  The detector only observes committed events —
-        #: it never charges cycles or consumes randomness.
-        self.races = None
-        #: Optional replay sink (:class:`repro.replay.DecisionRecorder`
-        #: or :class:`repro.replay.DecisionReplayer`); same zero-cost
-        #: contract.  RNG capture happens by wrapping ``self.rng``, not
-        #: through this hook, so the disabled path is one attribute test.
-        self.replay = None
-        #: Optional :class:`repro.races.DeadlockDetector`; same zero-cost
-        #: contract.  Observes committed sync ops to track lock
-        #: ownership; its futex hooks live on each VM's FutexTable.
-        self.deadlocks = None
+        #: The optional observers (tracing, profiling, race and deadlock
+        #: detection, record/replay, fault injection), compiled into one
+        #: table.  Every futex table shares it from :meth:`add_vm`, and
+        #: the monitor and agents from their ``bind_machine``; see
+        #: :mod:`repro.sched.hooks`.
+        self.hooks = Hooks()
         #: Application-level cache-line contention: every atomic access to
         #: a shared word pays coherence, in native runs and MVEE runs
         #: alike.  (Agent-added traffic is charged separately by the
@@ -145,8 +134,8 @@ class Machine:
             Join: self._commit_join,
             Annotate: self._commit_annotate,
         }
-        # Step-kind names for the profiler's step_committed hook (one
-        # dict lookup per step, only when a hub is attached).
+        # Step-kind names for the step_committed hook (one dict lookup
+        # per step, only when a consumer listens).
         self._event_kinds = {
             Compute: "compute",
             SyncOp: "syncop",
@@ -159,9 +148,11 @@ class Machine:
     # -- setup ----------------------------------------------------------------
 
     def add_vm(self, vm: VariantVM) -> None:
-        """Register a variant and wire its kernel clock to simulated time."""
+        """Register a variant; wire its kernel clock to simulated time
+        and its futex table to the hook table."""
         self.vms.append(vm)
         vm.kernel.clock.bind(lambda: self.now)
+        vm.kernel.futexes.hooks = self.hooks
 
     def attach_network(self, network) -> None:
         """Let network activity wake parked threads and external actors."""
@@ -174,9 +165,8 @@ class Machine:
         self._threads_by_id[thread.global_id] = thread
         thread.ready_since = self.now
         self._ready.append(thread)
-        if self.obs is not None:
-            self.obs.thread_created(vm.index, thread.global_id,
-                                    logical_id)
+        for hook in self.hooks.thread_created:
+            hook(vm.index, thread.global_id, logical_id)
         return thread
 
     # -- external actors (benchmark traffic drivers etc.) -----------------------
@@ -249,9 +239,8 @@ class Machine:
         thread.park_key = None
         thread.ready_since = self.now
         self._ready.append(thread)
-        if self.obs is not None:
-            self.obs.unpark(thread.vm.index, thread.global_id,
-                            thread.logical_id)
+        for hook in self.hooks.unpark:
+            hook(thread.vm.index, thread.global_id, thread.logical_id)
 
     # -- main loop -------------------------------------------------------------------
 
@@ -306,19 +295,18 @@ class Machine:
                     duration = self.now - started
                     thread.stats.busy_cycles += duration
                     thread.burst_cycles += duration
-                    if self.obs is not None:
+                    step_hooks = self.hooks.step_committed
+                    if step_hooks:
                         # park_resume is still set for mid-event resumes,
-                        # so the hook can attribute the recheck to the
+                        # so a consumer can attribute the recheck to the
                         # wait that caused it.
-                        self.obs.step_committed(
-                            thread.vm.index, thread.global_id,
-                            thread.logical_id,
-                            ("resume" if thread.park_resume is not None
-                             else self._event_kinds[
-                                 type(thread.pending_event)]),
-                            duration)
-                    if self.replay is not None:
-                        self.replay.on_step()
+                        step_kind = (
+                            "resume" if thread.park_resume is not None
+                            else self._event_kinds[
+                                type(thread.pending_event)])
+                        for hook in step_hooks:
+                            hook(thread.vm.index, thread.global_id,
+                                 thread.logical_id, step_kind, duration)
                     self._commit_step(thread)
             elif kind == "external":
                 payload(self)
@@ -405,8 +393,8 @@ class Machine:
                 continue
             thread.stats.queue_cycles += self.now - thread.ready_since
             thread.state = ThreadState.RUNNING
-            if self.obs is not None:
-                self.obs.sched_grant(thread.vm.index, thread.logical_id)
+            for hook in self.hooks.sched_grant:
+                hook(thread.vm.index, thread.logical_id)
             thread.burst_cycles = 0.0
             thread.burst_quantum = (self.costs.preempt_quantum
                                     * self.policy.quantum_scale(self.rng))
@@ -430,9 +418,8 @@ class Machine:
         thread.park_time = self.now
         self._parked.setdefault(key, []).append(thread)
         self._release_core()
-        if self.obs is not None:
-            self.obs.park(thread.vm.index, thread.global_id,
-                          thread.logical_id, key)
+        for hook in self.hooks.park:
+            hook(thread.vm.index, thread.global_id, thread.logical_id, key)
 
     # -- stepping ----------------------------------------------------------------------------
 
@@ -543,8 +530,6 @@ class Machine:
 
     def _commit_annotate(self, thread: GuestThread,
                          event: Annotate) -> None:
-        if self.trace_hook is not None:
-            self.trace_hook(thread.vm, thread, event.label, event.payload)
         thread.inbox = None
         self._after_step(thread)
 
@@ -576,13 +561,8 @@ class Machine:
                 return
             thread.carry_cost(outcome.cost)
         value = self._apply_syncop(vm, event)
-        if self.races is not None:
-            self.races.on_sync_op(vm, thread, event, value)
-        if self.deadlocks is not None:
-            self.deadlocks.on_sync_op(vm, thread, event, value)
-        if self.replay is not None:
-            self.replay.on_sync(vm.index, thread.logical_id, event.op,
-                                event.site, value)
+        for hook in self.hooks.sync_op:
+            hook(vm, thread, event, value)
         thread.stats.sync_ops += 1
         vm.total_sync_ops += 1
         if vm.record_sync_trace:
@@ -630,8 +610,9 @@ class Machine:
     def _commit_syscall(self, thread: GuestThread, event: Syscall) -> None:
         vm = thread.vm
         spec = spec_for(event.name)
-        if self.faults is not None and not spec.unmonitored:
-            spec_hit = self.faults.check_syscall(
+        faults = self.hooks.faults
+        if faults and not spec.unmonitored:
+            spec_hit = faults.check_syscall(
                 vm.index, thread.logical_id, event.name, vm.total_syscalls)
             if spec_hit is not None:
                 if spec_hit.kind == "crash":
@@ -726,9 +707,8 @@ class Machine:
             return
         thread.stats.syscalls += 1
         vm.total_syscalls += 1
-        if self.replay is not None:
-            self.replay.on_syscall(vm.index, thread.logical_id,
-                                   event.name, result)
+        for hook in self.hooks.syscall:
+            hook(vm, thread, event, result)
         if vm.record_trace:
             detail = tuple(
                 "<addr>" if index in spec.address_args else arg
@@ -762,8 +742,8 @@ class Machine:
             thread.carry_cost(getattr(directive, "cost", 0.0))
         gen = event.fn(*event.args)
         child = self.add_thread(vm, child_id, gen)
-        if self.races is not None:
-            self.races.on_spawn(thread, child)
+        for hook in self.hooks.spawn:
+            hook(thread, child)
         self._record_syscall(vm, thread, Syscall("clone", (child_id,)),
                              child_id)
         if self.interceptor is not None:
@@ -788,8 +768,8 @@ class Machine:
                                    thread=thread.logical_id))
             return
         if target.state is ThreadState.DONE:
-            if self.races is not None:
-                self.races.on_join(thread, target)
+            for hook in self.hooks.join:
+                hook(thread, target)
             thread.inbox = target.result
             self._after_step(thread)
             return
@@ -801,9 +781,8 @@ class Machine:
         thread.result = value
         thread.state = ThreadState.DONE
         thread.pending_event = None
-        if self.obs is not None:
-            self.obs.thread_finished(thread.vm.index, thread.global_id,
-                                     thread.logical_id)
+        for hook in self.hooks.thread_finished:
+            hook(thread.vm.index, thread.global_id, thread.logical_id)
         if self.interceptor is not None:
             self.interceptor.on_thread_exit(thread.vm, thread)
         if thread.vm.agent is not None:
@@ -885,6 +864,7 @@ class Machine:
                 self.vms[position] = vm
                 break
         vm.kernel.clock.bind(lambda: self.now)
+        vm.kernel.futexes.hooks = self.hooks
 
     def kill_all(self, report) -> None:
         """Externally triggered kill (e.g. a watchdog timeout verdict)."""
@@ -893,8 +873,8 @@ class Machine:
     def _kill_all(self, report) -> None:
         """Divergence: terminate every variant (the MVEE's response)."""
         self._divergence = report
-        if self.obs is not None:
-            self.obs.divergence(report)
+        for hook in self.hooks.divergence:
+            hook(report)
         for vm in self.vms:
             vm.killed = True
             for thread in vm.threads.values():

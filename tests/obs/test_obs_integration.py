@@ -17,6 +17,7 @@ from collections import defaultdict
 
 from repro.core.mvee import MVEE, run_mvee
 from repro.obs import ObsHub
+from repro.sched.hooks import EVENTS
 from repro.workloads.nginx import (
     NginxConfig,
     NginxServer,
@@ -43,10 +44,18 @@ class TestZeroPerturbation:
     def test_hooks_default_to_disabled(self):
         outcome = run_fft()
         assert outcome.obs is None and outcome.obs_bundle is None
-        assert outcome.machine.obs is None
-        assert outcome.monitor.obs is None
+        hooks = outcome.machine.hooks
+        for event in EVENTS:
+            assert getattr(hooks, event) == (), event
+        assert hooks.faults is None
+        # Every hook site shares that one empty table.
+        assert outcome.monitor.hooks is hooks
+        assert outcome.monitor.orderer.hooks is hooks
+        assert outcome.agent_shared.hooks is hooks
+        for buffer in outcome.agent_shared.buffers.values():
+            assert buffer.hooks is hooks
         for vm in outcome.vms:
-            assert vm.kernel.futexes.obs is None
+            assert vm.kernel.futexes.hooks is hooks
 
 
 class TestDeterminism:

@@ -38,19 +38,19 @@ class FakeSyncOp:
 
 
 def cas(detector, tid, addr, expected, new, result, site=None, variant=0):
-    detector.on_sync_op(FakeVM(variant), FakeThread(tid),
-                        FakeSyncOp("cas", addr, (expected, new), site),
+    detector.sync_op(FakeVM(variant), FakeThread(tid),
+                     FakeSyncOp("cas", addr, (expected, new), site),
                         result)
 
 
 def xchg(detector, tid, addr, new, result, site=None, variant=0):
-    detector.on_sync_op(FakeVM(variant), FakeThread(tid),
-                        FakeSyncOp("xchg", addr, (new,), site), result)
+    detector.sync_op(FakeVM(variant), FakeThread(tid),
+                     FakeSyncOp("xchg", addr, (new,), site), result)
 
 
 def store(detector, tid, addr, value, site=None, variant=0):
-    detector.on_sync_op(FakeVM(variant), FakeThread(tid),
-                        FakeSyncOp("store", addr, (value,), site), variant)
+    detector.sync_op(FakeVM(variant), FakeThread(tid),
+                     FakeSyncOp("store", addr, (value,), site), variant)
 
 
 class TestStructuralClassification:
@@ -95,10 +95,10 @@ class TestStructuralClassification:
 
     def test_loads_are_inert(self):
         d = DeadlockDetector()
-        d.on_sync_op(FakeVM(), FakeThread("v0:t1"),
-                     FakeSyncOp("load", 0x100, (), "m.poll"), 1)
-        d.on_sync_op(FakeVM(), FakeThread("v0:t1"),
-                     FakeSyncOp("fetch_add", 0x100, (1,), "m.xadd"), 1)
+        d.sync_op(FakeVM(), FakeThread("v0:t1"),
+                  FakeSyncOp("load", 0x100, (), "m.poll"), 1)
+        d.sync_op(FakeVM(), FakeThread("v0:t1"),
+                  FakeSyncOp("fetch_add", 0x100, (1,), "m.xadd"), 1)
         assert d.report.acquires_seen == 0
         assert d.report.releases_seen == 0
         assert "m.poll" in d.report.observed_sites
@@ -111,8 +111,8 @@ class TestWaitForGraph:
         cas(d, "v0:t2", 0xB, 0, 1, 0, site="s.b")
         cas(d, "v0:t1", 0xB, 0, 1, 1, site="s.b")  # fails
         cas(d, "v0:t2", 0xA, 0, 1, 1, site="s.a")  # fails
-        d.on_futex_wait(0, "v0:t1", 0xB)
-        d.on_futex_wait(0, "v0:t2", 0xA)
+        d.futex_park(0, 0xB, "v0:t1")
+        d.futex_park(0, 0xA, "v0:t2")
 
     def test_abba_cycle_detected_at_formation(self):
         d = DeadlockDetector()
@@ -135,7 +135,7 @@ class TestWaitForGraph:
 
     def test_wait_on_unowned_word_is_no_cycle(self):
         d = DeadlockDetector()
-        d.on_futex_wait(0, "v0:t1", 0xDEAD)
+        d.futex_park(0, 0xDEAD, "v0:t1")
         assert not d.report.deadlocked
         assert d.report.waits_seen == 1
 
@@ -143,23 +143,23 @@ class TestWaitForGraph:
         d = DeadlockDetector()
         cas(d, "v0:t1", 0xA, 0, 1, 0)
         cas(d, "v0:t2", 0xB, 0, 1, 0)
-        d.on_futex_wait(0, "v0:t1", 0xB)
-        d.on_futex_unwait("v0:t1")
-        d.on_futex_wait(0, "v0:t2", 0xA)
+        d.futex_park(0, 0xB, "v0:t1")
+        d.futex_unpark(0, 0xB, "v0:t1")
+        d.futex_park(0, 0xA, "v0:t2")
         assert not d.report.deadlocked
 
     def test_wake_clears_edges(self):
         d = DeadlockDetector()
         cas(d, "v0:t1", 0xA, 0, 1, 0)
-        d.on_futex_wait(0, "v0:t2", 0xA)
-        d.on_futex_wake(["v0:t2"])
+        d.futex_park(0, 0xA, "v0:t2")
+        d.futex_wake(0, 0xA, None, ["v0:t2"])
         assert "v0:t2" not in d._waiting
 
     def test_duplicate_cycle_deduped(self):
         d = DeadlockDetector()
         self.wedge_two(d)
-        d.on_futex_unwait("v0:t1")
-        d.on_futex_wait(0, "v0:t1", 0xB)  # re-park on the same cycle
+        d.futex_unpark(0, 0xB, "v0:t1")
+        d.futex_park(0, 0xB, "v0:t1")  # re-park on the same cycle
         assert len(d.report.records) == 1
 
     def test_three_thread_chain(self):
@@ -169,7 +169,7 @@ class TestWaitForGraph:
             cas(d, f"v0:t{i}", hold, 0, 1, 0, site=f"s.{hold:#x}")
         for i, (_hold, want) in enumerate([(0xA, 0xB), (0xB, 0xC),
                                            (0xC, 0xA)]):
-            d.on_futex_wait(0, f"v0:t{i}", want)
+            d.futex_park(0, want, f"v0:t{i}")
         (record,) = d.report.records
         assert len(record.threads) == 3
 
@@ -177,8 +177,8 @@ class TestWaitForGraph:
         d = DeadlockDetector()
         cas(d, "v0:t1", 0xA, 0, 1, 0, variant=0)
         cas(d, "v1:t1", 0xA, 0, 1, 0, variant=1)
-        d.on_futex_wait(1, "v1:t2", 0xA)
-        d.reset_variant(1)
+        d.futex_park(1, 0xA, "v1:t2")
+        d.variant_restarted(1)
         assert (1, 0xA) not in d._holders
         assert "v1:t2" not in d._waiting
         assert (0, 0xA) in d._holders  # other variants untouched

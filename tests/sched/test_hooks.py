@@ -1,0 +1,111 @@
+"""The machine's hook table (repro.sched.hooks)."""
+
+from repro.sched.hooks import EVENTS, Hooks
+
+
+class Recorder:
+    """A consumer that logs which of its callbacks fired, tagged."""
+
+    def __init__(self, tag, calls):
+        self.tag = tag
+        self.calls = calls
+
+    def park(self, variant, thread_global, thread, wait_key):
+        self.calls.append((self.tag, "park", wait_key))
+
+    def sync_op(self, vm, thread, event, value):
+        self.calls.append((self.tag, "sync_op", value))
+
+
+class SyncOnly:
+    def __init__(self, calls):
+        self.calls = calls
+
+    def sync_op(self, vm, thread, event, value):
+        self.calls.append(("sync-only", "sync_op", value))
+
+
+class NoEvents:
+    """Defines nothing in the vocabulary (nor a non-callable clash)."""
+
+    park = "not a method"
+
+    def on_step(self):  # an old-style name: not vocabulary
+        raise AssertionError("never attached")
+
+
+class TestHooks:
+    def test_fresh_table_is_empty(self):
+        hooks = Hooks()
+        for event in EVENTS:
+            assert getattr(hooks, event) == ()
+        assert hooks.faults is None
+
+    def test_attach_builds_tuples_in_attach_order(self):
+        calls = []
+        first, middle, last = (Recorder("a", calls), SyncOnly(calls),
+                               Recorder("b", calls))
+        hooks = Hooks()
+        for consumer in (first, middle, last):
+            hooks.attach(consumer)
+        assert hooks.park == (first.park, last.park)
+        assert hooks.sync_op == (first.sync_op, middle.sync_op,
+                                 last.sync_op)
+        for hook in hooks.sync_op:
+            hook(None, None, None, 7)
+        for hook in hooks.park:
+            hook(0, "v0:main", "main", ("futex", 0, 1))
+        assert calls == [("a", "sync_op", 7), ("sync-only", "sync_op", 7),
+                         ("b", "sync_op", 7),
+                         ("a", "park", ("futex", 0, 1)),
+                         ("b", "park", ("futex", 0, 1))]
+        untouched = set(EVENTS) - {"park", "sync_op"}
+        assert all(getattr(hooks, event) == () for event in untouched)
+
+    def test_consumer_without_vocabulary_adds_nothing(self):
+        hooks = Hooks()
+        hooks.attach(NoEvents())
+        hooks.attach(object())
+        for event in EVENTS:
+            assert getattr(hooks, event) == ()
+        assert hooks.faults is None
+
+    def test_real_consumers_cover_only_vocabulary_events(self):
+        """Every public method a shipped consumer defines for a
+        vocabulary event lands in the table, and nothing else does."""
+        from repro.obs import ObsHub
+        from repro.races import DeadlockDetector, RaceDetector
+        from repro.replay import DecisionRecorder
+
+        hub = ObsHub(profile=True)
+        consumers = (hub, hub.prof, RaceDetector(), DeadlockDetector(),
+                     DecisionRecorder())
+        hooks = Hooks()
+        for consumer in consumers:
+            hooks.attach(consumer)
+        for event in EVENTS:
+            expected = tuple(getattr(consumer, event)
+                             for consumer in consumers
+                             if hasattr(consumer, event))
+            assert getattr(hooks, event) == expected, event
+        assert hooks.step_committed == (hub.prof.step_committed,
+                                        consumers[4].step_committed)
+        assert not hasattr(hub, "step_committed")
+
+
+class TestFutexTableVariant:
+    def test_kernel_builds_its_table_with_its_variant(self):
+        from repro.kernel.fs import VirtualDisk
+        from repro.kernel.kernel import VirtualKernel
+
+        kernel = VirtualKernel(VirtualDisk(), variant_index=2)
+        assert kernel.futexes.variant == 2
+
+    def test_bare_mvee_tables_name_their_variant(self, fast_costs):
+        from repro.core.mvee import run_mvee
+        from tests.guestlib import MutexCounterProgram
+
+        outcome = run_mvee(MutexCounterProgram(workers=2, iters=5),
+                           variants=3, seed=1, costs=fast_costs)
+        assert [vm.kernel.futexes.variant for vm in outcome.vms] \
+            == [0, 1, 2]

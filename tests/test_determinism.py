@@ -328,6 +328,73 @@ class TestProfilerDeterminism:
                 == json.dumps(second, sort_keys=True))
 
 
+class TestAllConsumersAtOnce:
+    """Every hook-table consumer attached to one run at once.
+
+    Each optional observer is pinned alone above; this pins the fan-out:
+    obs with its profiler, both detectors and a decision recorder share
+    one hook table on one 3-variant run, and the run must still match
+    the bare run while every consumer produces exactly what it produces
+    when attached alone.
+    """
+
+    def _run(self, agent, costs, **consumers):
+        return run_mvee(MutexCounterProgram(workers=3, iters=25),
+                        variants=3, agent=agent, seed=7, costs=costs,
+                        **consumers)
+
+    @staticmethod
+    def _consumers():
+        from repro.races import DeadlockDetector, RaceDetector
+        from repro.replay import DecisionLog, DecisionRecorder
+
+        return {"obs": ObsHub(profile=True), "races": RaceDetector(),
+                "deadlocks": DeadlockDetector(),
+                "replay": DecisionRecorder(DecisionLog(spec={}))}
+
+    @staticmethod
+    def _outputs(outcome, consumers):
+        """Each attached consumer's output, keyed by consumer."""
+        outputs = {}
+        hub = consumers.get("obs")
+        if hub is not None:
+            hub.prof.finalize(outcome.machine.now)
+            outputs["obs"] = hub.digest()
+            outputs["prof"] = hub.prof.snapshot().to_dict()
+        if "races" in consumers:
+            outputs["races"] = consumers["races"].report
+        if "deadlocks" in consumers:
+            outputs["deadlocks"] = consumers["deadlocks"].report
+        if "replay" in consumers:
+            outputs["replay"] = consumers["replay"].log.digest()
+        return outputs
+
+    @pytest.mark.parametrize("agent", ["total_order", "partial_order",
+                                       "wall_of_clocks"])
+    def test_fan_out_matches_each_consumer_alone(self, agent, fast_costs):
+        bare = self._run(agent, fast_costs)
+        assert bare.verdict == "clean"
+        together = self._consumers()
+        outcome = self._run(agent, fast_costs, **together)
+        assert outcome.verdict == bare.verdict
+        assert outcome.cycles == bare.cycles
+        assert outcome.stdout == bare.stdout
+        combined = self._outputs(outcome, together)
+        assert set(combined) == {"obs", "prof", "races", "deadlocks",
+                                 "replay"}
+        alone = {}
+        for name, consumer in self._consumers().items():
+            single = self._run(agent, fast_costs, **{name: consumer})
+            assert single.cycles == bare.cycles
+            alone.update(self._outputs(single, {name: consumer}))
+        assert combined == alone
+        # The pin bites: every consumer really observed the run.
+        assert together["races"].report.sync_ops_seen > 0
+        assert together["deadlocks"].report.acquires_seen > 0
+        assert len(together["replay"].log.records) > 0
+        assert combined["prof"]["total_cycles"] > 0
+
+
 class TestParallelSweepDeterminism:
     """The parallel engine must not cost a bit of determinism: the
     aggregated output of a sharded sweep is pinned to a golden digest,
