@@ -143,57 +143,46 @@ def _cmd_fig5(args) -> int:
     return 0
 
 
+def _run_spec(args):
+    """The :class:`repro.run.RunSpec` a ``run``/``record`` invocation
+    describes."""
+    from repro.run import RunSpec
+
+    return RunSpec(
+        workload=args.benchmark, agent=args.agent,
+        variants=args.variants, seed=args.seed, scale=args.scale,
+        faults=args.faults or None, fault_seed=args.fault_seed,
+        policy=args.policy, watchdog=args.watchdog,
+        race_detect=args.race_detect, resync_mode=args.resync_mode)
+
+
 def _cmd_run(args) -> int:
-    from repro.core.divergence import MonitorPolicy
-    from repro.core.mvee import run_mvee
     from repro.diversity.spec import DiversitySpec
-    from repro.experiments.runner import native_cycles
-    from repro.workloads.synthetic import make_benchmark
+    from repro.run import build_mvee
 
     if args.record:
         return _record_to(args, args.record)
-    agent = None if args.agent == "none" else args.agent
+    hub = _make_hub(args)
     diversity = (DiversitySpec(aslr=True, dcl=True, seed=args.seed)
                  if args.diversity else None)
-    plan = None
-    if args.faults:
-        from repro.errors import ConfigError
-        from repro.faults import parse_fault_plan
-
-        try:
-            plan = parse_fault_plan(args.faults, seed=args.fault_seed,
-                                    n_variants=args.variants)
-        except ConfigError as exc:
-            print(f"repro run: {exc}", file=sys.stderr)
-            return 2
-    policy = MonitorPolicy(degradation=args.policy,
-                           watchdog_cycles=args.watchdog,
-                           resync_mode=args.resync_mode)
-    hub = _make_hub(args)
-    native = native_cycles(args.benchmark, scale=args.scale,
-                           seed=args.seed)
-    checkpoints = args.checkpoint_every
-    if checkpoints is None and args.resync_mode == "checkpoint":
-        checkpoints = native / 64.0
-    outcome = run_mvee(make_benchmark(args.benchmark, scale=args.scale),
-                       variants=args.variants, agent=agent,
-                       seed=args.seed, diversity=diversity,
-                       policy=policy, checkpoints=checkpoints,
-                       max_cycles=native * 400, obs=hub, faults=plan,
-                       races=args.race_detect,
-                       deadlocks=args.deadlock_detect)
+    mvee, native = build_mvee(_run_spec(args), obs=hub,
+                              diversity=diversity,
+                              checkpoints=args.checkpoint_every,
+                              deadlocks=args.deadlock_detect)
+    outcome = mvee.run()
     print(f"benchmark : {args.benchmark}")
     print(f"agent     : {args.agent}, variants: {args.variants}, "
           f"diversity: {'ASLR+DCL' if args.diversity else 'off'}")
-    if plan is not None:
-        print(f"faults    : planned {len(plan)}, "
+    if mvee.fault_injector is not None:
+        print(f"faults    : planned {len(mvee.fault_injector.plan)}, "
               f"injected {len(outcome.faults)} "
               f"(policy: {args.policy}"
               + (f", watchdog: {args.watchdog:.0f} cycles"
                  if args.watchdog is not None else "") + ")")
     print(f"verdict   : {outcome.verdict}")
-    store = getattr(outcome.monitor, "checkpoints", None)
-    if checkpoints is not None and store is not None and len(store):
+    print(f"cycles    : {outcome.cycles}")
+    if mvee.checkpointer is not None and len(mvee.checkpointer.store):
+        store = mvee.checkpointer.store
         if args.checkpoint_out:
             store.path = args.checkpoint_out
             store.persist()
@@ -211,23 +200,22 @@ def _cmd_run(args) -> int:
         print(f"quarantine: {event.summary()}")
     if outcome.divergence is not None:
         print(outcome.divergence.explain())
-    print(f"slowdown  : {outcome.cycles / native:.2f}x vs native")
+    if native is not None:
+        print(f"slowdown  : {outcome.cycles / native:.2f}x vs native")
     _emit_obs(args, hub, outcome)
     return 0 if outcome.verdict in ("clean", "degraded") else 1
 
 
 def _cmd_trace(args) -> int:
-    from repro.core.mvee import MVEE
-    from repro.experiments.runner import PAPER_CORES
     from repro.perf.timeline import render_timeline, summarize_trace
-    from repro.workloads.synthetic import make_benchmark
+    from repro.run import RunSpec, build_mvee
 
-    agent = None if args.agent == "none" else args.agent
     hub = _make_hub(args)
-    mvee = MVEE(make_benchmark(args.benchmark, scale=args.scale),
-                variants=args.variants, agent=agent, seed=args.seed,
-                cores=PAPER_CORES, record_trace=True,
-                record_sync_trace=True, obs=hub)
+    spec = RunSpec(args.benchmark, agent=args.agent,
+                   variants=args.variants, seed=args.seed,
+                   scale=args.scale)
+    mvee, _ = build_mvee(spec, record_trace=True, record_sync_trace=True,
+                         obs=hub)
     outcome = mvee.run()
     print(f"verdict: {outcome.verdict}\n")
     for vm in outcome.vms:
@@ -294,28 +282,20 @@ def _cmd_fault_matrix(args) -> int:
     return 0
 
 
-def _record_spec(args):
-    """Assemble the SessionSpec a record/replay CLI run works from."""
-    from repro.errors import ReproError
-    from repro.serve.session import SessionSpec
-
-    if getattr(args, "diversity", False):
-        raise ReproError("--record does not support --diversity yet "
-                         "(diversity state is not in the decision log)")
-    return SessionSpec(
-        workload=args.benchmark, agent=args.agent,
-        variants=args.variants, seed=args.seed, scale=args.scale,
-        faults=args.faults, fault_seed=args.fault_seed,
-        policy=args.policy, watchdog=args.watchdog,
-        race_detect=getattr(args, "race_detect", False),
-        resync_mode=getattr(args, "resync_mode", "history")).validate()
-
-
 def _record_to(args, out_path: str) -> int:
     """Shared body of ``repro record`` and ``repro run --record``."""
+    from repro.errors import ReproError
     from repro.replay import record_run
 
-    spec = _record_spec(args)
+    # Replay rebuilds the run from the spec in the log header, which
+    # has no field for either: refuse rather than record a run that
+    # replays differently.
+    for flag in ("diversity", "deadlock_detect"):
+        if getattr(args, flag, False):
+            raise ReproError(f"--record does not support "
+                             f"--{flag.replace('_', '-')} (the decision "
+                             "log's run spec cannot carry it)")
+    spec = _run_spec(args)
     hub = _make_hub(args)
     recorded = record_run(
         spec, out_path=out_path,
@@ -326,6 +306,7 @@ def _record_to(args, out_path: str) -> int:
     print(f"recorded  : {spec.workload} x{spec.variants} "
           f"({spec.agent}, seed {spec.seed})")
     print(f"verdict   : {outcome.verdict}")
+    print(f"cycles    : {outcome.cycles}")
     print(f"log       : {out_path} ({len(recorded.log.records)} "
           f"decision(s), {footer.get('steps')} step(s))")
     print(f"digest    : {recorded.log.digest()}")
@@ -982,8 +963,10 @@ def _add_replay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="CYCLES",
                         help="machine checkpoint cadence in simulated "
-                             "cycles (default: off; --resync-mode "
-                             "checkpoint picks native/64 when unset)")
+                             "cycles (default: off; under --resync-mode "
+                             "checkpoint a benchmark twin checkpoints "
+                             "every native/64 cycles, the cadence "
+                             "replay rebuilds with)")
     parser.add_argument("--checkpoint-out", default=None,
                         metavar="PATH",
                         help="persist checkpoints to PATH "

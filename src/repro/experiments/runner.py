@@ -14,16 +14,20 @@ from dataclasses import astuple, dataclass, field
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
-from repro.faults import FAULT_KINDS, FaultPlan, FaultSpec
+from repro.faults import FAULT_KINDS, FaultSpec
 from repro.par.engine import CellTask, raise_failures, run_cells
 from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.perf.report import SlowdownReport
-from repro.run import run_native
-from repro.workloads.spec import ALL_SPECS, spec_by_name
-from repro.workloads.synthetic import SyntheticWorkload
-
-#: The paper's machine: dual-socket E5-2660, 16 physical cores (HT off).
-PAPER_CORES = 16
+from repro.run import (
+    NGINX_COSTS,
+    NGINX_PAPER_SIZING,
+    PAPER_CORES,
+    RunSpec,
+    build_mvee,
+    native_cycles,
+    reset_native_cache,
+)
+from repro.workloads.spec import ALL_SPECS
 
 #: Agents evaluated in Figure 5 / Table 1.
 AGENTS = ("total_order", "partial_order", "wall_of_clocks")
@@ -57,7 +61,6 @@ class ExperimentResult:
         return self.mvee_cycles / self.native_cycles
 
 
-_native_cache: dict[tuple, float] = {}
 _cell_cache: dict[tuple, ExperimentResult] = {}
 
 
@@ -67,22 +70,8 @@ def reset_caches() -> None:
     The ``repro bench`` harness calls this between its timed phases so
     neither phase rides the other's warm cache; tests use it to force
     re-simulation."""
-    _native_cache.clear()
+    reset_native_cache()
     _cell_cache.clear()
-
-
-def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
-                  cores: int = PAPER_CORES,
-                  costs: CostModel | None = None) -> float:
-    """Native (unprotected) runtime of a benchmark slice, memoized."""
-    key = (benchmark, scale, seed, cores, astuple(costs or DEFAULT_COSTS))
-    cached = _native_cache.get(key)
-    if cached is None:
-        program = SyntheticWorkload(spec_by_name(benchmark), scale=scale)
-        result = run_native(program, seed=seed, cores=cores, costs=costs)
-        cached = result.report.cycles
-        _native_cache[key] = cached
-    return cached
 
 
 def run_one(benchmark: str, agent: str, variants: int,
@@ -105,12 +94,11 @@ def run_one(benchmark: str, agent: str, variants: int,
         cached = _cell_cache.get(key)
         if cached is not None:
             return cached
-    native = native_cycles(benchmark, scale, seed, cores, costs)
-    program = SyntheticWorkload(spec_by_name(benchmark), scale=scale)
-    outcome = run_mvee(program, variants=variants, agent=agent,
-                       seed=seed, cores=cores, costs=costs,
-                       agent_options=agent_options or {},
-                       max_cycles=native * 400, obs=obs)
+    mvee, native = build_mvee(
+        RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
+                scale=scale),
+        cores=cores, costs=costs, agent_options=agent_options, obs=obs)
+    outcome = mvee.run()
     report = outcome.report
     result = ExperimentResult(
         benchmark=benchmark, agent=agent, variants=variants,
@@ -175,28 +163,21 @@ def _fault_spec_for(kind: str) -> FaultSpec:
 
 def _fault_matrix_cell(benchmark: str, policy_name: str, kind: str,
                        variants: int, agent: str, scale: float,
-                       seed: int, cores: int, costs,
-                       watchdog_factor: float, native: float,
+                       seed: int, cores: int, costs, watchdog: float,
                        resync_mode: str = "history",
                        checkpoint_every: float | None = None
                        ) -> FaultMatrixCell:
     """One (policy, fault kind) cell; module-level so the parallel
     engine can pickle it by reference into worker processes."""
-    plan = FaultPlan((_fault_spec_for(kind),))
-    policy = MonitorPolicy(
-        degradation=policy_name,
-        watchdog_cycles=native * watchdog_factor,
-        resync_mode=resync_mode)
-    checkpoints = None
-    if resync_mode == "checkpoint":
-        checkpoints = (checkpoint_every if checkpoint_every is not None
-                       else native / 64.0)
-    program = SyntheticWorkload(spec_by_name(benchmark), scale=scale)
-    outcome = run_mvee(program, variants=variants, agent=agent,
-                       seed=seed, cores=cores, costs=costs,
-                       policy=policy, faults=plan,
-                       checkpoints=checkpoints,
-                       max_cycles=native * 400)
+    spec = RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
+                   scale=scale, faults=_fault_spec_for(kind).describe(),
+                   policy=policy_name, watchdog=watchdog,
+                   resync_mode=resync_mode)
+    mvee, _ = build_mvee(
+        spec, cores=cores, costs=costs,
+        checkpoints=(checkpoint_every if resync_mode == "checkpoint"
+                     else None))
+    outcome = mvee.run()
     stats = getattr(outcome.monitor, "resync_stats", {}) or {}
     return FaultMatrixCell(
         benchmark=benchmark, policy=policy_name, kind=kind,
@@ -233,8 +214,9 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
     variants: ``"history"`` replays the full retained master history at
     cost, ``"checkpoint"`` fast-forwards to the latest machine
     checkpoint frontier (taken every ``checkpoint_every`` cycles,
-    default native/64) and only re-executes the suffix — same verdicts,
-    fewer full-cost resync steps (``docs/REPLAY.md``).
+    default native/64, see :func:`repro.run.build_mvee`) and only
+    re-executes the suffix — same verdicts, fewer full-cost resync
+    steps (``docs/REPLAY.md``).
 
     ``jobs`` shards the (policy x kind) cells across workers via
     :mod:`repro.par` and ``env`` picks the execution environment
@@ -258,8 +240,7 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
                             variants=variants, agent=agent,
                             scale=scale, seed=seed, cores=cores,
                             costs=costs,
-                            watchdog_factor=watchdog_factor,
-                            native=native,
+                            watchdog=native * watchdog_factor,
                             resync_mode=resync_mode,
                             checkpoint_every=checkpoint_every)))
     results = raise_failures(run_cells(tasks, jobs=jobs, env=env))
@@ -303,12 +284,6 @@ def fault_matrix_table(cells) -> str:
                      f"{resynced} step(s) re-executed at full cost, "
                      f"{ff} fast-forwarded past the checkpoint frontier")
     return "\n".join(lines)
-
-
-#: Cost model for the race sweep: low monitor overhead keeps the nginx
-#: runs quick while preserving every ordering decision.
-RACE_SWEEP_COSTS = CostModel(monitor_syscall_overhead=2_000.0,
-                             preempt_quantum=20_000.0)
 
 
 @dataclass
@@ -357,27 +332,13 @@ def run_nginx_condition(instrumented: bool, seed: int = 1,
     ``instrumented=False`` leaves the custom ``nginx.*`` primitives bare
     (the paper's divergence demo); ``True`` wraps every site.
     """
-    from repro.core.mvee import MVEE
-    from repro.workloads.nginx import (
-        NginxConfig,
-        NginxServer,
-        TrafficStats,
-        make_traffic,
-        pthread_only_sites,
-    )
+    from repro.workloads.nginx import pthread_only_sites
 
-    config = NginxConfig(pool_threads=8, connections=6,
-                         requests_per_connection=3,
-                         work_cycles=20_000.0)
-    stats = TrafficStats()
-    mvee = MVEE(NginxServer(config), variants=variants,
-                agent=agent, seed=seed,
-                costs=costs or RACE_SWEEP_COSTS,
-                instrument=((lambda site: True) if instrumented
-                            else pthread_only_sites),
-                with_network=True,
-                traffic=make_traffic(config, 0.0, stats),
-                max_cycles=5e9, races=detector, obs=obs)
+    spec = RunSpec("nginx", agent=agent, variants=variants, seed=seed,
+                   params=NGINX_PAPER_SIZING)
+    keywords = {} if instrumented else {"instrument": pthread_only_sites}
+    mvee, _ = build_mvee(spec, costs=costs, races=detector, obs=obs,
+                         **keywords)
     return mvee.run()
 
 
@@ -420,7 +381,8 @@ def _race_sweep_cell(workload: str, scale: float, seed: int,
     field of the returned row except ``overhead_pct`` (host wall-clock)
     is a deterministic function of the arguments.
     """
-    costs = costs or RACE_SWEEP_COSTS
+    # Every row, benchmark twins included, runs at the nginx cost model.
+    costs = costs or NGINX_COSTS
     if workload in ("nginx/bare", "nginx/full"):
         instrumented = workload == "nginx/full"
         identified = nginx_identified_sites(after_refactor=instrumented)
@@ -432,11 +394,9 @@ def _race_sweep_cell(workload: str, scale: float, seed: int,
             identified)
 
     def run_bench(detector):
-        program = SyntheticWorkload(spec_by_name(workload), scale=scale)
-        native = native_cycles(workload, scale, seed, PAPER_CORES, costs)
-        return run_mvee(program, variants=2, agent="wall_of_clocks",
-                        seed=seed, cores=PAPER_CORES, costs=costs,
-                        max_cycles=native * 400, races=detector)
+        spec = RunSpec(workload, variants=2, seed=seed, scale=scale)
+        mvee, _ = build_mvee(spec, costs=costs, races=detector)
+        return mvee.run()
 
     return _race_row_for(workload, run_bench, frozenset())
 
@@ -631,20 +591,11 @@ def run_benchmark_grid(benchmarks=None, agents=AGENTS,
 
     ``jobs`` shards grid cells across workers in the ``env`` execution
     environment (process workers bypass the per-process memo cache;
-    ``jobs=1`` keeps the historical in-process memoized path).  Result
-    order is always the canonical grid nesting.
+    ``jobs=1`` runs inline, sharing it).  Result order is always the
+    canonical grid nesting.
     """
     if benchmarks is None:
         benchmarks = list(ALL_SPECS)
-    if jobs <= 1:
-        results = []
-        for benchmark in benchmarks:
-            for agent in agents:
-                for variants in variant_counts:
-                    results.append(run_one(benchmark, agent, variants,
-                                           scale=scale, seed=seed,
-                                           costs=costs))
-        return results
     tasks = []
     for benchmark in benchmarks:
         for agent in agents:

@@ -9,15 +9,17 @@ byte-identical whether they ran inline or in a forked worker.  The
 artifacts from the results *in cell order*, which makes the artifacts
 deterministic in ``--jobs``.
 
-``nginx`` is special-cased: it is the §5.5 server workload (network +
-traffic driver), not a synthetic twin, so it has no native baseline and
-runs through :func:`repro.experiments.runner.run_nginx_condition` with
-the full instrumentation condition.
+Every cell builds through :func:`repro.run.build_mvee`.  ``nginx`` is
+the §5.5 server workload (network + traffic driver), not a synthetic
+twin: it runs at the §5.5 sizing, fully instrumented, and has no native
+baseline.
 """
 
 from __future__ import annotations
 
+from repro.obs import ObsHub
 from repro.par.engine import CellTask, raise_failures, run_cells
+from repro.run import NGINX_PAPER_SIZING, RunSpec, build_mvee
 
 #: Agents `repro profile` compares (the paper's three main mechanisms).
 PROFILE_AGENTS = ("total_order", "partial_order", "wall_of_clocks")
@@ -28,29 +30,13 @@ def profile_cell(benchmark: str, agent: str, variants: int,
                  lag_sample_every: int = 1) -> dict:
     """Run one profiled MVEE execution (module-level: pickled by
     reference into engine workers) and return a plain-data result."""
-    from repro.core.mvee import run_mvee
-    from repro.experiments.runner import (
-        PAPER_CORES,
-        native_cycles,
-        run_nginx_condition,
-    )
-    from repro.obs import ObsHub
-    from repro.workloads.spec import spec_by_name
-    from repro.workloads.synthetic import SyntheticWorkload
-
     hub = ObsHub(trace=False, profile=True,
                  lag_sample_every=lag_sample_every)
-    if benchmark == "nginx":
-        native = None
-        outcome = run_nginx_condition(True, seed=seed,
-                                      variants=variants, agent=agent,
-                                      obs=hub)
-    else:
-        native = native_cycles(benchmark, scale, seed, PAPER_CORES)
-        program = SyntheticWorkload(spec_by_name(benchmark), scale=scale)
-        outcome = run_mvee(program, variants=variants, agent=agent,
-                           seed=seed, cores=PAPER_CORES,
-                           max_cycles=native * 400, obs=hub)
+    spec = RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
+                   scale=scale,
+                   params=NGINX_PAPER_SIZING if benchmark == "nginx" else {})
+    mvee, native = build_mvee(spec, obs=hub)
+    outcome = mvee.run()
     hub.prof.finalize(outcome.machine.now)
     profile = hub.prof.snapshot()
     return {

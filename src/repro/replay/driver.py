@@ -1,10 +1,10 @@
 """High-level record / replay / resume drivers.
 
-Everything here works in terms of :class:`repro.serve.session.SessionSpec`
-— the JSON-safe description of one run that the serve daemon journals
-and the CLI accepts — so a decision log is self-contained: its header
-carries the spec, and :func:`replay_run` rebuilds the MVEE from the log
-alone.
+Everything here works in terms of :class:`repro.run.RunSpec` — the
+JSON-safe description of one run that the serve daemon journals and the
+CLI assembles — and builds through :func:`repro.run.build_mvee`, so a
+decision log is self-contained: its header carries the spec, and
+:func:`replay_run` rebuilds the same MVEE from the log alone.
 
 Three entry points:
 
@@ -27,6 +27,7 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ReplayError
+from repro.obs import ObsHub
 from repro.replay.checkpoint import (
     Checkpointer,
     CheckpointPolicy,
@@ -36,6 +37,7 @@ from repro.replay.checkpoint import (
 from repro.replay.log import DecisionLog, DecisionLogWriter
 from repro.replay.recorder import DecisionRecorder
 from repro.replay.replayer import DecisionReplayer
+from repro.run import RunSpec, build_mvee
 
 #: Event-batch size used while fast-forwarding a replay or a resume.
 DRIVE_CHUNK = 1024
@@ -45,15 +47,13 @@ DRIVE_CHUNK = 1024
 SINGLE_STEP_MARGIN = 64
 
 
-def _session_spec(spec):
-    """Accept a SessionSpec, a spec dict, or reject with ReplayError."""
-    from repro.serve.session import SessionSpec
-
-    if isinstance(spec, SessionSpec):
+def _run_spec(spec) -> RunSpec:
+    """Accept a RunSpec, a spec dict, or reject with ReplayError."""
+    if isinstance(spec, RunSpec):
         return spec.validate()
     if isinstance(spec, dict):
-        return SessionSpec.from_dict(spec).validate()
-    raise ReplayError(f"not a session spec: {spec!r}")
+        return RunSpec.from_dict(spec).validate()
+    raise ReplayError(f"not a run spec: {spec!r}")
 
 
 def _outcome_summary(outcome, hub) -> dict:
@@ -80,10 +80,7 @@ def record_run(spec, out_path: str | None = None,
                checkpoint_path: str | None = None,
                hub=None, meta: dict | None = None) -> RecordedRun:
     """Run ``spec`` under a decision recorder; seal and return the log."""
-    from repro.obs import ObsHub
-    from repro.serve.session import build_mvee
-
-    spec = _session_spec(spec)
+    spec = _run_spec(spec)
     if hub is None:
         hub = ObsHub(trace=False)
     log = DecisionLog(spec=spec.to_dict(), meta=meta)
@@ -160,19 +157,16 @@ def replay_run(log, to_step: int | None = None, hub=None) -> ReplayedRun:
     from the log, which is the forensics entry point (``repro replay
     --to-step``).
     """
-    from repro.obs import ObsHub
-    from repro.serve.session import build_mvee
-
     if isinstance(log, str):
         log = DecisionLog.load(log)
     if log.spec is None:
-        raise ReplayError("decision log has no session spec in its "
+        raise ReplayError("decision log has no run spec in its "
                           "header; cannot rebuild the run")
-    spec = _session_spec(log.spec)
+    spec = _run_spec(log.spec)
     if hub is None:
         hub = ObsHub(trace=False)
     replayer = DecisionReplayer(log)
-    mvee, _native = build_mvee(spec, obs=hub, replay=replayer)
+    mvee, _ = build_mvee(spec, obs=hub, replay=replayer)
     if to_step is None:
         outcome = mvee.run()
         return ReplayedRun(outcome=outcome, log=log, replayer=replayer,
@@ -234,9 +228,6 @@ def resume_recorded(spec, log_path: str, checkpoint_path: str,
     uninterrupted run), the scheduler RNG carries the checkpointed
     state, and a tail recorder extends the same log from here on.
     """
-    from repro.obs import ObsHub
-    from repro.serve.session import build_mvee
-
     if not (os.path.exists(log_path)
             and os.path.exists(checkpoint_path)):
         return None
@@ -248,7 +239,7 @@ def resume_recorded(spec, log_path: str, checkpoint_path: str,
     checkpoint = usable_checkpoint(store, log)
     if checkpoint is None:
         return None
-    spec = _session_spec(spec if spec is not None else log.spec)
+    spec = _run_spec(spec if spec is not None else log.spec)
     if hub is None:
         hub = ObsHub(trace=False)
     discarded = len(log.records) - checkpoint.decision_index
@@ -259,7 +250,9 @@ def resume_recorded(spec, log_path: str, checkpoint_path: str,
     replayer.pending_rng_state = decode_rng_state(checkpoint.rng_state)
     recorder = DecisionRecorder(log)
     replayer.tail_recorder = recorder
-    mvee, native = build_mvee(spec, obs=hub, replay=replayer)
+    # The resumed run arms its own checkpointer below, once live.
+    mvee, native = build_mvee(spec, obs=hub, replay=replayer,
+                              checkpoints=False)
     outcome = None
     while outcome is None and not replayer.live:
         outcome = mvee.advance(DRIVE_CHUNK)

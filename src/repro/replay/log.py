@@ -4,7 +4,7 @@ Format (``format_version`` 1) — one canonical JSON object per line:
 
 * header ``{"k": "hdr", "format": 1, "spec": {...}, "meta": {...}}`` —
   ``spec`` is the JSON-safe session spec the run was built from (enough
-  to rebuild the MVEE; see :class:`repro.serve.session.SessionSpec`);
+  to rebuild the MVEE; see :class:`repro.run.RunSpec`);
 * decision records, in commit order, each stamped with the step index
   ``"i"`` at which it was taken:
 

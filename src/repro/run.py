@@ -1,22 +1,84 @@
-"""Convenience runners for native (non-MVEE) guest executions.
+"""Runs: the native baseline, the run spec, and the one MVEE builder.
 
-The MVEE runners live in :mod:`repro.core.mvee`; this module covers the
-baseline: one program, one kernel, no monitor, no agents — the
-"unprotected execution" the paper's slowdown figures normalize against.
+The paper measures every configuration against its own unprotected
+native execution (§6).  This module owns that baseline
+(:func:`run_native`, memoized per benchmark twin by
+:func:`native_cycles`), the JSON-safe :class:`RunSpec` that the serve
+daemon journals, a decision log carries and the CLI assembles, and
+:func:`build_mvee` — the only code that turns a spec into an MVEE, so
+``repro run``, record/replay, serve sessions and the sweeps cannot
+drift apart.
+
+Import direction: this module depends on the simulator and never on
+``serve``, ``replay``, ``experiments``, ``par`` or ``cli``; those all
+build through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 
+# The native-baseline imports come first: importing ``repro.sched``
+# before ``repro.kernel`` is the order their package inits need.
 from repro.guest.program import GuestProgram, build_context
 from repro.kernel.fs import VirtualDisk
 from repro.kernel.kernel import VirtualKernel
 from repro.kernel.net import Network
-from repro.perf.costs import CostModel
+from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.sched.machine import Machine, MachineReport
 from repro.sched.scheduler import SchedulingPolicy
 from repro.sched.vm import VariantVM
+
+from repro.core.divergence import MonitorPolicy
+from repro.core.mvee import MVEE
+from repro.errors import BadRequest, ConfigError
+from repro.faults import DEGRADATION_POLICIES, parse_fault_plan
+from repro.workloads.nginx import (
+    NginxConfig,
+    NginxServer,
+    TrafficStats,
+    make_traffic,
+)
+from repro.workloads.spec import ALL_SPECS
+from repro.workloads.synthetic import make_benchmark
+
+#: The paper's machine: dual-socket E5-2660, 16 physical cores (HT off).
+PAPER_CORES = 16
+
+AGENT_NAMES = ("none", "total_order", "partial_order", "wall_of_clocks",
+               "dmt")
+
+#: Cycle budget of an nginx run (it has no native baseline).
+NGINX_MAX_CYCLES = 5e9
+
+#: Default checkpoint cadence under ``resync_mode="checkpoint"``: this
+#: many snapshots per native runtime.
+CHECKPOINTS_PER_NATIVE = 64
+
+#: Default nginx sizing: short enough that a run completes in
+#: milliseconds, long enough to exercise the acceptor pool and produce
+#: non-trivial sync traffic.  ``RunSpec.params`` overrides it per field.
+SHORT_NGINX = {"pool_threads": 2, "connections": 2,
+               "requests_per_connection": 1, "work_cycles": 5000.0}
+
+#: The §5.5 server sizing, passed as ``RunSpec.params`` by the race
+#: sweep and ``repro profile nginx``: enough pool threads, connections
+#: and requests for the custom primitives to race.
+NGINX_PAPER_SIZING = {"pool_threads": 8, "connections": 6,
+                      "requests_per_connection": 3,
+                      "work_cycles": 20_000.0}
+
+#: Cost model of every nginx run: low monitor overhead keeps the runs
+#: quick while preserving every ordering decision.
+NGINX_COSTS = CostModel(monitor_syscall_overhead=2_000.0,
+                        preempt_quantum=20_000.0)
+
+#: The only :class:`MVEE` keywords :func:`build_mvee` passes through;
+#: everything else about a run comes from its spec.
+MVEE_KEYWORDS = frozenset((
+    "obs", "replay", "checkpoints", "races", "deadlocks", "diversity",
+    "instrument", "cores", "costs", "agent_options", "record_trace",
+    "record_sync_trace"))
 
 
 @dataclass
@@ -65,3 +127,220 @@ def run_native(program: GuestProgram, *, seed: int = 0, cores: int = 16,
         traffic(machine, network)
     report = machine.run()
     return NativeResult(report=report, disk=disk, vm=vm, machine=machine)
+
+
+_native_cache: dict[tuple, float] = {}
+
+
+def reset_native_cache() -> None:
+    """Drop the memoized native runtimes (see :func:`native_cycles`)."""
+    _native_cache.clear()
+
+
+def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
+                  cores: int = PAPER_CORES,
+                  costs: CostModel | None = None) -> float:
+    """Native (unprotected) runtime of a benchmark slice, memoized.
+
+    The cache is keyed on every input, the cost model by field values,
+    so equal configurations share one native run per process.
+    """
+    key = (benchmark, scale, seed, cores, astuple(costs or DEFAULT_COSTS))
+    cached = _native_cache.get(key)
+    if cached is None:
+        result = run_native(make_benchmark(benchmark, scale=scale),
+                            seed=seed, cores=cores, costs=costs)
+        cached = result.report.cycles
+        _native_cache[key] = cached
+    return cached
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_workload(name) -> None:
+    if not isinstance(name, str) or (name != "nginx"
+                                     and name not in ALL_SPECS):
+        raise BadRequest(f"unknown workload {name!r} "
+                         "(see the 'workloads' op or 'repro list')")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything needed to (re)build one run's MVEE, JSON-safe.
+
+    The spec is the unit of persistence: the serve registry journals
+    it, a decision log carries it in its header, and the batch path
+    pickles it into a worker.  Rebuilding from the same spec reproduces
+    the same simulated timeline (seeded determinism), which is what
+    makes replay and quarantine-resume converge to the original result.
+    """
+
+    workload: str
+    agent: str = "wall_of_clocks"
+    variants: int = 2
+    seed: int = 1
+    scale: float = 0.25
+    #: Fault plan text as accepted by ``repro run --faults`` (None = no
+    #: faults); stored as text and re-parsed so it journals as JSON.
+    faults: str | None = None
+    fault_seed: int = 0
+    policy: str = "kill-all"
+    watchdog: float | None = None
+    race_detect: bool = False
+    #: Restart resync strategy: "history" or "checkpoint" (the latter
+    #: gets a checkpointer; see MonitorPolicy.resync_mode).
+    resync_mode: str = "history"
+    #: Workload-specific overrides (nginx: pool_threads, connections,
+    #: requests_per_connection, work_cycles).
+    params: dict = field(default_factory=dict)
+    #: Host trace-context wire dict (``repro.telemetry``): set by the
+    #: daemon from the creating request, journaled with the spec, and
+    #: pickled into batch workers — so a session's host spans (even
+    #: after a daemon crash + resume) carry the original trace_id.
+    #: Never a simulated quantity; ``None`` keeps pre-telemetry specs
+    #: byte-identical on the wire and in the journal.
+    trace: dict | None = None
+
+    def validate(self) -> "RunSpec":
+        """Reject a malformed spec with a typed :class:`BadRequest`."""
+        _check_workload(self.workload)
+        for name in ("variants", "seed", "fault_seed"):
+            if not _is_int(getattr(self, name)):
+                raise BadRequest(f"{name} must be an integer")
+        if not _is_real(self.scale):
+            raise BadRequest("scale must be a number")
+        if self.watchdog is not None and not _is_real(self.watchdog):
+            raise BadRequest("watchdog must be a number (or omitted)")
+        if not isinstance(self.race_detect, bool):
+            raise BadRequest("race_detect must be true or false")
+        if self.agent not in AGENT_NAMES:
+            raise BadRequest(f"unknown agent {self.agent!r}; expected "
+                             "one of " + ", ".join(AGENT_NAMES))
+        if self.policy not in DEGRADATION_POLICIES:
+            raise BadRequest(f"unknown policy {self.policy!r}; expected "
+                             "one of " + ", ".join(DEGRADATION_POLICIES))
+        if self.resync_mode not in ("history", "checkpoint"):
+            raise BadRequest(f"unknown resync_mode "
+                             f"{self.resync_mode!r}; expected 'history' "
+                             "or 'checkpoint'")
+        if not 2 <= self.variants <= 16:
+            raise BadRequest("variants must be between 2 and 16 "
+                             "(an MVEE needs at least two)")
+        if not 0.001 <= self.scale <= 4.0:
+            raise BadRequest("scale must be between 0.001 and 4.0")
+        if self.faults is not None:
+            if not isinstance(self.faults, str):
+                raise BadRequest("faults must be a fault-plan string")
+            try:
+                parse_fault_plan(self.faults, seed=self.fault_seed,
+                                 n_variants=self.variants)
+            except ConfigError as exc:
+                raise BadRequest(f"bad fault plan: {exc}") from None
+        if not isinstance(self.params, dict):
+            raise BadRequest("params must be an object")
+        if self.trace is not None and not isinstance(self.trace, dict):
+            raise BadRequest("trace must be an object (or omitted)")
+        return self
+
+    def to_dict(self) -> dict:
+        data = {"workload": self.workload, "agent": self.agent,
+                "variants": self.variants, "seed": self.seed,
+                "scale": self.scale, "faults": self.faults,
+                "fault_seed": self.fault_seed, "policy": self.policy,
+                "watchdog": self.watchdog,
+                "race_detect": self.race_detect,
+                "resync_mode": self.resync_mode,
+                "params": dict(self.params)}
+        if self.trace is not None:
+            data["trace"] = dict(self.trace)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunSpec":
+        if not isinstance(data, dict):
+            raise BadRequest("spec must be a JSON object")
+        extra = set(data) - set(cls.__dataclass_fields__)
+        if extra:
+            raise BadRequest("unknown spec field(s): "
+                             + ", ".join(sorted(extra)))
+        if "workload" not in data:
+            raise BadRequest("spec needs a 'workload' field")
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise BadRequest(f"bad spec: {exc}") from None
+
+
+def build_mvee(spec: RunSpec, **mvee_keywords):
+    """Build the MVEE a spec describes; returns ``(mvee, native)``.
+
+    ``native`` is the benchmark twin's native runtime (``None`` for
+    nginx, which has no baseline).  The spec decides the run; the
+    keywords only attach what a caller observes or overrides, and must
+    be :class:`MVEE` keywords listed in :data:`MVEE_KEYWORDS`.  Decided
+    here and nowhere else:
+
+    * the cycle budget: 400 times the native runtime, computed with the
+      run's cores and costs (nginx: ``NGINX_MAX_CYCLES``) — far past
+      any lockstep slowdown, so only a wedged run hits it;
+    * agent ``"none"`` means no agent;
+    * the :class:`MonitorPolicy` and the parsed fault plan;
+    * nginx: :data:`SHORT_NGINX` sizing under ``spec.params``,
+      :data:`NGINX_COSTS` unless ``costs`` is given, network and
+      traffic;
+    * ``resync_mode="checkpoint"`` without a ``checkpoints`` keyword
+      checkpoints every ``native / CHECKPOINTS_PER_NATIVE`` cycles
+      (pass ``checkpoints=False`` to attach none).
+
+    The spec is not validated here; callers taking untrusted input call
+    :meth:`RunSpec.validate` first.
+    """
+    unknown = set(mvee_keywords) - MVEE_KEYWORDS
+    if unknown:
+        raise TypeError("build_mvee got non-MVEE keyword(s): "
+                        + ", ".join(sorted(unknown)))
+    _check_workload(spec.workload)
+    keywords = dict(mvee_keywords)
+    if keywords.get("races") is None:
+        keywords["races"] = spec.race_detect
+    if spec.faults is not None:
+        keywords["faults"] = parse_fault_plan(
+            spec.faults, seed=spec.fault_seed, n_variants=spec.variants)
+    if spec.workload == "nginx":
+        try:
+            config = NginxConfig(**{**SHORT_NGINX, **spec.params})
+        except TypeError as exc:
+            raise BadRequest(f"bad nginx params: {exc}") from None
+        if keywords.get("costs") is None:
+            keywords["costs"] = NGINX_COSTS
+        program = NginxServer(config)
+        native = None
+        keywords.update(with_network=True,
+                        traffic=make_traffic(config, 0.0, TrafficStats()),
+                        max_cycles=NGINX_MAX_CYCLES)
+    else:
+        if spec.params:
+            raise BadRequest("params are only accepted for the nginx "
+                             "workload")
+        program = make_benchmark(spec.workload, scale=spec.scale)
+        native = native_cycles(spec.workload, scale=spec.scale,
+                               seed=spec.seed,
+                               cores=keywords.get("cores", PAPER_CORES),
+                               costs=keywords.get("costs"))
+        keywords["max_cycles"] = native * 400
+        if (keywords.get("checkpoints") is None
+                and spec.resync_mode == "checkpoint"):
+            keywords["checkpoints"] = native / CHECKPOINTS_PER_NATIVE
+    policy = MonitorPolicy(degradation=spec.policy,
+                           watchdog_cycles=spec.watchdog,
+                           resync_mode=spec.resync_mode)
+    mvee = MVEE(program, variants=spec.variants,
+                agent=None if spec.agent == "none" else spec.agent,
+                seed=spec.seed, policy=policy, **keywords)
+    return mvee, native

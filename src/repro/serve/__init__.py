@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.serve.client import ServeClient, wait_for_daemon
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.registry import SessionRegistry, recover_state
-from repro.serve.session import Session, SessionSpec, run_session_cell
+from repro.serve.session import Session, run_session_cell
 
 __all__ = [
     "ServeClient",
@@ -30,7 +30,6 @@ __all__ = [
     "ServeDaemon",
     "Session",
     "SessionRegistry",
-    "SessionSpec",
     "recover_state",
     "run_session_cell",
     "wait_for_daemon",

@@ -35,9 +35,10 @@ from repro.errors import (
     ServeError,
 )
 from repro.par.engine import CellExecutor, CellTask
+from repro.run import RunSpec
 from repro.serve import protocol
 from repro.serve.registry import SessionRegistry
-from repro.serve.session import Session, SessionSpec, run_session_cell
+from repro.serve.session import Session, run_session_cell
 from repro.telemetry import hostmetrics, spans
 from repro.telemetry.context import (
     TraceContext,
@@ -274,7 +275,7 @@ class ServeDaemon:
     # -- ops: session lifecycle --------------------------------------------
 
     def _op_create(self, request: dict) -> dict:
-        spec = SessionSpec.from_dict(request.get("spec")).validate()
+        spec = RunSpec.from_dict(request.get("spec")).validate()
         ctx = current_context()
         if ctx is not None and spec.trace is None:
             # The session inherits the request's trace; the spec is the

@@ -37,12 +37,8 @@ from repro.errors import (
     SessionNotFound,
 )
 from repro.logio import read_jsonl
-from repro.serve.session import (
-    CLOSEABLE_STATES,
-    SESSION_STATES,
-    Session,
-    SessionSpec,
-)
+from repro.run import RunSpec
+from repro.serve.session import CLOSEABLE_STATES, SESSION_STATES, Session
 
 #: States that count against the concurrent-session quota.
 ACTIVE_STATES = ("created", "running", "queued")
@@ -117,7 +113,7 @@ class SessionRegistry:
             if state == "closed" or state not in SESSION_STATES:
                 continue
             try:
-                spec = SessionSpec.from_dict(entry["spec"]).validate()
+                spec = RunSpec.from_dict(entry["spec"]).validate()
             except (KeyError, BadRequest):
                 continue
             new_state = recover_state(state, spec.policy)
@@ -167,7 +163,7 @@ class SessionRegistry:
         return sum(1 for s in self.sessions.values()
                    if s.state in ACTIVE_STATES)
 
-    def create(self, spec: SessionSpec, bundle_dir: str | None = None
+    def create(self, spec: RunSpec, bundle_dir: str | None = None
                ) -> Session:
         """Admit a new session or raise :class:`QuotaExceeded`.
 

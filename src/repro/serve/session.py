@@ -18,19 +18,29 @@ can be driven two ways:
   (``--env inline|process``) — without breaking per-cell seed
   derivation.
 
-Both paths end in the same result dict, whose ``obs_digest`` (see
-:meth:`repro.obs.ObsHub.digest`) is the byte-identity anchor against
-single-shot ``repro run`` for the same (workload, agent, seed).
+Both paths build their MVEE through :func:`repro.run.build_mvee`, the
+builder ``repro run`` uses, and end in the same result dict, whose
+``obs_digest`` (see :meth:`repro.obs.ObsHub.digest`) is the
+byte-identity anchor against single-shot ``repro run`` for the same
+:class:`~repro.run.RunSpec`.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
-from dataclasses import dataclass, field
 
-from repro.errors import BadRequest, SessionConflict
-from repro.faults import DEGRADATION_POLICIES as POLICY_NAMES
+from repro.errors import SessionConflict
+from repro.obs import ObsHub
+from repro.replay import (
+    CheckpointPolicy,
+    DecisionLog,
+    DecisionLogWriter,
+    DecisionRecorder,
+    resume_recorded,
+)
+from repro.run import RunSpec, build_mvee
 
 #: Every state a session can be in.  Transitions:
 #: created -> running -> finished | killed       (stepped path)
@@ -44,188 +54,6 @@ SESSION_STATES = ("created", "running", "queued", "finished",
 #: States a close() accepts from; everything else must finish or be
 #: killed first.
 CLOSEABLE_STATES = ("created", "finished", "quarantined", "killed")
-
-AGENT_NAMES = ("none", "total_order", "partial_order", "wall_of_clocks",
-               "dmt")
-
-#: Default nginx sizing for serve sessions: short enough that a session
-#: completes in milliseconds, long enough to exercise the acceptor pool
-#: and produce non-trivial sync traffic.
-SHORT_NGINX = {"pool_threads": 2, "connections": 2,
-               "requests_per_connection": 1, "work_cycles": 5000.0}
-
-
-@dataclass(frozen=True)
-class SessionSpec:
-    """Everything needed to (re)build a session's MVEE, JSON-safe.
-
-    The spec is the unit of persistence: the registry journals it, a
-    daemon restart replays it, and the batch path pickles it into a
-    worker.  Rebuilding from the same spec reproduces the same
-    simulated timeline (seeded determinism), which is what makes
-    quarantine-resume converge to the original result.
-    """
-
-    workload: str
-    agent: str = "wall_of_clocks"
-    variants: int = 2
-    seed: int = 1
-    scale: float = 0.25
-    #: Fault plan text as accepted by ``repro run --faults`` (None = no
-    #: faults); stored as text and re-parsed so it journals as JSON.
-    faults: str | None = None
-    fault_seed: int = 0
-    policy: str = "kill-all"
-    watchdog: float | None = None
-    race_detect: bool = False
-    #: Restart resync strategy: "history" or "checkpoint" (the latter
-    #: needs a checkpointer attached; see MonitorPolicy.resync_mode).
-    resync_mode: str = "history"
-    #: Workload-specific overrides (nginx: pool_threads, connections,
-    #: requests_per_connection, work_cycles).
-    params: dict = field(default_factory=dict)
-    #: Host trace-context wire dict (``repro.telemetry``): set by the
-    #: daemon from the creating request, journaled with the spec, and
-    #: pickled into batch workers — so a session's host spans (even
-    #: after a daemon crash + resume) carry the original trace_id.
-    #: Never a simulated quantity; ``None`` keeps pre-telemetry specs
-    #: byte-identical on the wire and in the journal.
-    trace: dict | None = None
-
-    def validate(self) -> "SessionSpec":
-        from repro.workloads.spec import ALL_SPECS
-
-        if self.workload != "nginx" and self.workload not in ALL_SPECS:
-            raise BadRequest(f"unknown workload {self.workload!r} "
-                             "(see the 'workloads' op)")
-        if self.agent not in AGENT_NAMES:
-            raise BadRequest(f"unknown agent {self.agent!r}; expected "
-                             "one of " + ", ".join(AGENT_NAMES))
-        if self.policy not in POLICY_NAMES:
-            raise BadRequest(f"unknown policy {self.policy!r}; expected "
-                             "one of " + ", ".join(POLICY_NAMES))
-        if self.resync_mode not in ("history", "checkpoint"):
-            raise BadRequest(f"unknown resync_mode "
-                             f"{self.resync_mode!r}; expected 'history' "
-                             "or 'checkpoint'")
-        if not 2 <= int(self.variants) <= 16:
-            raise BadRequest("variants must be between 2 and 16 "
-                             "(an MVEE needs at least two)")
-        if not 0.001 <= float(self.scale) <= 4.0:
-            raise BadRequest("scale must be between 0.001 and 4.0")
-        if self.faults is not None:
-            from repro.errors import ConfigError
-            from repro.faults import parse_fault_plan
-
-            try:
-                parse_fault_plan(self.faults, seed=self.fault_seed,
-                                 n_variants=self.variants)
-            except ConfigError as exc:
-                raise BadRequest(f"bad fault plan: {exc}") from None
-        if not isinstance(self.params, dict):
-            raise BadRequest("params must be an object")
-        if self.trace is not None and not isinstance(self.trace, dict):
-            raise BadRequest("trace must be an object (or omitted)")
-        return self
-
-    def to_dict(self) -> dict:
-        data = {"workload": self.workload, "agent": self.agent,
-                "variants": self.variants, "seed": self.seed,
-                "scale": self.scale, "faults": self.faults,
-                "fault_seed": self.fault_seed, "policy": self.policy,
-                "watchdog": self.watchdog,
-                "race_detect": self.race_detect,
-                "resync_mode": self.resync_mode,
-                "params": dict(self.params)}
-        if self.trace is not None:
-            data["trace"] = dict(self.trace)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionSpec":
-        if not isinstance(data, dict):
-            raise BadRequest("spec must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise BadRequest("unknown spec field(s): "
-                             + ", ".join(sorted(extra)))
-        if "workload" not in data:
-            raise BadRequest("spec needs a 'workload' field")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise BadRequest(f"bad spec: {exc}") from None
-
-
-def build_mvee(spec: SessionSpec, obs=None, replay=None,
-               checkpoints=None):
-    """Instantiate the MVEE for a spec, plus the native-cycle baseline.
-
-    Mirrors the CLI paths exactly — synthetic twins match ``repro run``
-    (``max_cycles = native * 400``), nginx matches
-    :func:`repro.experiments.runner.run_nginx_condition` — so a serve
-    session's verdict and obs digest are byte-identical to the
-    equivalent single-shot command.
-    """
-    from repro.core.divergence import MonitorPolicy
-    from repro.core.mvee import MVEE
-
-    agent = None if spec.agent == "none" else spec.agent
-    policy = MonitorPolicy(degradation=spec.policy,
-                           watchdog_cycles=spec.watchdog,
-                           resync_mode=spec.resync_mode)
-    plan = None
-    if spec.faults is not None:
-        from repro.faults import parse_fault_plan
-
-        plan = parse_fault_plan(spec.faults, seed=spec.fault_seed,
-                                n_variants=spec.variants)
-    detector = None
-    if spec.race_detect:
-        from repro.races import RaceDetector
-
-        detector = RaceDetector()
-    if spec.workload == "nginx":
-        from repro.experiments.runner import RACE_SWEEP_COSTS
-        from repro.workloads.nginx import (
-            NginxConfig,
-            NginxServer,
-            TrafficStats,
-            make_traffic,
-        )
-
-        params = dict(SHORT_NGINX)
-        params.update(spec.params)
-        try:
-            config = NginxConfig(**params)
-        except TypeError as exc:
-            raise BadRequest(f"bad nginx params: {exc}") from None
-        stats = TrafficStats()
-        mvee = MVEE(NginxServer(config), variants=spec.variants,
-                    agent=agent, seed=spec.seed,
-                    costs=RACE_SWEEP_COSTS, policy=policy,
-                    with_network=True,
-                    traffic=make_traffic(config, 0.0, stats),
-                    max_cycles=5e9, obs=obs, faults=plan,
-                    races=detector, replay=replay,
-                    checkpoints=checkpoints)
-        return mvee, None
-    from repro.experiments.runner import native_cycles
-    from repro.workloads.synthetic import make_benchmark
-
-    if spec.params:
-        raise BadRequest("params are only accepted for the nginx "
-                         "workload")
-    native = native_cycles(spec.workload, scale=spec.scale,
-                           seed=spec.seed)
-    mvee = MVEE(make_benchmark(spec.workload, scale=spec.scale),
-                variants=spec.variants, agent=agent, seed=spec.seed,
-                policy=policy, max_cycles=native * 400, obs=obs,
-                faults=plan, races=detector, replay=replay,
-                checkpoints=checkpoints)
-    return mvee, native
-
 
 def outcome_to_result(outcome, native: float | None,
                       obs=None, bundle_path: str | None = None) -> dict:
@@ -264,7 +92,7 @@ class Session:
     serialize, steps on different sessions proceed concurrently.
     """
 
-    def __init__(self, session_id: str, spec: SessionSpec,
+    def __init__(self, session_id: str, spec: RunSpec,
                  max_cycles: float | None = None,
                  bundle_dir: str | None = None,
                  state_dir: str | None = None,
@@ -308,16 +136,12 @@ class Session:
     def decision_log_path(self) -> str | None:
         if self.state_dir is None:
             return None
-        import os
-
         return os.path.join(self.state_dir,
                             f"{self.id}.decisions.jsonl")
 
     def checkpoint_path(self) -> str | None:
         if self.state_dir is None:
             return None
-        import os
-
         return os.path.join(self.state_dir, f"{self.id}.ckpt.json")
 
     # -- stepped execution ---------------------------------------------------
@@ -325,8 +149,6 @@ class Session:
     def _ensure_mvee(self):
         if self._mvee is not None:
             return None
-        from repro.obs import ObsHub
-
         self._hub = ObsHub(trace=False)
         if self.recording:
             return self._build_recording()
@@ -338,19 +160,8 @@ class Session:
         """Build (or resume) a recording MVEE; returns a finished
         outcome in the rare case the run completed while replaying a
         resumed prefix."""
-        from repro.replay import (
-            CheckpointPolicy,
-            Checkpointer,
-            CheckpointStore,
-            DecisionLog,
-            DecisionLogWriter,
-            DecisionRecorder,
-            resume_recorded,
-        )
-
         log_path = self.decision_log_path()
         ckpt_path = self.checkpoint_path()
-        outcome = None
         if self.resume_from_disk:
             self.resume_from_disk = False
             handle = resume_recorded(
@@ -369,24 +180,17 @@ class Session:
                 }
                 self.state = "running"
                 return handle.outcome
-        if self._mvee is None:
-            log = DecisionLog(spec=self.spec.to_dict(),
-                              meta={"session": self.id})
-            self._recorder = DecisionRecorder(log)
-            self._mvee, self._native = build_mvee(
-                self.spec, obs=self._hub, replay=self._recorder)
-            checkpointer = Checkpointer(
-                self._mvee,
-                CheckpointPolicy(every_cycles=self.checkpoint_every),
-                recorder=self._recorder,
-                store=CheckpointStore(path=ckpt_path), obs=self._hub)
-            self._mvee.checkpointer = checkpointer
-            if hasattr(self._mvee.monitor, "checkpoints"):
-                self._mvee.monitor.checkpoints = checkpointer.store
-            checkpointer.arm()
-            self._writer = DecisionLogWriter(log_path, log)
+        log = DecisionLog(spec=self.spec.to_dict(),
+                          meta={"session": self.id})
+        self._recorder = DecisionRecorder(log)
+        self._mvee, self._native = build_mvee(
+            self.spec, obs=self._hub, replay=self._recorder,
+            checkpoints=CheckpointPolicy(
+                every_cycles=self.checkpoint_every))
+        self._mvee.checkpointer.store.path = ckpt_path
+        self._writer = DecisionLogWriter(log_path, log)
         self.state = "running"
-        return outcome
+        return None
 
     def step(self, max_events: int) -> dict:
         """Advance by at most ``max_events`` simulator events.
@@ -523,11 +327,10 @@ def run_session_cell(spec_dict: dict, session_id: str,
     """
     from contextlib import nullcontext
 
-    from repro.obs import ObsHub
     from repro.telemetry.context import TraceContext
     from repro.telemetry.spans import enabled, span
 
-    spec = SessionSpec.from_dict(spec_dict).validate()
+    spec = RunSpec.from_dict(spec_dict).validate()
     host_span = nullcontext()
     if spec.trace is not None and enabled():
         parent = TraceContext.from_dict(spec.trace)

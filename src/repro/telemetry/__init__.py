@@ -18,7 +18,7 @@ Four pieces:
 * **context + spans** (:mod:`~repro.telemetry.context`,
   :mod:`~repro.telemetry.spans`) — a ``trace_id``/``span_id`` context
   created at CLI entry points and serve requests, propagated through
-  the JSON-lines protocol, :class:`~repro.serve.session.SessionSpec`,
+  the JSON-lines protocol, :class:`~repro.run.RunSpec`,
   and :class:`~repro.par.cells.CellTask` envelopes into pool workers;
   per-process span logs merge into one Chrome ``trace_event`` file.
 * **host metrics** (:mod:`~repro.telemetry.hostmetrics`,

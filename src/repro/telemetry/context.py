@@ -5,8 +5,8 @@ request that arrives without one; children are derived per hop (client
 rpc -> daemon op -> session -> pool worker) so the merged host trace
 reconstructs the full causal path.  The wire form is a small JSON
 object, carried as an optional ``"trace"`` field on protocol requests,
-on :class:`~repro.serve.session.SessionSpec` (which journals it, so a
-resumed session keeps its original trace_id across daemon death), and
+on :class:`~repro.run.RunSpec` (which the serve registry journals, so
+a resumed session keeps its original trace_id across daemon death), and
 on :class:`~repro.par.cells.CellTask` envelopes into pool workers.
 
 IDs come from :func:`os.urandom` — host randomness, never the seeded

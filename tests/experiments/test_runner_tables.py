@@ -36,13 +36,13 @@ class TestRunner:
         from repro.perf.costs import CostModel
 
         calls = []
-        real_run_mvee = runner.run_mvee
+        real_build_mvee = runner.build_mvee
 
-        def counting_run_mvee(*args, **kwargs):
+        def counting_build_mvee(spec, **kwargs):
             calls.append(kwargs["costs"].syscall_base)
-            return real_run_mvee(*args, **kwargs)
+            return real_build_mvee(spec, **kwargs)
 
-        monkeypatch.setattr(runner, "run_mvee", counting_run_mvee)
+        monkeypatch.setattr(runner, "build_mvee", counting_build_mvee)
         reset_caches()
         costs = CostModel()
         first = run_one("fft", "wall_of_clocks", 2, scale=0.05,

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import os
 
+from repro.run import RunSpec
 from repro.serve.registry import SessionRegistry
-from repro.serve.session import SessionSpec
 
 SPEC = {"workload": "nginx", "seed": 5, "policy": "restart"}
 
@@ -22,8 +22,8 @@ CHECKPOINT_EVERY = 10_000.0
 STEP_EVENTS = 25
 
 
-def _spec() -> SessionSpec:
-    return SessionSpec.from_dict(SPEC).validate()
+def _spec() -> RunSpec:
+    return RunSpec.from_dict(SPEC).validate()
 
 
 def _registry(root) -> SessionRegistry:

@@ -8,14 +8,14 @@ import threading
 import pytest
 
 from repro.errors import QuotaExceeded, SessionConflict, SessionNotFound
+from repro.run import RunSpec
 from repro.serve.registry import SessionRegistry, recover_state
-from repro.serve.session import SessionSpec
 
 NGINX = {"workload": "nginx", "seed": 3}
 
 
-def spec(**overrides) -> SessionSpec:
-    return SessionSpec.from_dict({**NGINX, **overrides}).validate()
+def spec(**overrides) -> RunSpec:
+    return RunSpec.from_dict({**NGINX, **overrides}).validate()
 
 
 class TestAdmissionControl:

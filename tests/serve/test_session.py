@@ -6,26 +6,23 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import BadRequest, SessionConflict
-from repro.serve.session import (
-    Session,
-    SessionSpec,
-    run_session_cell,
-)
+from repro.run import RunSpec, build_mvee
+from repro.serve.session import Session, run_session_cell
 
 SHORT_NGINX_SPEC = {"workload": "nginx", "seed": 5}
 
 
 class TestSpecValidation:
     def test_defaults_validate(self):
-        spec = SessionSpec.from_dict(SHORT_NGINX_SPEC).validate()
+        spec = RunSpec.from_dict(SHORT_NGINX_SPEC).validate()
         assert spec.agent == "wall_of_clocks"
         assert spec.variants == 2
 
     def test_round_trips_through_json_dict(self):
-        spec = SessionSpec.from_dict(
+        spec = RunSpec.from_dict(
             {"workload": "fft", "scale": 0.05, "seed": 9,
              "faults": "crash@v1:3", "policy": "quarantine"}).validate()
-        again = SessionSpec.from_dict(spec.to_dict()).validate()
+        again = RunSpec.from_dict(spec.to_dict()).validate()
         assert again == spec
 
     @pytest.mark.parametrize("bad", [
@@ -45,15 +42,13 @@ class TestSpecValidation:
     def test_bad_specs_raise_bad_request(self, bad):
         with pytest.raises(BadRequest):
             if isinstance(bad, dict):
-                spec = SessionSpec.from_dict(bad)
+                spec = RunSpec.from_dict(bad)
                 spec.validate()
                 # Fields rejected only at MVEE-build time (nginx params)
                 # surface when the session materialises.
-                from repro.serve.session import build_mvee
-
                 build_mvee(spec)
             else:
-                SessionSpec.from_dict(bad)
+                RunSpec.from_dict(bad)
 
 
 class TestSteppedIdentity:
@@ -67,7 +62,7 @@ class TestSteppedIdentity:
     ])
     def test_stepped_equals_single_shot(self, spec_dict):
         oracle = run_session_cell(dict(spec_dict), "oracle")
-        spec = SessionSpec.from_dict(dict(spec_dict)).validate()
+        spec = RunSpec.from_dict(dict(spec_dict)).validate()
         session = Session("s-1", spec)
         envelope = None
         for _ in range(100_000):
@@ -83,7 +78,7 @@ class TestSteppedIdentity:
     def test_step_batch_size_does_not_change_outcome(self):
         results = []
         for budget in (50, 700, 10**9):
-            spec = SessionSpec.from_dict(dict(SHORT_NGINX_SPEC))
+            spec = RunSpec.from_dict(dict(SHORT_NGINX_SPEC))
             session = Session("s-x", spec.validate())
             while True:
                 envelope = session.step(budget)
@@ -94,7 +89,7 @@ class TestSteppedIdentity:
         assert results[1]["obs_digest"] == results[2]["obs_digest"]
 
     def test_fault_events_stream_once_each(self):
-        spec = SessionSpec.from_dict(
+        spec = RunSpec.from_dict(
             {"workload": "dedup", "scale": 0.05, "seed": 5,
              "variants": 3, "faults": "crash@v1:3",
              "policy": "quarantine"}).validate()
@@ -117,7 +112,7 @@ class TestSteppedIdentity:
 
 class TestLifecycle:
     def test_cycle_quota_kills_session(self):
-        spec = SessionSpec.from_dict(
+        spec = RunSpec.from_dict(
             {"workload": "fft", "scale": 0.05, "seed": 5}).validate()
         session = Session("s-q", spec, max_cycles=1.0)
         while True:
@@ -129,7 +124,7 @@ class TestLifecycle:
         assert session.result["reason"] == "cycle quota exceeded"
 
     def test_step_after_finish_conflicts(self):
-        spec = SessionSpec.from_dict(dict(SHORT_NGINX_SPEC)).validate()
+        spec = RunSpec.from_dict(dict(SHORT_NGINX_SPEC)).validate()
         session = Session("s-d", spec)
         while not session.step(10**9)["done"]:
             pass
@@ -159,7 +154,7 @@ class TestDegradationMatrix:
         oracle = run_session_cell(dict(spec_dict), "oracle")
         assert oracle["verdict"] == verdict
         session = Session(
-            "s-p", SessionSpec.from_dict(dict(spec_dict)).validate())
+            "s-p", RunSpec.from_dict(dict(spec_dict)).validate())
         while True:
             envelope = session.step(400)
             if envelope["done"]:

@@ -20,10 +20,10 @@ import os
 
 import pytest
 
+from repro.run import RunSpec
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.registry import SessionRegistry
-from repro.serve.session import SessionSpec
 from repro.telemetry import reset_host_metrics
 from repro.telemetry.context import new_context
 from repro.telemetry.prometheus import parse_prometheus
@@ -171,7 +171,7 @@ class TestTraceSurvivesDaemonDeath:
         telemetry_dir = str(tmp_path / "telemetry")
         configure(telemetry_dir, service="daemon")
         ctx = new_context()
-        spec = SessionSpec.from_dict(
+        spec = RunSpec.from_dict(
             {**self.SPEC, "trace": ctx.to_dict()}).validate()
 
         state = tmp_path / "state"
@@ -215,7 +215,7 @@ class TestTraceSurvivesDaemonDeath:
     def test_spec_without_trace_keeps_old_journal_shape(self, tmp_path):
         registry = SessionRegistry(state_dir=str(tmp_path / "s"))
         session = registry.create(
-            SessionSpec.from_dict(dict(NGINX)).validate())
+            RunSpec.from_dict(dict(NGINX)).validate())
         registry.shutdown()
         with open(registry.journal_path) as handle:
             entry = json.loads(handle.readline())

@@ -23,13 +23,13 @@ class TestMeasureCellOverhead:
         """Neither arm may time a memo-cache hit: the warmup and each
         timed run of both arms call into the simulator."""
         calls = []
-        real_run_mvee = runner.run_mvee
+        real_build_mvee = runner.build_mvee
 
-        def counting_run_mvee(*args, **kwargs):
+        def counting_build_mvee(*args, **kwargs):
             calls.append(1)
-            return real_run_mvee(*args, **kwargs)
+            return real_build_mvee(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "run_mvee", counting_run_mvee)
+        monkeypatch.setattr(runner, "build_mvee", counting_build_mvee)
         task = bench_tasks(build_matrix(quick=True, scale=0.02))[0]
         repeats = 2
         block = measure_cell_overhead(task, repeats=repeats)

@@ -403,6 +403,18 @@ class TestReplayCommands:
         assert main(["replay", log]) == 0
         assert "log digest: stable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--diversity", "--deadlock-detect"])
+    def test_run_record_refuses_what_the_log_cannot_carry(
+            self, capsys, tmp_path, flag):
+        log = tmp_path / "refused.decisions.jsonl"
+        code = main(["run", "fft", "--scale", "0.05", flag,
+                     "--record", str(log)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro run: --record does not support "
+                              + flag)
+        assert not log.exists()
+
     def test_replay_to_step_writes_forensics_bundle(self, capsys,
                                                     tmp_path):
         _, log = self._record(tmp_path)

@@ -80,12 +80,12 @@ class TestConsumers:
     """Both shared-reader consumers survive the same torn tail."""
 
     def test_registry_journal_survives_torn_tail(self, tmp_path):
+        from repro.run import RunSpec
         from repro.serve.registry import SessionRegistry
-        from repro.serve.session import SessionSpec
 
         state = tmp_path / "state"
         registry = SessionRegistry(state_dir=str(state))
-        spec = SessionSpec.from_dict(
+        spec = RunSpec.from_dict(
             {"workload": "nginx", "seed": 5}).validate()
         session = registry.create(spec)
         registry.shutdown()
