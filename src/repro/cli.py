@@ -478,31 +478,26 @@ def _races_lint(args) -> int:
 
 def _races_check(args) -> int:
     from repro.analysis.corpus import nginx_module
-    from repro.experiments.runner import (
-        nginx_identified_sites,
-        run_nginx_condition,
-    )
-    from repro.races import (
-        RaceDetector,
-        corroborate,
-        cross_check,
-        lint_module,
-    )
+    from repro.experiments.runner import nginx_identified_sites
+    from repro.races import corroborate, cross_check, lint_module
+    from repro.run import NGINX_PAPER_SIZING, RunSpec, run_spec_cell
+    from repro.workloads.nginx import pthread_only_sites
+
+    spec = RunSpec("nginx", seed=args.seed, race_detect=True,
+                   params=NGINX_PAPER_SIZING)
 
     print("condition 1: nginx with corpus-only identification "
           "(custom primitives un-instrumented)")
-    detector = RaceDetector()
-    outcome = run_nginx_condition(False, seed=args.seed,
-                                  detector=detector)
-    coverage = cross_check(detector.report,
+    bare = run_spec_cell(spec, instrument=pthread_only_sites)
+    coverage = cross_check(bare.races,
                            nginx_identified_sites(after_refactor=False),
                            workload="nginx/bare")
     lint = lint_module(
         nginx_module(), analysis=args.analysis,
         treat_volatile_as_sync=args.treat_volatile_as_sync)
     coverage = corroborate(coverage, lint)
-    print(f"  verdict : {outcome.verdict}")
-    print(f"  dynamic : {detector.report.summary()}")
+    print(f"  verdict : {bare.verdict}")
+    print(f"  dynamic : {bare.races.summary()}")
     print(f"  static  : {lint.summary()}")
     print(f"  {coverage.summary()}")
     for gap in coverage.gaps:
@@ -510,19 +505,16 @@ def _races_check(args) -> int:
 
     print("condition 2: nginx after the §5.5 refactor "
           "(every site identified)")
-    detector_full = RaceDetector()
-    outcome_full = run_nginx_condition(True, seed=args.seed,
-                                       detector=detector_full)
+    full = run_spec_cell(spec)
     coverage_full = cross_check(
-        detector_full.report,
-        nginx_identified_sites(after_refactor=True),
+        full.races, nginx_identified_sites(after_refactor=True),
         workload="nginx/full")
-    print(f"  verdict : {outcome_full.verdict}")
-    print(f"  dynamic : {detector_full.report.summary()}")
+    print(f"  verdict : {full.verdict}")
+    print(f"  dynamic : {full.races.summary()}")
     print(f"  {coverage_full.summary()}")
 
     closed = (not coverage.clean and coverage_full.clean
-              and not detector_full.report.races)
+              and not full.races.races)
     print("cross-check: " +
           ("gap detected before the refactor, closed after — "
            "the Listing-2 blind spot is visible and fixable"

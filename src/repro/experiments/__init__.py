@@ -3,7 +3,6 @@
 from repro.experiments.runner import (
     ExperimentResult,
     run_benchmark_grid,
-    run_one,
 )
 from repro.experiments.tables import (
     figure5_series,
@@ -14,7 +13,6 @@ from repro.experiments.tables import (
 
 __all__ = [
     "ExperimentResult",
-    "run_one",
     "run_benchmark_grid",
     "table1",
     "table2",

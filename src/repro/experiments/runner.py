@@ -1,31 +1,34 @@
-"""Grid runner for the performance evaluation (Table 1 / Figure 5).
+"""The paper's sweeps: the Figure 5 / Table 1 grid, the fault matrix,
+the race sweep and the deadlock sweep.
 
 Runs (benchmark × agent × variant count) configurations, normalizing each
 MVEE run against the benchmark's native execution on the same machine
 configuration — the paper's methodology ("relative to unprotected
-execution").  Results are memoized per process, keyed on every input
-including the cost model's field values, so the figure and table benches
-can share one sweep.
+execution").  Every spec-shaped sweep is a list of
+:class:`~repro.run.RunSpec` cells run by :func:`repro.run.run_spec_cell`
+through :func:`repro.par.engine.run_specs`; each row type here is a
+projection of the :class:`~repro.run.RunRecord` it returns, computed
+in the caller.  Records are memoized per process on the spec's value,
+so the figure and table benches can share one sweep.  The deadlock
+sweep keeps its own cell: dining philosophers is not a spec workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
 from repro.faults import FAULT_KINDS, FaultSpec
-from repro.par.engine import CellTask, raise_failures, run_cells
-from repro.perf.costs import CostModel, DEFAULT_COSTS
+from repro.par.engine import CellTask, raise_failures, run_cells, run_specs
 from repro.perf.report import SlowdownReport
 from repro.run import (
     NGINX_COSTS,
     NGINX_PAPER_SIZING,
-    PAPER_CORES,
+    RunRecord,
     RunSpec,
-    build_mvee,
     native_cycles,
-    reset_native_cache,
+    reset_caches as reset_caches,  # re-exported for sweep callers
 )
 from repro.workloads.spec import ALL_SPECS
 
@@ -50,6 +53,18 @@ class ExperimentResult:
     syscalls: int
     stall_cycles: float
 
+    @classmethod
+    def of(cls, record: RunRecord) -> "ExperimentResult":
+        """The grid-cell projection of a run record."""
+        return cls(benchmark=record.spec.workload,
+                   agent=record.spec.agent,
+                   variants=record.spec.variants,
+                   native_cycles=record.native_cycles,
+                   mvee_cycles=record.cycles, verdict=record.verdict,
+                   sync_ops=record.sync_ops or 0,
+                   syscalls=record.syscalls or 0,
+                   stall_cycles=record.stall_cycles)
+
     def to_slowdown(self) -> SlowdownReport:
         return SlowdownReport(benchmark=self.benchmark, agent=self.agent,
                               variants=self.variants,
@@ -59,59 +74,6 @@ class ExperimentResult:
     @property
     def slowdown(self) -> float:
         return self.mvee_cycles / self.native_cycles
-
-
-_cell_cache: dict[tuple, ExperimentResult] = {}
-
-
-def reset_caches() -> None:
-    """Drop the per-process memo caches (native runtimes, grid cells).
-
-    The ``repro bench`` harness calls this between its timed phases so
-    neither phase rides the other's warm cache; tests use it to force
-    re-simulation."""
-    reset_native_cache()
-    _cell_cache.clear()
-
-
-def run_one(benchmark: str, agent: str, variants: int,
-            scale: float = 1.0, seed: int = 1,
-            cores: int = PAPER_CORES,
-            costs: CostModel | None = None,
-            agent_options: dict | None = None,
-            obs=None) -> ExperimentResult:
-    """Run one grid cell (memoized) and return its result.
-
-    Passing an :class:`repro.obs.ObsHub` as ``obs`` attaches the
-    observability layer to the MVEE run; observed cells bypass the memo
-    cache (the hub's events belong to one concrete execution).
-    """
-    costs = costs or DEFAULT_COSTS
-    options_key = tuple(sorted((agent_options or {}).items()))
-    key = (benchmark, agent, variants, scale, seed, cores, options_key,
-           astuple(costs))
-    if obs is None:
-        cached = _cell_cache.get(key)
-        if cached is not None:
-            return cached
-    mvee, native = build_mvee(
-        RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
-                scale=scale),
-        cores=cores, costs=costs, agent_options=agent_options, obs=obs)
-    outcome = mvee.run()
-    report = outcome.report
-    result = ExperimentResult(
-        benchmark=benchmark, agent=agent, variants=variants,
-        native_cycles=native,
-        mvee_cycles=outcome.cycles,
-        verdict=outcome.verdict,
-        sync_ops=(report.total_sync_ops if report else 0),
-        syscalls=(report.total_syscalls if report else 0),
-        stall_cycles=sum(
-            vm.total_stall_cycles for vm in outcome.vms))
-    if obs is None:
-        _cell_cache[key] = result
-    return result
 
 
 #: Degradation policies compared by the fault matrix.
@@ -161,43 +123,9 @@ def _fault_spec_for(kind: str) -> FaultSpec:
     return FaultSpec(kind=kind, variant=1, at=3)
 
 
-def _fault_matrix_cell(benchmark: str, policy_name: str, kind: str,
-                       variants: int, agent: str, scale: float,
-                       seed: int, cores: int, costs, watchdog: float,
-                       resync_mode: str = "history",
-                       checkpoint_every: float | None = None
-                       ) -> FaultMatrixCell:
-    """One (policy, fault kind) cell; module-level so the parallel
-    engine can pickle it by reference into worker processes."""
-    spec = RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
-                   scale=scale, faults=_fault_spec_for(kind).describe(),
-                   policy=policy_name, watchdog=watchdog,
-                   resync_mode=resync_mode)
-    mvee, _ = build_mvee(
-        spec, cores=cores, costs=costs,
-        checkpoints=(checkpoint_every if resync_mode == "checkpoint"
-                     else None))
-    outcome = mvee.run()
-    stats = getattr(outcome.monitor, "resync_stats", {}) or {}
-    return FaultMatrixCell(
-        benchmark=benchmark, policy=policy_name, kind=kind,
-        verdict=outcome.verdict,
-        injected=len(outcome.faults),
-        quarantined=[e.variant for e in outcome.quarantines],
-        restarted=[e.variant for e in outcome.quarantines
-                   if e.restarted],
-        cycles=outcome.cycles,
-        resync_mode=resync_mode,
-        fast_forwarded=sum(s.get("fast_forwarded", 0)
-                           for s in stats.values()),
-        resynced=sum(s.get("resynced", 0) for s in stats.values()))
-
-
 def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
                      variants: int = 3, agent: str = "wall_of_clocks",
                      scale: float = 0.1, seed: int = 1,
-                     cores: int = PAPER_CORES,
-                     costs: CostModel | None = None,
                      watchdog_factor: float = 8.0,
                      jobs: int = 1,
                      env: str | None = None,
@@ -228,23 +156,28 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
         raise ValueError(f"unknown resync mode {resync_mode!r}")
     kinds = tuple(kinds) if kinds else FAULT_KINDS
     policies = tuple(policies) if policies else FAULT_POLICIES
-    native = native_cycles(benchmark, scale, seed, cores, costs)
-    tasks = []
-    for policy_name in policies:
-        for kind in kinds:
-            tasks.append(CellTask(
-                sweep_id="fault-matrix", index=len(tasks),
-                fn=_fault_matrix_cell,
-                kwargs=dict(benchmark=benchmark,
-                            policy_name=policy_name, kind=kind,
-                            variants=variants, agent=agent,
-                            scale=scale, seed=seed, cores=cores,
-                            costs=costs,
-                            watchdog=native * watchdog_factor,
-                            resync_mode=resync_mode,
-                            checkpoint_every=checkpoint_every)))
-    results = raise_failures(run_cells(tasks, jobs=jobs, env=env))
-    return [result.value for result in results]
+    watchdog = native_cycles(benchmark, scale, seed) * watchdog_factor
+    checkpoints = (checkpoint_every if resync_mode == "checkpoint"
+                   else None)
+    cells = [(policy_name, kind) for policy_name in policies
+             for kind in kinds]
+    records = run_specs("fault-matrix", [
+        {"spec": RunSpec(benchmark, agent=agent, variants=variants,
+                         seed=seed, scale=scale,
+                         faults=_fault_spec_for(kind).describe(),
+                         policy=policy_name, watchdog=watchdog,
+                         resync_mode=resync_mode),
+         "checkpoints": checkpoints}
+        for policy_name, kind in cells], jobs=jobs, env=env)
+    return [FaultMatrixCell(
+        benchmark=benchmark, policy=policy_name, kind=kind,
+        verdict=record.verdict, injected=record.faults_injected,
+        quarantined=list(record.quarantined),
+        restarted=list(record.restarted), cycles=record.cycles,
+        resync_mode=resync_mode,
+        fast_forwarded=record.resync_stats["fast_forwarded"],
+        resynced=record.resync_stats["resynced"])
+        for (policy_name, kind), record in zip(cells, records, strict=True)]
 
 
 def fault_matrix_table(cells) -> str:
@@ -299,7 +232,10 @@ class RaceSweepRow:
     gaps: int
     #: Wall-clock overhead of running with the detector attached, in
     #: percent of the baseline run (simulated cycles are identical by
-    #: construction, so host time is the only real cost).
+    #: construction, so host time is the only real cost): the two
+    #: twins' ``RunRecord.wall_s``, taken back to back in one cell and
+    #: each around the simulation only, so the native baseline one
+    #: twin computes is not counted.
     overhead_pct: float
     #: Simulated timelines with/without the detector matched exactly.
     cycles_identical: bool
@@ -323,87 +259,28 @@ def nginx_identified_sites(after_refactor: bool) -> frozenset[str]:
     return instrumented_sites(*reports)
 
 
-def run_nginx_condition(instrumented: bool, seed: int = 1,
-                        costs: CostModel | None = None,
-                        detector=None, variants: int = 2, obs=None,
-                        agent: str = "wall_of_clocks"):
-    """Run the §5.5 server under one instrumentation condition.
-
-    ``instrumented=False`` leaves the custom ``nginx.*`` primitives bare
-    (the paper's divergence demo); ``True`` wraps every site.
-    """
+def _race_twins(workload: str, scale: float, seed: int) -> dict:
+    """The race-sweep cell of one workload: its bare and detector twins
+    as one two-spec :func:`~repro.run.run_spec_cell` call, so both are
+    timed fresh, back to back, on one worker.  A workload is a lockstep
+    benchmark or a §5.5 nginx condition (``nginx/bare`` leaves the
+    custom ``nginx.*`` primitives uninstrumented, ``nginx/full`` wraps
+    every site).  Every twin runs at the nginx cost model."""
     from repro.workloads.nginx import pthread_only_sites
 
-    spec = RunSpec("nginx", agent=agent, variants=variants, seed=seed,
-                   params=NGINX_PAPER_SIZING)
-    keywords = {} if instrumented else {"instrument": pthread_only_sites}
-    mvee, _ = build_mvee(spec, costs=costs, races=detector, obs=obs,
-                         **keywords)
-    return mvee.run()
-
-
-def _race_row_for(workload: str, run, identified) -> RaceSweepRow:
-    """Run one race-sweep workload twice (bare, detector-attached) and
-    fold both into a row."""
-    import time
-
-    from repro.races import RaceDetector, cross_check
-
-    def timed(fn):
-        start = time.perf_counter()
-        outcome = fn()
-        return outcome, time.perf_counter() - start
-
-    baseline, base_elapsed = timed(lambda: run(None))
-    detector = RaceDetector()
-    detected, det_elapsed = timed(lambda: run(detector))
-    report = detector.report
-    coverage = cross_check(report, identified, workload=workload)
-    overhead = ((det_elapsed - base_elapsed) / base_elapsed * 100.0
-                if base_elapsed > 0 else 0.0)
-    return RaceSweepRow(
-        workload=workload, verdict=detected.verdict,
-        sync_ops=report.sync_ops_seen,
-        plain_accesses=report.plain_accesses_checked,
-        races=len(report.races),
-        occurrences=report.total_occurrences,
-        gaps=len(coverage.gaps),
-        overhead_pct=overhead,
-        cycles_identical=(detected.cycles == baseline.cycles))
-
-
-def _race_sweep_cell(workload: str, scale: float, seed: int,
-                     costs) -> RaceSweepRow:
-    """One race-sweep row; module-level for the parallel engine.
-
-    ``workload`` is either a lockstep benchmark name or one of the two
-    §5.5 nginx conditions (``"nginx/bare"``, ``"nginx/full"``).  Every
-    field of the returned row except ``overhead_pct`` (host wall-clock)
-    is a deterministic function of the arguments.
-    """
-    # Every row, benchmark twins included, runs at the nginx cost model.
-    costs = costs or NGINX_COSTS
-    if workload in ("nginx/bare", "nginx/full"):
-        instrumented = workload == "nginx/full"
-        identified = nginx_identified_sites(after_refactor=instrumented)
-        return _race_row_for(
-            workload,
-            lambda detector: run_nginx_condition(instrumented, seed=seed,
-                                                 costs=costs,
-                                                 detector=detector),
-            identified)
-
-    def run_bench(detector):
+    if workload.startswith("nginx/"):
+        spec = RunSpec("nginx", variants=2, seed=seed,
+                       params=NGINX_PAPER_SIZING)
+    else:
         spec = RunSpec(workload, variants=2, seed=seed, scale=scale)
-        mvee, _ = build_mvee(spec, costs=costs, races=detector)
-        return mvee.run()
-
-    return _race_row_for(workload, run_bench, frozenset())
+    return {"spec": [spec, replace(spec, race_detect=True)],
+            "costs": NGINX_COSTS,
+            "instrument": (pthread_only_sites if workload == "nginx/bare"
+                           else None)}
 
 
 def run_race_sweep(benchmarks=("dedup", "vips"), scale: float = 0.1,
-                   seed: int = 1, costs: CostModel | None = None,
-                   include_nginx: bool = True,
+                   seed: int = 1, include_nginx: bool = True,
                    jobs: int = 1,
                    env: str | None = None) -> list[RaceSweepRow]:
     """Race-detection experiment: races found + detector overhead.
@@ -414,20 +291,40 @@ def run_race_sweep(benchmarks=("dedup", "vips"), scale: float = 0.1,
     The lockstep benchmarks run fully instrumented and must report zero
     races; the nginx conditions exercise the coverage cross-check.
 
-    ``jobs`` shards workloads across workers in the ``env`` execution
-    environment; row order is always benchmarks-then-nginx regardless
-    of completion order or environment.
+    ``jobs`` shards the workloads across workers in the ``env``
+    execution environment (a workload's twins always share one); row
+    order is always benchmarks-then-nginx regardless of completion
+    order or environment.  Every field of a row except ``overhead_pct``
+    (host wall-clock) is a deterministic function of the arguments.
     """
+    from repro.races import cross_check
+
     workloads = list(benchmarks)
     if include_nginx:
         workloads += ["nginx/bare", "nginx/full"]
-    tasks = [CellTask(sweep_id="race-sweep", index=index,
-                      fn=_race_sweep_cell,
-                      kwargs=dict(workload=workload, scale=scale,
-                                  seed=seed, costs=costs))
-             for index, workload in enumerate(workloads)]
-    results = raise_failures(run_cells(tasks, jobs=jobs, env=env))
-    return [result.value for result in results]
+    twins = run_specs("race-sweep",
+                      [_race_twins(workload, scale, seed)
+                       for workload in workloads], jobs=jobs, env=env)
+    rows = []
+    for workload, (baseline, detected) in zip(workloads, twins,
+                                              strict=True):
+        report = detected.races
+        identified = (nginx_identified_sites(
+            after_refactor=workload == "nginx/full")
+            if workload.startswith("nginx/") else frozenset())
+        coverage = cross_check(report, identified, workload=workload)
+        rows.append(RaceSweepRow(
+            workload=workload, verdict=detected.verdict,
+            sync_ops=report.sync_ops_seen,
+            plain_accesses=report.plain_accesses_checked,
+            races=len(report.races),
+            occurrences=report.total_occurrences,
+            gaps=len(coverage.gaps),
+            overhead_pct=((detected.wall_s - baseline.wall_s)
+                          / baseline.wall_s * 100.0
+                          if baseline.wall_s > 0 else 0.0),
+            cycles_identical=detected.cycles == baseline.cycles))
+    return rows
 
 
 def race_sweep_table(rows) -> str:
@@ -574,17 +471,9 @@ def deadlock_sweep_table(rows) -> str:
     return "\n".join(lines)
 
 
-def _grid_cell(benchmark: str, agent: str, variants: int, scale: float,
-               seed: int, costs) -> ExperimentResult:
-    """One Figure 5 grid cell; module-level for the parallel engine."""
-    return run_one(benchmark, agent, variants, scale=scale, seed=seed,
-                   costs=costs)
-
-
 def run_benchmark_grid(benchmarks=None, agents=AGENTS,
                        variant_counts=VARIANT_COUNTS,
                        scale: float = 1.0, seed: int = 1,
-                       costs: CostModel | None = None,
                        jobs: int = 1,
                        env: str | None = None) -> list[ExperimentResult]:
     """Run the full (or a partial) Figure 5 grid.
@@ -596,15 +485,9 @@ def run_benchmark_grid(benchmarks=None, agents=AGENTS,
     """
     if benchmarks is None:
         benchmarks = list(ALL_SPECS)
-    tasks = []
-    for benchmark in benchmarks:
-        for agent in agents:
-            for variants in variant_counts:
-                tasks.append(CellTask(
-                    sweep_id="fig5-grid", index=len(tasks),
-                    fn=_grid_cell,
-                    kwargs=dict(benchmark=benchmark, agent=agent,
-                                variants=variants, scale=scale,
-                                seed=seed, costs=costs)))
-    results = raise_failures(run_cells(tasks, jobs=jobs, env=env))
-    return [result.value for result in results]
+    records = run_specs("fig5-grid", [
+        {"spec": RunSpec(benchmark, agent=agent, variants=variants,
+                         seed=seed, scale=scale)}
+        for benchmark in benchmarks for agent in agents
+        for variants in variant_counts], jobs=jobs, env=env)
+    return [ExperimentResult.of(record) for record in records]

@@ -59,14 +59,15 @@ def build_load(sessions: int, workload: str = DEFAULT_WORKLOAD,
 def single_shot(spec: dict) -> dict:
     """Byte-identity oracle: the same spec executed without the daemon.
 
-    Runs the session function inline (exactly what a batch worker runs,
+    Runs the session cell inline (exactly what a batch worker runs,
     exactly what ``repro run`` computes for the same knobs) and returns
     the result dict; tests and the bench's verification mode compare
     its ``verdict`` and ``obs_digest`` against the served result.
     """
-    from repro.serve.session import run_session_cell
+    from repro.run import run_spec_cell
+    from repro.serve.session import session_result
 
-    return run_session_cell(spec, "single-shot")
+    return session_result(run_spec_cell(spec, outputs={"obs": None}))
 
 
 def canonical_outcomes(outcomes: list[dict]) -> list[dict]:

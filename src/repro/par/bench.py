@@ -70,6 +70,7 @@ import platform
 import time
 
 from repro.par.engine import CellTask, merge_cell_traces, run_cells
+from repro.par.seeds import derive_cell_seed
 
 #: Default artifact path, at the repo root by convention.
 DEFAULT_OUT = "BENCH_par.json"
@@ -85,15 +86,6 @@ QUICK_SCALE = 0.05
 
 #: The full matrix mirrors the Figure 5 grid.
 FULL_SCALE = 0.1
-
-
-def _bench_cell(benchmark: str, agent: str, variants: int, scale: float,
-                seed: int, obs=None):
-    """One benchmark-matrix cell (module-level: pickled by reference)."""
-    from repro.experiments.runner import run_one
-
-    return run_one(benchmark, agent, variants, scale=scale, seed=seed,
-                   obs=obs)
 
 
 def build_matrix(quick: bool = False, scale: float | None = None,
@@ -124,33 +116,40 @@ def build_matrix(quick: bool = False, scale: float | None = None,
 def bench_tasks(matrix: dict, with_obs: bool = False) -> list[CellTask]:
     """Expand a matrix into the engine's task list.
 
-    Cell order is the canonical (benchmark, agent, variants) nesting and
-    each cell's seed derives from its position, so the task list — and
-    therefore the aggregate — is a pure function of the matrix.
+    Each cell is a :func:`repro.run.run_spec_cell` of one
+    :class:`~repro.run.RunSpec`.  Cell order is the canonical
+    (benchmark, agent, variants) nesting and each cell's seed derives
+    from its position, so the task list — and therefore the aggregate —
+    is a pure function of the matrix.
     """
+    from repro.run import RunSpec, run_spec_cell
+
     tasks = []
     for benchmark in matrix["benchmarks"]:
         for agent in matrix["agents"]:
             for variants in matrix["variant_counts"]:
-                tasks.append(CellTask.for_sweep(
-                    "bench", len(tasks), _bench_cell,
-                    dict(benchmark=benchmark, agent=agent,
-                         variants=variants, scale=matrix["scale"]),
-                    base_seed=matrix["seed"], seed_key="seed",
-                    with_obs=with_obs))
+                seed = derive_cell_seed("bench", len(tasks),
+                                        matrix["seed"])
+                spec = RunSpec(benchmark, agent=agent, variants=variants,
+                               seed=seed, scale=matrix["scale"])
+                tasks.append(CellTask(
+                    sweep_id="bench", index=len(tasks), fn=run_spec_cell,
+                    kwargs={"spec": spec}, seed=seed, with_obs=with_obs))
     return tasks
 
 
 def canonical_cells(results) -> list[dict]:
     """Structural form of a bench aggregate: deterministic fields only,
     in cell order (host wall-clock never appears here)."""
+    from repro.experiments.runner import ExperimentResult
+
     cells = []
     for result in results:
         if not result.ok:
             cells.append({"index": result.index, "ok": False,
                           "error": result.error})
             continue
-        r = result.value
+        r = ExperimentResult.of(result.value)
         cells.append({
             "index": result.index,
             "benchmark": r.benchmark, "agent": r.agent,
@@ -166,33 +165,6 @@ def canonical_cells(results) -> list[dict]:
 def digest_of(cells: list[dict]) -> str:
     payload = json.dumps(cells, sort_keys=True).encode()
     return "sha256:" + hashlib.sha256(payload).hexdigest()
-
-
-def profile_first_cell(matrix: dict) -> dict:
-    """Cycle-profile the matrix's first cell (``repro.prof``).
-
-    Runs outside the timed phases; the result feeds the ``--compare``
-    category-shift check.  Fields are simulated quantities only.
-    """
-    from repro.par.seeds import derive_cell_seed
-    from repro.prof.runner import profile_cell
-
-    benchmark = matrix["benchmarks"][0]
-    agent = matrix["agents"][0]
-    variants = matrix["variant_counts"][0]
-    result = profile_cell(benchmark, agent, variants,
-                          scale=matrix["scale"],
-                          seed=derive_cell_seed("bench", 0,
-                                                matrix["seed"]))
-    profile = result["profile"]
-    return {
-        "benchmark": benchmark,
-        "agent": agent,
-        "variants": variants,
-        "per_category": profile["per_category"],
-        "total_cycles": profile["total_cycles"],
-        "machine_cycles": result["machine_cycles"],
-    }
 
 
 def run_bench(jobs: int = 1, quick: bool = False,
@@ -215,7 +187,7 @@ def run_bench(jobs: int = 1, quick: bool = False,
     reset in between via the pool control plane, so ``warm_wall_s``
     measures fork/import amortisation rather than cache hits.
     """
-    from repro.experiments.runner import reset_caches
+    from repro.run import reset_caches, run_spec_cell
 
     matrix = build_matrix(quick=quick, scale=scale, seed=seed)
     parallel_block = None
@@ -286,7 +258,12 @@ def run_bench(jobs: int = 1, quick: bool = False,
     # the matrix's first cell (see repro.telemetry.overhead).
     from repro.telemetry.overhead import measure_cell_overhead
 
-    overhead_block = measure_cell_overhead(bench_tasks(matrix)[0])
+    first = bench_tasks(matrix)[0]
+    overhead_block = measure_cell_overhead(first)
+    # The cycle profile of the first cell feeds the --compare
+    # category-shift check; simulated quantities only.
+    spec = first.kwargs["spec"]
+    profiled = run_spec_cell(spec, outputs={"profile": 1})
 
     if parallel_block is not None:
         speedup = (serial_wall / parallel_block["wall_s"]
@@ -324,7 +301,14 @@ def run_bench(jobs: int = 1, quick: bool = False,
         "speedup_warm": speedup_warm,
         "identical": identical,
         "digest": digest_of(serial_cells),
-        "profile": profile_first_cell(matrix),
+        "profile": {
+            "benchmark": spec.workload,
+            "agent": spec.agent,
+            "variants": spec.variants,
+            "per_category": profiled.extras["profile"]["per_category"],
+            "total_cycles": profiled.extras["profile"]["total_cycles"],
+            "machine_cycles": profiled.cycles,
+        },
         "observability_overhead": overhead_block,
         "trajectory": list(trajectory or []),
     }

@@ -1,12 +1,15 @@
 """Cell envelopes: the pickle-safe task/result currency of the engine.
 
-Every sweep in the repo — the fault matrix, the race sweep, the Figure 5
-grid, table rows, the benchmark matrix, serve sessions — is a list of
-*cells*: pure functions of their parameters (including an explicit seed)
-that return a picklable result.  This module owns the envelopes those
-cells travel in and the one true way to execute a cell in the current
-process; everything above it (runners, pools, environments) moves the
-envelopes around without ever looking inside.
+Every sweep in the repo is a list of *cells*: pure functions of their
+parameters (including an explicit seed) that return a picklable result.
+The Figure 5 / Table 1 grid, the benchmark matrix, profiles, the race
+sweep, the fault matrix and serve batch sessions all run one cell,
+:func:`repro.run.run_spec_cell`; only the deadlock sweep (not a spec
+workload) and Table 2 (native-only rows) keep their own.  This module
+owns the envelopes those cells travel in and the one true way to
+execute a cell in the current process; everything above it (runners,
+pools, environments) moves the envelopes around without ever looking
+inside.
 
 * :class:`CellTask` carries a module-level callable (pickled by
   reference) plus plain-data kwargs and the cell's derived seed.
@@ -24,7 +27,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.par.seeds import derive_cell_seed
 
 __all__ = [
     "CellTask",
@@ -60,19 +62,6 @@ class CellTask:
     #: spans join the submitter's trace.  ``None`` (the default) keeps
     #: pre-telemetry task envelopes byte-identical.
     trace: dict | None = None
-
-    @classmethod
-    def for_sweep(cls, sweep_id: str, index: int, fn, kwargs: dict,
-                  base_seed: int = 0, seed_key: str | None = None,
-                  with_obs: bool = False) -> "CellTask":
-        """Build a task with its derived seed, optionally threading the
-        seed into ``kwargs[seed_key]``."""
-        seed = derive_cell_seed(sweep_id, index, base_seed)
-        kwargs = dict(kwargs)
-        if seed_key is not None:
-            kwargs[seed_key] = seed
-        return cls(sweep_id=sweep_id, index=index, fn=fn, kwargs=kwargs,
-                   seed=seed, with_obs=with_obs)
 
 
 @dataclass

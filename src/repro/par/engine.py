@@ -67,6 +67,7 @@ __all__ = [
     "CellExecutor",
     "ParallelCellError",
     "run_cells",
+    "run_specs",
     "raise_failures",
     "merge_cell_traces",
 ]
@@ -95,6 +96,21 @@ def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
         runner.close()
 
 
+def run_specs(sweep_id: str, cells, jobs: int = 1,
+              env: str | ExecutionEnvironment | None = None) -> list:
+    """Run :func:`repro.run.run_spec_cell` once per cell (its keyword
+    dicts, each with a ``spec``) through :func:`run_cells`; values in
+    cell order, independent of ``jobs`` and ``env``."""
+    from repro.run import run_spec_cell
+
+    tasks = [CellTask(sweep_id=sweep_id, index=index, fn=run_spec_cell,
+                      kwargs=cell)
+             for index, cell in enumerate(cells)]
+    return [result.value
+            for result in raise_failures(run_cells(tasks, jobs=jobs,
+                                                   env=env))]
+
+
 class CellExecutor:
     """A long-lived worker pool: submit cells over time, share the slots.
 
@@ -104,8 +120,9 @@ class CellExecutor:
     (crash isolation, pickle-safe envelopes, explicit per-cell seeds —
     determinism never depends on completion order) while letting N
     independent submitters share at most ``jobs`` *persistent* workers:
-    the pool forks once and serves every subsequent session warm, and a
-    worker that dies is respawned without disturbing its siblings.
+    the pool forks once, when the executor is constructed, and serves
+    every subsequent session warm, and a worker that dies is respawned
+    without disturbing its siblings.
 
     The pool is private to the executor and driven by a
     :class:`~repro.par.runners.process.ProcessRunner` on one dispatch
@@ -139,9 +156,14 @@ class CellExecutor:
         self.completed = 0
         self._runner: ProcessRunner | None = None
         if self.env == "process":
-            # Private pool: the executor's lifecycle (daemon start/stop)
-            # owns these workers, independent of any shared sweep pool.
-            self._runner = ProcessRunner(WorkerPool(self.jobs),
+            # Private pool, owned by the executor's lifecycle.  It forks
+            # before any other thread exists (the dispatch thread, a
+            # daemon's handlers): a fork while another thread holds the
+            # import lock wedges the child.  Respawns fork later.
+            pool = WorkerPool(self.jobs)
+            for slot in range(self.jobs):
+                pool.worker(slot)
+            self._runner = ProcessRunner(pool,
                                          stall_timeout_s=stall_timeout_s,
                                          owns_pool=True)
             self._wake_r, self._wake_w = os.pipe()

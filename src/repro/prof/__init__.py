@@ -40,7 +40,7 @@ from repro.prof.regress import (
     render_findings,
     trajectory_entry,
 )
-from repro.prof.runner import PROFILE_AGENTS, profile_cell, run_profiles
+from repro.prof.runner import PROFILE_AGENTS, profile_result, run_profiles
 
 __all__ = [
     "CATEGORIES",
@@ -59,6 +59,6 @@ __all__ = [
     "render_findings",
     "trajectory_entry",
     "PROFILE_AGENTS",
-    "profile_cell",
+    "profile_result",
     "run_profiles",
 ]

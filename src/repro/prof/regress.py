@@ -13,7 +13,9 @@ way the gem5 reproducibility effort keeps a growing simulator honest:
 * **wall-clock deltas** (soft by default): serial wall and per-cell
   walls beyond ``wall_tolerance`` raise warnings (``fail_on_wall=True``
   promotes them) — host measurements are honest but machine-dependent,
-  so CI treats them as advisories.
+  so CI treats them as advisories.  Reports from hosts with different
+  ``host.cpu_count`` get one ``info`` finding instead: their wall and
+  speedup figures do not transfer between the hosts.
 
 Reports comparing different matrices (benchmarks, agents, variant
 counts, scale, or seed) fail outright: their digests measure different
@@ -128,6 +130,32 @@ def compare_reports(new: dict, ref: dict,
             "fail", "parallel-divergence",
             "parallel output differed from serial in the new run"))
 
+    findings.extend(_compare_walls(new, ref, wall_tolerance,
+                                   fail_on_wall))
+    new_profile = new.get("profile")
+    ref_profile = ref.get("profile")
+    if new_profile and ref_profile:
+        findings.extend(_compare_profiles(new_profile, ref_profile,
+                                          profile_tolerance))
+    elif new_profile and not ref_profile:
+        findings.append(Finding(
+            "info", "profile",
+            "reference has no cycle profile (pre-v2 report); "
+            "category-shift check skipped"))
+    findings.extend(_compare_overhead(new.get("observability_overhead"),
+                                      ref.get("observability_overhead")))
+    return findings
+
+
+def _compare_walls(new: dict, ref: dict, wall_tolerance: float,
+                   fail_on_wall: bool) -> list[Finding]:
+    """Serial and per-cell wall-clock deltas, between like hosts only."""
+    cpus = [report.get("host", {}).get("cpu_count") for report in (ref, new)]
+    if cpus[0] != cpus[1]:
+        return [Finding("info", "host-mismatch",
+                        f"hosts differ (cpu_count {cpus[0]} -> {cpus[1]}); "
+                        "wall and speedup comparisons skipped")]
+    findings: list[Finding] = []
     wall_level = "fail" if fail_on_wall else "warn"
     new_wall = new.get("serial", {}).get("wall_s")
     ref_wall = ref.get("serial", {}).get("wall_s")
@@ -166,19 +194,6 @@ def compare_reports(new: dict, ref: dict,
             findings.append(Finding(
                 wall_level, "cell-wall",
                 f"{len(offenders)} cell(s) beyond tolerance: {worst}"))
-
-    new_profile = new.get("profile")
-    ref_profile = ref.get("profile")
-    if new_profile and ref_profile:
-        findings.extend(_compare_profiles(new_profile, ref_profile,
-                                          profile_tolerance))
-    elif new_profile and not ref_profile:
-        findings.append(Finding(
-            "info", "profile",
-            "reference has no cycle profile (pre-v2 report); "
-            "category-shift check skipped"))
-    findings.extend(_compare_overhead(new.get("observability_overhead"),
-                                      ref.get("observability_overhead")))
     return findings
 
 
@@ -271,8 +286,9 @@ def render_findings(findings: list[Finding]) -> str:
 def trajectory_entry(report: dict) -> dict:
     """Compact history record for one reference report.
 
-    Environment-era fields (``environment``, ``warm_wall_s``) are
-    included only when the report carries them, so entries from pre-v2
+    ``cpu_count`` (wall figures only compare across like hosts) and
+    the environment-era fields (``environment``, ``warm_wall_s``) are
+    included only when the report carries them, so entries from older
     references keep their historical shape.
     """
     serial = report.get("serial", {})
@@ -286,6 +302,9 @@ def trajectory_entry(report: dict) -> dict:
                           if serial.get("wall_s") is not None else None),
         "identical": report.get("identical"),
     }
+    cpu_count = report.get("host", {}).get("cpu_count")
+    if cpu_count is not None:
+        entry["cpu_count"] = cpu_count
     if report.get("environment") is not None:
         entry["environment"] = report["environment"]
     parallel = report.get("parallel") or {}

@@ -1,56 +1,39 @@
 """Profile runs: one MVEE execution per agent, through the parallel engine.
 
-A *profile cell* is a pure function of ``(benchmark, agent, variants,
-scale, seed)`` returning a plain dict — every field is a simulated
-quantity (no host wall-clock), so cells are picklable, cacheable, and
-byte-identical whether they ran inline or in a forked worker.  The
-``repro profile`` CLI fans the requested agents out via
-:func:`repro.par.engine.run_cells` and renders flamegraph/lag/report
-artifacts from the results *in cell order*, which makes the artifacts
-deterministic in ``--jobs``.
-
-Every cell builds through :func:`repro.run.build_mvee`.  ``nginx`` is
-the §5.5 server workload (network + traffic driver), not a synthetic
-twin: it runs at the §5.5 sizing, fully instrumented, and has no native
-baseline.
+A profile is the ``profile`` extra of :func:`repro.run.run_spec_cell`,
+all simulated quantities, so results are byte-identical whether cells
+ran inline or in a forked worker, and the artifacts ``repro profile``
+renders from them *in cell order* are deterministic in ``--jobs``.
+``nginx`` is the §5.5 server (network + traffic driver) at the §5.5
+sizing, fully instrumented, with no native baseline.
 """
 
 from __future__ import annotations
 
-from repro.obs import ObsHub
-from repro.par.engine import CellTask, raise_failures, run_cells
-from repro.run import NGINX_PAPER_SIZING, RunSpec, build_mvee
+from repro.par.engine import run_specs
+from repro.run import NGINX_PAPER_SIZING, RunSpec
 
 #: Agents `repro profile` compares (the paper's three main mechanisms).
 PROFILE_AGENTS = ("total_order", "partial_order", "wall_of_clocks")
 
 
-def profile_cell(benchmark: str, agent: str, variants: int,
-                 scale: float, seed: int,
-                 lag_sample_every: int = 1) -> dict:
-    """Run one profiled MVEE execution (module-level: pickled by
-    reference into engine workers) and return a plain-data result."""
-    hub = ObsHub(trace=False, profile=True,
-                 lag_sample_every=lag_sample_every)
-    spec = RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
-                   scale=scale,
-                   params=NGINX_PAPER_SIZING if benchmark == "nginx" else {})
-    mvee, native = build_mvee(spec, obs=hub)
-    outcome = mvee.run()
-    hub.prof.finalize(outcome.machine.now)
-    profile = hub.prof.snapshot()
+def profile_result(record) -> dict:
+    """The profile dict of a record run with the ``profile`` extra."""
+    spec = record.spec
+    profile = record.extras["profile"]
+    native = record.native_cycles
     return {
-        "benchmark": benchmark,
-        "agent": agent,
-        "variants": variants,
-        "scale": scale,
-        "seed": seed,
-        "verdict": outcome.verdict,
-        "machine_cycles": outcome.cycles,
+        "benchmark": spec.workload,
+        "agent": spec.agent,
+        "variants": spec.variants,
+        "scale": spec.scale,
+        "seed": spec.seed,
+        "verdict": record.verdict,
+        "machine_cycles": record.cycles,
         "native_cycles": native,
-        "slowdown": (outcome.cycles / native) if native else None,
-        "profile": profile.to_dict(),
-        "lag": profile.lag,
+        "slowdown": (record.cycles / native) if native else None,
+        "profile": profile,
+        "lag": profile["lag"],
     }
 
 
@@ -65,11 +48,10 @@ def run_profiles(benchmark: str, agents, variants: int = 2,
     ``jobs`` shards cells across workers in the ``env`` execution
     environment without changing the output.
     """
-    tasks = [CellTask(sweep_id="profile", index=index, fn=profile_cell,
-                      kwargs=dict(benchmark=benchmark, agent=agent,
-                                  variants=variants, scale=scale,
-                                  seed=seed,
-                                  lag_sample_every=lag_sample_every))
-             for index, agent in enumerate(agents)]
-    results = raise_failures(run_cells(tasks, jobs=jobs, env=env))
-    return [result.value for result in results]
+    params = NGINX_PAPER_SIZING if benchmark == "nginx" else {}
+    records = run_specs("profile", [
+        {"spec": RunSpec(benchmark, agent=agent, variants=variants,
+                         seed=seed, scale=scale, params=params),
+         "outputs": {"profile": lag_sample_every}}
+        for agent in agents], jobs=jobs, env=env)
+    return [profile_result(record) for record in records]

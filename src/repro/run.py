@@ -1,13 +1,13 @@
-"""Runs: the native baseline, the run spec, and the one MVEE builder.
+"""Runs: the native baseline, the run spec, the one MVEE builder and
+the one sweep cell.
 
 The paper measures every configuration against its own unprotected
 native execution (§6).  This module owns that baseline
-(:func:`run_native`, memoized per benchmark twin by
-:func:`native_cycles`), the JSON-safe :class:`RunSpec` that the serve
-daemon journals, a decision log carries and the CLI assembles, and
-:func:`build_mvee` — the only code that turns a spec into an MVEE, so
-``repro run``, record/replay, serve sessions and the sweeps cannot
-drift apart.
+(:func:`run_native`, memoized by :func:`native_cycles`), the JSON-safe
+:class:`RunSpec` that the serve daemon journals, a decision log carries
+and the CLI assembles, :func:`build_mvee` — the only code that turns a
+spec into an MVEE, so no two front ends can drift apart — and
+:func:`run_spec_cell`, the cell of every spec-shaped sweep.
 
 Import direction: this module depends on the simulator and never on
 ``serve``, ``replay``, ``experiments``, ``par`` or ``cli``; those all
@@ -16,7 +16,10 @@ build through it.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+import json
+import time
+from contextlib import nullcontext
+from dataclasses import astuple, dataclass, field, replace
 
 # The native-baseline imports come first: importing ``repro.sched``
 # before ``repro.kernel`` is the order their package inits need.
@@ -132,9 +135,15 @@ def run_native(program: GuestProgram, *, seed: int = 0, cores: int = 16,
 _native_cache: dict[tuple, float] = {}
 
 
-def reset_native_cache() -> None:
-    """Drop the memoized native runtimes (see :func:`native_cycles`)."""
+def reset_caches() -> None:
+    """Drop the per-process memo caches: native runtimes
+    (:func:`native_cycles`) and spec cells (:func:`run_spec_cell`).
+
+    The ``repro bench`` harness calls this between its timed phases so
+    neither phase rides the other's warm cache; tests use it to force
+    re-simulation."""
     _native_cache.clear()
+    _cell_cache.clear()
 
 
 def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
@@ -344,3 +353,157 @@ def build_mvee(spec: RunSpec, **mvee_keywords):
                 agent=None if spec.agent == "none" else spec.agent,
                 seed=spec.seed, policy=policy, **keywords)
     return mvee, native
+
+
+@dataclass
+class RunRecord:
+    """The result of one spec-shaped run (see :func:`run_spec_cell`).
+
+    Every field but ``wall_s`` (host seconds ``mvee.run()`` took, never
+    compared) is a pure function of the spec and the build keywords, so
+    ``build_mvee(record.spec, **record.build_keywords)`` rebuilds the
+    run.  Each sweep's row type is a projection of a record.
+    ``resync_stats`` sums the restarted variants' resync counters.
+    """
+
+    spec: RunSpec
+    build_keywords: dict
+    verdict: str
+    cycles: float
+    native_cycles: float | None
+    sync_ops: int | None
+    syscalls: int | None
+    stall_cycles: float
+    faults_injected: int
+    quarantines: list[str]
+    quarantined: list[int]
+    restarted: list[int]
+    resync_stats: dict
+    races: object | None
+    divergence: str | None
+    extras: dict = field(default_factory=dict)
+    wall_s: float = field(default=0.0, compare=False)
+
+    @classmethod
+    def of(cls, spec: RunSpec, outcome, native: float | None,
+           build_keywords: dict | None = None, extras: dict | None = None,
+           wall_s: float = 0.0) -> "RunRecord":
+        """Fold a finished :class:`~repro.core.mvee.MVEEOutcome`."""
+        report, events = outcome.report, outcome.quarantines
+        stats = getattr(outcome.monitor, "resync_stats", {}) or {}
+        return cls(
+            spec=spec, build_keywords=dict(build_keywords or {}),
+            verdict=outcome.verdict, cycles=outcome.cycles,
+            native_cycles=native,
+            sync_ops=report.total_sync_ops if report else None,
+            syscalls=report.total_syscalls if report else None,
+            stall_cycles=sum(vm.total_stall_cycles for vm in outcome.vms),
+            faults_injected=len(outcome.faults),
+            quarantines=[event.summary() for event in events],
+            quarantined=[event.variant for event in events],
+            restarted=[event.variant for event in events if event.restarted],
+            resync_stats={name: sum(entry.get(name, 0)
+                                    for entry in stats.values())
+                          for name in ("fast_forwarded", "resynced")},
+            races=outcome.races,
+            divergence=(outcome.divergence.explain()
+                        if outcome.divergence is not None else None),
+            extras=dict(extras or {}), wall_s=wall_s)
+
+
+_cell_cache: dict[tuple, RunRecord] = {}
+
+
+def _session_span(spec: RunSpec, session_id: str | None):
+    """The ``session.run`` host span of a traced serve batch session,
+    or a no-op (the untraced path stays telemetry-import-free)."""
+    if session_id is None or spec.trace is None:
+        return nullcontext()
+    from repro.telemetry.context import TraceContext
+    from repro.telemetry.spans import enabled, span
+
+    if not enabled():
+        return nullcontext()
+    parent = TraceContext.from_dict(spec.trace)
+    return span("session.run", ctx=parent.child() if parent else None,
+                service="session", track=f"session {session_id}",
+                session=session_id)
+
+
+def run_spec_cell(spec, outputs=(), session_id: str | None = None, *,
+                  costs: CostModel | None = None, instrument=None,
+                  checkpoints=None, obs=None):
+    """Build and run one spec; the cell function of every spec-shaped
+    sweep and of the serve batch path.
+
+    ``spec`` is a :class:`RunSpec` or its dict form (validated: it may
+    come off the wire).  ``outputs`` maps each requested extra to its
+    argument: ``profile`` to the lag tracker's ``sample_every`` (the
+    cycle profile dict) and ``obs`` to the forensics bundle's path or
+    ``None`` (``{"digest", "bundle"}``: the ``ObsHub(trace=False)``
+    digest and the path the bundle was saved to).  ``session_id`` names
+    a traced serve session's host span.  ``costs``, ``instrument`` and
+    ``checkpoints`` are :func:`build_mvee` overrides; ``obs`` is the hub
+    a ``with_obs`` engine task injects.  Without extras or a hub,
+    records are memoized on the spec's value (trace context aside) and
+    the overrides (:func:`reset_caches` drops them).
+
+    A list of :class:`RunSpec` runs back to back in this one call,
+    unmemoized, and returns their records in order: twins whose host
+    ``wall_s`` are compared are timed fresh, on one worker, under the
+    same load.
+    """
+    outputs = dict(outputs)
+    if set(outputs) - {"profile", "obs"} or (outputs and obs is not None):
+        raise TypeError(f"run_spec_cell: unknown extras, or extras "
+                        f"with a hub: {sorted(outputs)}")
+    if costs is not None:
+        # A copy: the record's keywords must rebuild its run even if the
+        # caller later mutates its cost model.
+        costs = replace(costs)
+    keywords = {name: value for name, value in (
+        ("costs", costs), ("instrument", instrument),
+        ("checkpoints", checkpoints)) if value is not None}
+    if isinstance(spec, list):
+        return [_run_spec(one, outputs, session_id, keywords, obs)
+                for one in spec]
+    if isinstance(spec, dict):
+        spec = RunSpec.from_dict(spec).validate()
+    key = None
+    if not outputs and obs is None:
+        data = spec.to_dict()
+        data.pop("trace", None)
+        key = (json.dumps(data, sort_keys=True),
+               astuple(costs or DEFAULT_COSTS), instrument, checkpoints)
+        if key in _cell_cache:
+            return _cell_cache[key]
+    record = _run_spec(spec, outputs, session_id, keywords, obs)
+    if key is not None:
+        _cell_cache[key] = record
+    return record
+
+
+def _run_spec(spec: RunSpec, outputs: dict, session_id: str | None,
+              keywords: dict, obs) -> RunRecord:
+    if outputs:
+        from repro.obs import ObsHub
+
+        obs = ObsHub(trace=False, profile="profile" in outputs,
+                     lag_sample_every=outputs.get("profile") or 1)
+    with _session_span(spec, session_id):
+        mvee, native = build_mvee(spec, obs=obs, **keywords)
+        start = time.perf_counter()
+        outcome = mvee.run()
+        wall = time.perf_counter() - start
+    extras = {}
+    if "profile" in outputs:
+        obs.prof.finalize(outcome.machine.now)
+        extras["profile"] = obs.prof.snapshot().to_dict()
+    if "obs" in outputs:
+        bundle = None
+        if outputs["obs"] and outcome.obs_bundle is not None:
+            bundle = outputs["obs"]
+            outcome.obs_bundle.save(bundle)
+        extras["obs"] = {"digest": obs.digest(), "bundle": bundle}
+    return RunRecord.of(spec, outcome, native, build_keywords=keywords,
+                        extras=extras, wall_s=wall)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.serve.client import ServeClient, wait_for_daemon
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.registry import SessionRegistry, recover_state
-from repro.serve.session import Session, run_session_cell
+from repro.serve.session import Session, session_result
 
 __all__ = [
     "ServeClient",
@@ -31,6 +31,6 @@ __all__ = [
     "Session",
     "SessionRegistry",
     "recover_state",
-    "run_session_cell",
+    "session_result",
     "wait_for_daemon",
 ]

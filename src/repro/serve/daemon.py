@@ -5,7 +5,8 @@ One :class:`ServeDaemon` owns three things:
 * a :class:`~repro.serve.registry.SessionRegistry` — the session table,
   admission control, and the journal that survives restarts;
 * a shared :class:`~repro.par.engine.CellExecutor` — batch (``run`` op)
-  sessions from *all* clients fan out across one worker pool, so a
+  sessions from *all* clients fan out across one worker pool, forked
+  when the daemon is constructed (before any handler thread), so a
   daemon with ``jobs=4`` never forks more than four workers no matter
   how many clients are connected;
 * a ``socketserver.ThreadingTCPServer`` speaking the JSON-lines
@@ -35,10 +36,10 @@ from repro.errors import (
     ServeError,
 )
 from repro.par.engine import CellExecutor, CellTask
-from repro.run import RunSpec
+from repro.run import RunSpec, run_spec_cell
 from repro.serve import protocol
 from repro.serve.registry import SessionRegistry
-from repro.serve.session import Session, run_session_cell
+from repro.serve.session import Session, session_result
 from repro.telemetry import hostmetrics, spans
 from repro.telemetry.context import (
     TraceContext,
@@ -312,10 +313,10 @@ class ServeDaemon:
                     "drive a running one)")
             task = CellTask(
                 sweep_id="serve", index=self._task_index(session),
-                fn=run_session_cell,
-                kwargs={"spec_dict": session.spec.to_dict(),
-                        "session_id": session.id,
-                        "bundle_dir": self.config.bundle_dir},
+                fn=run_spec_cell,
+                kwargs={"spec": session.spec.to_dict(),
+                        "outputs": {"obs": session.bundle_path},
+                        "session_id": session.id},
                 seed=session.spec.seed,
                 trace=wire_context() or session.spec.trace)
             session.state = "queued"
@@ -409,7 +410,7 @@ class ServeDaemon:
                 session.result = {"verdict": "error",
                                   "error": cell_result.error}
             else:
-                session.result = cell_result.value
+                session.result = session_result(cell_result.value)
                 quota = self.config.max_cycles_per_session
                 cycles = session.result.get("cycles") or 0
                 if quota is not None and cycles > quota:

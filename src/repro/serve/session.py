@@ -10,18 +10,21 @@ can be driven two ways:
   events, and metrics snapshots back after each batch.  Budgeted
   stepping is byte-identical to a one-shot run by construction (the
   event heap is popped in the same order either way).
-* **batch** (the ``run`` op): the session is shipped as a pickle-safe
-  spec through the shared :class:`repro.par.engine.CellExecutor`, so N
-  sessions fan out across one *persistent* worker pool — workers fork
-  once at daemon startup demand and serve every later session warm,
-  in whichever execution environment the daemon was started with
+* **batch** (the ``run`` op): the session is a one-cell sweep — its
+  spec runs as :func:`repro.run.run_spec_cell` (with the ``obs``
+  extra) through the shared :class:`repro.par.engine.CellExecutor`, so
+  N sessions fan out across one *persistent* worker pool — workers
+  fork when the daemon is built and serve every later session warm, in
+  whichever execution environment the daemon was started with
   (``--env inline|process``) — without breaking per-cell seed
   derivation.
 
 Both paths build their MVEE through :func:`repro.run.build_mvee`, the
-builder ``repro run`` uses, and end in the same result dict, whose
-``obs_digest`` (see :meth:`repro.obs.ObsHub.digest`) is the
-byte-identity anchor against single-shot ``repro run`` for the same
+builder ``repro run`` uses, fold the outcome into a
+:class:`~repro.run.RunRecord` and project it with
+:func:`session_result` into the same result dict, whose ``obs_digest``
+(see :meth:`repro.obs.ObsHub.digest`) is the byte-identity anchor
+against single-shot ``repro run`` for the same
 :class:`~repro.run.RunSpec`.
 """
 
@@ -40,7 +43,7 @@ from repro.replay import (
     DecisionRecorder,
     resume_recorded,
 )
-from repro.run import RunSpec, build_mvee
+from repro.run import RunRecord, RunSpec, build_mvee
 
 #: Every state a session can be in.  Transitions:
 #: created -> running -> finished | killed       (stepped path)
@@ -55,30 +58,25 @@ SESSION_STATES = ("created", "running", "queued", "finished",
 #: killed first.
 CLOSEABLE_STATES = ("created", "finished", "quarantined", "killed")
 
-def outcome_to_result(outcome, native: float | None,
-                      obs=None, bundle_path: str | None = None) -> dict:
-    """Fold an MVEEOutcome into the JSON result both paths return."""
+def session_result(record: RunRecord) -> dict:
+    """The wire ``result`` of a finished session: the projection of its
+    run record (run with the ``obs`` extra) both paths return."""
+    obs = record.extras.get("obs", {})
     result = {
-        "verdict": outcome.verdict,
-        "cycles": outcome.cycles,
-        "syscalls": (outcome.report.total_syscalls
-                     if outcome.report is not None else None),
-        "sync_ops": (outcome.report.total_sync_ops
-                     if outcome.report is not None else None),
-        "faults_injected": len(outcome.faults),
-        "quarantines": [event.summary() for event in outcome.quarantines],
-        "races": (len(outcome.races.races)
-                  if outcome.races is not None else 0),
-        "divergence": (outcome.divergence.explain()
-                       if outcome.divergence is not None else None),
-        "obs_digest": obs.digest() if obs is not None else None,
-        "bundle": None,
+        "verdict": record.verdict,
+        "cycles": record.cycles,
+        "syscalls": record.syscalls,
+        "sync_ops": record.sync_ops,
+        "faults_injected": record.faults_injected,
+        "quarantines": list(record.quarantines),
+        "races": (len(record.races.races)
+                  if record.races is not None else 0),
+        "divergence": record.divergence,
+        "obs_digest": obs.get("digest"),
+        "bundle": obs.get("bundle"),
     }
-    if native:
-        result["slowdown"] = outcome.cycles / native
-    if bundle_path and outcome.obs_bundle is not None:
-        outcome.obs_bundle.save(bundle_path)
-        result["bundle"] = bundle_path
+    if record.native_cycles:
+        result["slowdown"] = record.cycles / record.native_cycles
     return result
 
 
@@ -101,7 +99,9 @@ class Session:
         self.spec = spec
         self.state = "created"
         self.max_cycles = max_cycles
-        self.bundle_dir = bundle_dir
+        #: Where a diverged run's forensics bundle is saved (both paths).
+        self.bundle_path = (f"{bundle_dir}/{session_id}.bundle.json"
+                            if bundle_dir else None)
         #: When both are set, stepped execution records its decision
         #: stream and checkpoints to ``state_dir`` so an interrupted
         #: session can be resumed from checkpoint + log prefix.
@@ -246,11 +246,13 @@ class Session:
         }
         if outcome is not None:
             bundle_path = None
-            if self.bundle_dir and outcome.obs_bundle is not None:
-                bundle_path = f"{self.bundle_dir}/{self.id}.bundle.json"
-            self.result = outcome_to_result(outcome, self._native,
-                                            obs=self._hub,
-                                            bundle_path=bundle_path)
+            if self.bundle_path and outcome.obs_bundle is not None:
+                bundle_path = self.bundle_path
+                outcome.obs_bundle.save(bundle_path)
+            self.result = session_result(RunRecord.of(
+                self.spec, outcome, self._native,
+                extras={"obs": {"digest": self._hub.digest(),
+                                "bundle": bundle_path}}))
             if self.resumed is not None:
                 self.result["resumed"] = dict(self.resumed)
             self.state = "finished"
@@ -314,37 +316,3 @@ class Session:
         return {"id": self.id, "state": self.state,
                 "spec": self.spec.to_dict(), "steps": self.steps,
                 "result": self.result}
-
-
-def run_session_cell(spec_dict: dict, session_id: str,
-                     bundle_dir: str | None = None) -> dict:
-    """Batch path: execute one session start-to-finish in a worker.
-
-    Module-level and argument-pure so :class:`CellTask` pickles it by
-    reference into a forked worker; builds a fresh ObsHub there, so the
-    digest is computed from the same simulated quantities as the
-    stepped path.
-    """
-    from contextlib import nullcontext
-
-    from repro.telemetry.context import TraceContext
-    from repro.telemetry.spans import enabled, span
-
-    spec = RunSpec.from_dict(spec_dict).validate()
-    host_span = nullcontext()
-    if spec.trace is not None and enabled():
-        parent = TraceContext.from_dict(spec.trace)
-        host_span = span("session.run",
-                         ctx=parent.child() if parent else None,
-                         service="session",
-                         track=f"session {session_id}",
-                         session=session_id)
-    hub = ObsHub(trace=False)
-    with host_span:
-        mvee, native = build_mvee(spec, obs=hub)
-        outcome = mvee.run()
-    bundle_path = None
-    if bundle_dir and outcome.obs_bundle is not None:
-        bundle_path = f"{bundle_dir}/{session_id}.bundle.json"
-    return outcome_to_result(outcome, native, obs=hub,
-                             bundle_path=bundle_path)

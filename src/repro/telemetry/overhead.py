@@ -37,8 +37,8 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
     context, records spans to a scratch directory, and feeds a host
     latency histogram — the full per-cell telemetry path.
     """
-    from repro.experiments.runner import reset_caches
     from repro.par.cells import execute_cell
+    from repro.run import reset_caches
     from repro.telemetry import hostmetrics
     from repro.telemetry.context import new_context
     from repro.telemetry.spans import read_spans, scoped
@@ -78,21 +78,12 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    def _canonical(result):
-        if result is None or not result.ok:
-            return ("failed", getattr(result, "error", None))
-        value = result.value
-        # Bench cell values are structured results; compare their
-        # simulated quantities the way the bench digest does.
-        fields = ("verdict", "native_cycles", "mvee_cycles",
-                  "sync_ops", "syscalls", "stall_cycles")
-        if all(hasattr(value, f) for f in fields):
-            return tuple(getattr(value, f) for f in fields)
-        return repr(value)
-
-    digest_identical = (
-        _canonical(bare_result) == _canonical(traced_result)
-        == _canonical(warmup))
+    # Bench cells return run records, whose equality covers simulated
+    # quantities only (never the host wall time).
+    runs = (warmup, bare_result, traced_result)
+    digest_identical = (all(run is not None and run.ok for run in runs)
+                        and warmup.value == bare_result.value
+                        == traced_result.value)
     overhead = None
     if bare_wall and traced_wall is not None:
         overhead = (traced_wall - bare_wall) / bare_wall

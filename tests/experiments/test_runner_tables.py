@@ -2,28 +2,40 @@
 
 import pytest
 
-from repro.experiments import runner
+from repro import run
 from repro.experiments.runner import (
     ExperimentResult,
     native_cycles,
     reset_caches,
     run_benchmark_grid,
-    run_one,
 )
 from repro.experiments.tables import figure5_series, table1, table3
+from repro.run import RunSpec, run_spec_cell
 
 
 class TestRunner:
     def test_run_one_produces_clean_cell(self):
-        result = run_one("bodytrack", "wall_of_clocks", 2, scale=0.1)
+        result = ExperimentResult.of(run_spec_cell(
+            RunSpec("bodytrack", agent="wall_of_clocks", variants=2,
+                    scale=0.1)))
         assert result.verdict == "clean"
         assert result.slowdown > 1.0
         assert result.sync_ops > 0
 
     def test_cells_are_memoized(self):
-        first = run_one("bodytrack", "wall_of_clocks", 2, scale=0.1)
-        second = run_one("bodytrack", "wall_of_clocks", 2, scale=0.1)
+        # The memo lives in the one cell function; equal specs (by
+        # value, not identity) hit the same record.
+        first = run_spec_cell(RunSpec("bodytrack", variants=2, scale=0.1))
+        second = run_spec_cell(RunSpec("bodytrack", variants=2, scale=0.1))
         assert first is second
+
+    def test_spec_lists_are_run_fresh(self):
+        # A list of specs runs back to back, unmemoized: the race
+        # sweep's twins compare host walls taken in one call.
+        spec = RunSpec("fft", variants=2, scale=0.05)
+        first, = run_spec_cell([spec])
+        again, = run_spec_cell([spec])
+        assert first is not again and first == again
 
     def test_native_cycles_memoized(self):
         assert native_cycles("fft", scale=0.1) == \
@@ -36,23 +48,26 @@ class TestRunner:
         from repro.perf.costs import CostModel
 
         calls = []
-        real_build_mvee = runner.build_mvee
+        real_build_mvee = run.build_mvee
 
         def counting_build_mvee(spec, **kwargs):
             calls.append(kwargs["costs"].syscall_base)
             return real_build_mvee(spec, **kwargs)
 
-        monkeypatch.setattr(runner, "build_mvee", counting_build_mvee)
+        monkeypatch.setattr(run, "build_mvee", counting_build_mvee)
         reset_caches()
         costs = CostModel()
-        first = run_one("fft", "wall_of_clocks", 2, scale=0.05,
-                        costs=costs)
+        spec = RunSpec("fft", variants=2, scale=0.05)
+        first = run_spec_cell(spec, costs=costs)
         costs.syscall_base *= 4
-        second = run_one("fft", "wall_of_clocks", 2, scale=0.05,
-                         costs=costs)
+        second = run_spec_cell(spec, costs=costs)
         assert calls == [400.0, 1600.0]
         assert second.native_cycles != first.native_cycles
-        assert second.mvee_cycles != first.mvee_cycles
+        assert second.cycles != first.cycles
+        # The first record kept its own copy of the model, so its
+        # keywords still rebuild its run after the caller's mutation.
+        mvee, _ = real_build_mvee(first.spec, **first.build_keywords)
+        assert mvee.run().cycles == first.cycles
 
     def test_grid_covers_requested_cells(self):
         results = run_benchmark_grid(benchmarks=["fft", "x264"],

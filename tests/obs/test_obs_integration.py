@@ -134,15 +134,15 @@ class TestNginxTraceCoverage:
 
 class TestRunnerIntegration:
     def test_observed_cell_bypasses_memo_cache(self):
-        from repro.experiments.runner import run_one
+        from repro.run import RunSpec, run_spec_cell
 
+        spec = RunSpec("fft", agent="wall_of_clocks", variants=2,
+                       scale=0.05)
         hub = ObsHub()
-        observed = run_one("fft", "wall_of_clocks", 2, scale=0.05,
-                           obs=hub)
+        observed = run_spec_cell(spec, obs=hub)
         assert len(hub.tracer.events) > 0
         # a second observed run records fresh events (no stale cache hit)
         again = ObsHub()
-        repeat = run_one("fft", "wall_of_clocks", 2, scale=0.05,
-                         obs=again)
+        repeat = run_spec_cell(spec, obs=again)
         assert len(again.tracer.events) == len(hub.tracer.events)
-        assert repeat.mvee_cycles == observed.mvee_cycles
+        assert repeat.cycles == observed.cycles

@@ -32,6 +32,7 @@ from repro.experiments.tables import table2
 from repro.par.bench import bench_tasks, build_matrix, canonical_cells
 from repro.par.engine import merge_cell_traces, run_cells
 from repro.par.environment import ENVIRONMENT_NAMES
+from repro.prof.runner import PROFILE_AGENTS, run_profiles
 
 SEEDS = (1, 2, 7)
 JOBS = 4
@@ -70,6 +71,11 @@ def _table2(seed, jobs, env):
     return table2(scale=0.05, seed=seed, jobs=jobs, env=env)
 
 
+def _profile(seed, jobs, env):
+    return run_profiles("fft", PROFILE_AGENTS, scale=0.05, seed=seed,
+                        jobs=jobs, env=env)
+
+
 def _bench(seed, jobs, env):
     matrix = build_matrix(quick=True, seed=seed)
     reset_caches()
@@ -83,6 +89,7 @@ FAMILIES = {
     "deadlock-sweep": _deadlock,
     "table2": _table2,
     "bench-matrix": _bench,
+    "profile": _profile,
 }
 
 

@@ -13,7 +13,8 @@ import pytest
 from repro.experiments import serve_load
 from repro.par.engine import CellExecutor, CellTask
 from repro.par.pool import WorkerPool
-from repro.serve.session import run_session_cell
+from repro.run import run_spec_cell
+from repro.serve.session import session_result
 
 
 # Module-level so the fork workers can pickle them by reference.
@@ -72,6 +73,16 @@ class TestInlineMode:
 
 
 class TestForkPool:
+    def test_pool_forks_at_construction(self):
+        # Every worker forks before the dispatch thread starts, so no
+        # fork can happen while a daemon handler thread holds the
+        # import lock.
+        executor = CellExecutor(jobs=2, env="process")
+        try:
+            assert executor.pool_stats()["alive"] == 2
+        finally:
+            executor.shutdown()
+
     def test_results_arrive_out_of_band(self):
         executor = CellExecutor(jobs=2)
         try:
@@ -156,8 +167,8 @@ class TestJobsInvariance:
             tickets = [
                 executor.submit(CellTask(
                     sweep_id=serve_load.SWEEP_ID, index=index,
-                    fn=run_session_cell,
-                    kwargs={"spec_dict": spec,
+                    fn=run_spec_cell,
+                    kwargs={"spec": spec, "outputs": {"obs": None},
                             "session_id": f"s-{index}"},
                     seed=spec["seed"]))
                 for index, spec in enumerate(specs)]
@@ -167,7 +178,7 @@ class TestJobsInvariance:
                 assert result.ok, result.error
                 outcomes.append({"index": index,
                                  "seed": specs[index]["seed"],
-                                 **result.value})
+                                 **session_result(result.value)})
         finally:
             executor.shutdown()
         return serve_load.load_digest(outcomes)

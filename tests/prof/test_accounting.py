@@ -172,3 +172,17 @@ class TestFaultAccounting:
                                         param=50_000.0),)),
             policy=MonitorPolicy(degradation="quarantine"))
         assert profile.per_category()["fault-recovery"] > 0.0
+
+
+class TestProfileExtra:
+    def test_sample_interval_bounds_the_series_inside_the_run(self):
+        # The profile extra's argument reaches the run's lag tracker, so
+        # a cell keeps (and ships back) only every k-th sample.
+        from repro.run import RunSpec, run_spec_cell
+
+        spec = RunSpec("fft", variants=2, scale=0.05)
+        full = run_spec_cell(spec, outputs={"profile": 1})
+        thinned = run_spec_cell(spec, outputs={"profile": 3})
+        samples = full.extras["profile"]["lag"]["samples"]
+        assert len(samples) >= 3
+        assert thinned.extras["profile"]["lag"]["samples"] == samples[2::3]

@@ -235,6 +235,33 @@ class TestOverheadGate:
         assert exit_code(findings) == 0
 
 
+class TestHostGuard:
+    """Wall figures only compare across hosts with one ``cpu_count``."""
+
+    def test_differing_cpu_count_skips_wall_findings(self):
+        slow = make_report(host={"cpu_count": 2},
+                           serial={"wall_s": 99.0, "ok": 2, "failed": 0,
+                                   "cell_wall_s": [40.0, 59.0]})
+        findings = compare_reports(slow, make_report(host={"cpu_count": 1}),
+                                   fail_on_wall=True)
+        found = levels(findings)
+        assert found["host-mismatch"] == "info"
+        assert "serial-wall" not in found and "cell-wall" not in found
+        assert exit_code(findings) == 0
+
+    def test_same_cpu_count_still_compares_walls(self):
+        slow = make_report(host={"cpu_count": 2},
+                           serial={"wall_s": 99.0, "ok": 2, "failed": 0,
+                                   "cell_wall_s": [40.0, 59.0]})
+        findings = compare_reports(slow, make_report(host={"cpu_count": 2}))
+        assert levels(findings)["serial-wall"] == "warn"
+        assert "host-mismatch" not in levels(findings)
+
+    def test_trajectory_entry_carries_cpu_count(self):
+        entry = trajectory_entry(make_report(host={"cpu_count": 4}))
+        assert entry["cpu_count"] == 4
+
+
 class TestTrajectory:
     def test_entry_is_compact(self):
         entry = trajectory_entry(make_report())

@@ -87,6 +87,13 @@ def _crash_cell(tag, seed=0):
     os._exit(17)
 
 
+def _seeded_task(sweep_id, index, fn):
+    """A cell whose derived seed rides in its kwargs."""
+    seed = derive_cell_seed(sweep_id, index, 0)
+    return CellTask(sweep_id=sweep_id, index=index, fn=fn, seed=seed,
+                    kwargs={"tag": f"cell{index}", "seed": seed})
+
+
 class TestCrashIsolation:
     """A dying worker fails its own cell only; sibling cells still
     return exactly what a serial run returns."""
@@ -95,11 +102,9 @@ class TestCrashIsolation:
     @given(st.integers(min_value=0, max_value=3))
     def test_single_crash_isolated(self, crash_at):
         def tasks():
-            return [CellTask.for_sweep(
+            return [_seeded_task(
                         "crashy", index,
-                        _crash_cell if index == crash_at else _echo_cell,
-                        {"tag": f"cell{index}"},
-                        seed_key="seed")
+                        _crash_cell if index == crash_at else _echo_cell)
                     for index in range(4)]
 
         serial = run_cells(
@@ -120,9 +125,7 @@ class TestCrashIsolation:
         assert canon(survivors) == canon(serial)
 
     def test_all_results_positionally_ordered(self):
-        tasks = [CellTask.for_sweep("order", index, _echo_cell,
-                                    {"tag": f"cell{index}"},
-                                    seed_key="seed")
+        tasks = [_seeded_task("order", index, _echo_cell)
                  for index in range(6)]
         for jobs in (1, 3):
             results = run_cells(tasks, jobs=jobs)

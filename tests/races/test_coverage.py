@@ -17,10 +17,15 @@ from repro.races import (
     cross_check,
     primitive_of,
 )
+from repro.run import NGINX_PAPER_SIZING, RunSpec, run_spec_cell
+from repro.workloads.nginx import pthread_only_sites
 from tests.guestlib import VolatileFlagProgram
 
 FAST = CostModel(monitor_syscall_overhead=2_000.0,
                  preempt_quantum=20_000.0)
+
+#: The §5.5 server with the race detector attached.
+NGINX_SPEC = RunSpec("nginx", race_detect=True, params=NGINX_PAPER_SIZING)
 
 
 class TestPrimitiveOf:
@@ -70,33 +75,25 @@ class TestNginxCrossCheck:
 
     @pytest.fixture(scope="class")
     def before(self):
-        from repro.experiments.runner import (
-            nginx_identified_sites,
-            run_nginx_condition,
-        )
+        from repro.experiments.runner import nginx_identified_sites
 
-        detector = RaceDetector()
-        outcome = run_nginx_condition(False, detector=detector)
+        record = run_spec_cell(NGINX_SPEC, instrument=pthread_only_sites)
         coverage = cross_check(
-            detector.report,
+            record.races,
             nginx_identified_sites(after_refactor=False),
             workload="nginx/bare")
-        return detector.report, outcome, coverage
+        return record.races, record, coverage
 
     @pytest.fixture(scope="class")
     def after(self):
-        from repro.experiments.runner import (
-            nginx_identified_sites,
-            run_nginx_condition,
-        )
+        from repro.experiments.runner import nginx_identified_sites
 
-        detector = RaceDetector()
-        outcome = run_nginx_condition(True, detector=detector)
+        record = run_spec_cell(NGINX_SPEC)
         coverage = cross_check(
-            detector.report,
+            record.races,
             nginx_identified_sites(after_refactor=True),
             workload="nginx/full")
-        return detector.report, outcome, coverage
+        return record.races, record, coverage
 
     def test_bare_run_has_gaps(self, before):
         _, _, coverage = before

@@ -54,31 +54,33 @@ class TestHubIntegration:
 
 
 class TestBundleIntegration:
-    def _diverged_bundle(self):
-        from repro.experiments.runner import run_nginx_condition
+    def _diverged_bundle(self, tmp_path):
+        from repro.run import NGINX_PAPER_SIZING, RunSpec, run_spec_cell
+        from repro.workloads.nginx import pthread_only_sites
 
-        hub = ObsHub()
-        detector = RaceDetector()
-        outcome = run_nginx_condition(False, detector=detector, obs=hub)
-        assert outcome.verdict == "divergence"
-        assert outcome.obs_bundle is not None
-        return detector, outcome.obs_bundle
+        path = str(tmp_path / "diverged.bundle.json")
+        record = run_spec_cell(
+            RunSpec("nginx", race_detect=True, params=NGINX_PAPER_SIZING),
+            outputs={"obs": path}, instrument=pthread_only_sites)
+        assert record.verdict == "divergence"
+        assert record.extras["obs"]["bundle"] == path
+        return record.races, DivergenceBundle.load(path)
 
-    def test_bundle_embeds_race_log(self):
-        detector, bundle = self._diverged_bundle()
-        assert len(bundle.races) == len(detector.report.races)
+    def test_bundle_embeds_race_log(self, tmp_path):
+        report, bundle = self._diverged_bundle(tmp_path)
+        assert len(bundle.races) == len(report.races)
         sites = {entry["current"]["site"] for entry in bundle.races}
-        assert sites <= detector.report.race_sites()
+        assert sites <= report.race_sites()
 
     def test_bundle_round_trips_races(self, tmp_path):
-        _, bundle = self._diverged_bundle()
+        _, bundle = self._diverged_bundle(tmp_path)
         path = tmp_path / "bundle.json"
         bundle.save(path)
         loaded = DivergenceBundle.load(path)
         assert loaded.races == bundle.races
 
-    def test_summarize_mentions_races(self):
-        _, bundle = self._diverged_bundle()
+    def test_summarize_mentions_races(self, tmp_path):
+        _, bundle = self._diverged_bundle(tmp_path)
         text = summarize_bundle(bundle)
         assert "races detected" in text
         assert "nginx." in text

@@ -17,9 +17,9 @@ from repro.errors import (
     SessionConflict,
     SessionNotFound,
 )
+from repro.experiments.serve_load import single_shot
 from repro.serve.client import ServeClient, wait_for_daemon
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.session import run_session_cell
 
 NGINX = {"workload": "nginx", "seed": 7}
 FAULTED = {"workload": "dedup", "scale": 0.05, "seed": 5, "variants": 3,
@@ -81,7 +81,7 @@ class TestDaemonOps:
 
 class TestSessionOverTheWire:
     def test_batch_run_matches_single_shot(self, client):
-        oracle = run_session_cell(dict(NGINX), "oracle")
+        oracle = single_shot(dict(NGINX))
         result = client.run_to_verdict(dict(NGINX))
         assert result["verdict"] == oracle["verdict"] == "clean"
         assert result["obs_digest"] == oracle["obs_digest"]
@@ -151,7 +151,7 @@ class TestForkPool:
         daemon = ServeDaemon(ServeConfig(port=0, jobs=2))
         daemon.start()
         try:
-            oracle = run_session_cell(dict(NGINX), "oracle")
+            oracle = single_shot(dict(NGINX))
             with ServeClient(*daemon.address) as client:
                 ids = [client.create(dict(NGINX)) for _ in range(4)]
                 for session_id in ids:
@@ -201,7 +201,7 @@ class TestRestartRecovery:
                     restarted: "created"}
                 # The quarantined session resumes and converges on the
                 # uninterrupted single-shot outcome.
-                oracle = run_session_cell(dict(FAULTED), "oracle")
+                oracle = single_shot(dict(FAULTED))
                 client.resume(quarantined)
                 envelope = client.run(quarantined, wait=True)
                 assert envelope["result"]["obs_digest"] == \
@@ -228,3 +228,25 @@ class TestShutdownOp:
 
         with pytest.raises(DaemonUnavailable):
             ServeClient(host, port).ping()
+
+
+class TestBundles:
+    def test_diverged_sessions_save_their_bundle(self, tmp_path):
+        # Batch and stepped runs both save a diverged run's forensics
+        # bundle as {bundle_dir}/{session id}.bundle.json.
+        from repro.obs.forensics import DivergenceBundle
+
+        daemon = ServeDaemon(ServeConfig(port=0, bundle_dir=str(tmp_path)))
+        spec = {"workload": "radiosity", "agent": "none", "scale": 0.1}
+        batch = daemon.handle({"op": "create", "spec": dict(spec)})["id"]
+        results = {batch: daemon.handle({"op": "run", "id": batch})}
+        stepped = daemon.handle({"op": "create", "spec": dict(spec)})["id"]
+        envelope = {"done": False}
+        while not envelope["done"]:
+            envelope = daemon.handle({"op": "step", "id": stepped})
+        results[stepped] = envelope
+        for session_id, envelope in results.items():
+            result = envelope["result"]
+            assert result["verdict"] == "divergence"
+            assert result["bundle"] == f"{tmp_path}/{session_id}.bundle.json"
+            assert DivergenceBundle.load(result["bundle"]).report

@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import BadRequest, SessionConflict
+from repro.experiments.serve_load import single_shot
 from repro.run import RunSpec, build_mvee
-from repro.serve.session import Session, run_session_cell
+from repro.serve.session import Session
 
 SHORT_NGINX_SPEC = {"workload": "nginx", "seed": 5}
 
@@ -61,7 +62,7 @@ class TestSteppedIdentity:
          "faults": "crash@v1:3", "policy": "quarantine"},
     ])
     def test_stepped_equals_single_shot(self, spec_dict):
-        oracle = run_session_cell(dict(spec_dict), "oracle")
+        oracle = single_shot(dict(spec_dict))
         spec = RunSpec.from_dict(dict(spec_dict)).validate()
         session = Session("s-1", spec)
         envelope = None
@@ -151,7 +152,7 @@ class TestDegradationMatrix:
     ])
     def test_policy_outcomes_match_single_shot(self, policy, verdict):
         spec_dict = dict(self.FAULTED, policy=policy)
-        oracle = run_session_cell(dict(spec_dict), "oracle")
+        oracle = single_shot(dict(spec_dict))
         assert oracle["verdict"] == verdict
         session = Session(
             "s-p", RunSpec.from_dict(dict(spec_dict)).validate())

@@ -1,6 +1,6 @@
 """The overhead gate: telemetry measures its own host cost."""
 
-from repro.experiments import runner
+from repro import run
 from repro.par.bench import bench_tasks, build_matrix
 from repro.telemetry.overhead import measure_cell_overhead
 
@@ -23,13 +23,13 @@ class TestMeasureCellOverhead:
         """Neither arm may time a memo-cache hit: the warmup and each
         timed run of both arms call into the simulator."""
         calls = []
-        real_build_mvee = runner.build_mvee
+        real_build_mvee = run.build_mvee
 
         def counting_build_mvee(*args, **kwargs):
             calls.append(1)
             return real_build_mvee(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "build_mvee", counting_build_mvee)
+        monkeypatch.setattr(run, "build_mvee", counting_build_mvee)
         task = bench_tasks(build_matrix(quick=True, scale=0.02))[0]
         repeats = 2
         block = measure_cell_overhead(task, repeats=repeats)

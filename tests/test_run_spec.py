@@ -1,4 +1,5 @@
-"""One run spec, one builder: every front end builds the same MVEE.
+"""One run spec, one builder, one cell: every front end and every
+spec-shaped sweep builds the same MVEE.
 
 ``repro run``, ``repro run --record``, the serve batch path
 (``single_shot``) and a stepped serve ``Session`` all turn a
@@ -15,9 +16,18 @@ import pytest
 
 from repro.cli import main
 from repro.errors import BadRequest
+from repro.experiments.runner import (
+    run_benchmark_grid,
+    run_fault_matrix,
+    run_race_sweep,
+)
 from repro.experiments.serve_load import single_shot
+from repro.par import engine
+from repro.par.bench import bench_tasks, build_matrix
+from repro.par.engine import run_cells
+from repro.prof.runner import run_profiles
 from repro.replay import DecisionLog
-from repro.run import RunSpec
+from repro.run import RunSpec, build_mvee, reset_caches, run_spec_cell
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.session import Session
@@ -118,3 +128,74 @@ def test_mistyped_fields_are_refused_over_the_wire():
             assert client.status()["active"] == 0
     finally:
         daemon.stop()
+
+
+def _sweep_grid():
+    run_benchmark_grid(benchmarks=["fft"], agents=("total_order",),
+                       variant_counts=(3,), scale=0.05)
+
+
+def _sweep_bench_matrix():
+    run_cells(bench_tasks(build_matrix(quick=True)))
+
+
+def _sweep_profile():
+    run_profiles("fft", ("partial_order",), scale=0.05)
+
+
+def _sweep_race_sweep():
+    # nginx/bare first: a twin with the instrument and costs keywords.
+    run_race_sweep(benchmarks=(), seed=2)
+
+
+def _sweep_fault_matrix():
+    run_fault_matrix(benchmark="fft", kinds=("crash",),
+                     policies=("restart",), scale=0.05,
+                     resync_mode="checkpoint", checkpoint_every=20_000.0)
+
+
+def _sweep_serve_batch():
+    daemon = ServeDaemon(ServeConfig(port=0))   # jobs=0: inline executor
+    created = daemon.handle({"op": "create", "spec": {
+        "workload": "dedup", "scale": 0.05, "seed": 5,
+        "faults": "crash@v1:3", "policy": "quarantine"}})
+    daemon.handle({"op": "run", "id": created["id"]})
+
+
+#: One small run of every spec-shaped sweep family; each runs its cells
+#: inline through the engine.
+FAMILIES = {
+    "grid": _sweep_grid,
+    "bench matrix": _sweep_bench_matrix,
+    "profile": _sweep_profile,
+    "race sweep": _sweep_race_sweep,
+    "fault matrix": _sweep_fault_matrix,
+    "serve batch": _sweep_serve_batch,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sweep_cell_rebuilds_from_its_record(monkeypatch, family):
+    """A sweep cell is rerunnable from its record alone: the spec and
+    build keywords it carries rebuild the same run."""
+    executed = []
+    real_execute_cell = engine.execute_cell
+
+    def capturing_execute_cell(task, trace_dir):
+        result = real_execute_cell(task, trace_dir)
+        executed.append((task, result))
+        return result
+
+    monkeypatch.setattr(engine, "execute_cell", capturing_execute_cell)
+    reset_caches()
+    FAMILIES[family]()
+    task, result = executed[0]
+    assert task.fn is run_spec_cell and result.ok, result.error
+    # A race-sweep cell runs its two twins and returns both records.
+    records = (result.value if isinstance(result.value, list)
+               else [result.value])
+    for record in records:
+        mvee, _ = build_mvee(record.spec, **record.build_keywords)
+        outcome = mvee.run()
+        assert (outcome.verdict, outcome.cycles) == (record.verdict,
+                                                     record.cycles)
