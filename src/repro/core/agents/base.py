@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf.contention import ContentionTracker
+from repro.perf.contention import ContentionTracker, coherence_cycles
 from repro.perf.costs import CostModel, DEFAULT_COSTS
 from repro.sched.hooks import Hooks
 from repro.sched.interceptor import SyncAgent
@@ -101,8 +101,6 @@ class AgentSharedState:
         it does not broadcast), matching the saturating behaviour of real
         coherence fabrics.
         """
-        from repro.perf.contention import coherence_cycles
-
         sharers = self.contention.access(line_key, thread_global_id)
         return coherence_cycles(self.costs, sharers)
 
@@ -115,10 +113,8 @@ class BaseAgent(SyncAgent):
     def __init__(self, shared: AgentSharedState, variant_index: int):
         self.shared = shared
         self.variant_index = variant_index
-
-    @property
-    def is_master(self) -> bool:
-        return self.variant_index == 0
+        #: Variant 0's agent records; every other one replays.
+        self.is_master = variant_index == 0
 
     @property
     def costs(self) -> CostModel:

@@ -22,7 +22,6 @@ performs (``po_scan_per_entry`` × window span).
 
 from __future__ import annotations
 
-
 from repro.core.agents.base import AgentSharedState, BaseAgent
 from repro.core.buffers import ConsumptionWindow, MultiProducerLog, SyncRecord
 from repro.sched.interceptor import Proceed, Wait
@@ -90,40 +89,41 @@ class PartialOrderAgent(BaseAgent):
 
     def after_sync_op(self, vm, thread, op, value) -> float:
         shared: PartialOrderShared = self.shared
+        costs = shared.costs
+        log = shared.log
         if self.is_master:
-            position = shared.log.append(SyncRecord(
+            position = log.append(SyncRecord(
                 thread=thread.logical_id, addr=op.addr, site=op.site))
             shared.addr_positions.setdefault(op.addr, []).append(position)
             shared.stats.recorded += 1
             for hook in shared.hooks.sync_record:
-                hook(
-                    vm.index, thread.logical_id, "po",
-                    shared.log.occupancy(w.frontier for w in
-                                         shared.windows.values()))
-            cost = (self.costs.buffer_log
-                    + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "producer_cursor"),
-                                            thread.global_id))
+                hook(vm.index, thread.logical_id, "po",
+                     log.occupancy(w.frontier
+                                   for w in shared.windows.values()))
+            cost = (costs.buffer_log
+                    + costs.cursor_contention_factor * shared.coherence_cost(
+                        ("po", "producer_cursor"), thread.global_id))
+            wake = shared.wake
             for slave in self.slave_indices():
-                shared.wake(("po_log", slave))
+                wake(("po_log", slave))
             return cost
         variant = self.variant_index
+        logical_id = thread.logical_id
         window = shared.windows[variant]
-        position = shared.log.thread_entry_position(
-            thread.logical_id, window.next_index_for(thread.logical_id))
-        entry_addr = shared.log.entry(position).addr
-        window.mark_consumed(position, thread.logical_id)
+        position = log.thread_entry_position(
+            logical_id, window.next_index_for(logical_id))
+        entry_addr = log.entry(position).addr
+        window.mark_consumed(position, logical_id)
         cursor_key = (variant, entry_addr)
-        shared.addr_cursor[cursor_key] = (
-            shared.addr_cursor.get(cursor_key, 0) + 1)
+        addr_cursor = shared.addr_cursor
+        addr_cursor[cursor_key] = addr_cursor.get(cursor_key, 0) + 1
         shared.stats.replayed += 1
         for hook in shared.hooks.sync_replay:
-            hook(
-                variant, thread.logical_id, "po",
-                shared.log.occupancy(w.frontier for w in
-                                     shared.windows.values()))
-        cost = (self.costs.buffer_consume
-                + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "window", variant),
-                                        thread.global_id))
+            hook(variant, logical_id, "po",
+                 log.occupancy(w.frontier for w in shared.windows.values()))
+        cost = (costs.buffer_consume
+                + costs.cursor_contention_factor * shared.coherence_cost(
+                    ("po", "window", variant), thread.global_id))
         shared.wake(("po_consume", variant))
         shared.wake(("po_full",))
         return cost
@@ -132,25 +132,27 @@ class PartialOrderAgent(BaseAgent):
 
     def _slave_check(self, thread, op):
         shared: PartialOrderShared = self.shared
+        costs = shared.costs
+        log = shared.log
         variant = self.variant_index
+        logical_id = thread.logical_id
         window = shared.windows[variant]
-        thread_index = window.next_index_for(thread.logical_id)
-        position = shared.log.thread_entry_position(thread.logical_id,
-                                                    thread_index)
+        position = log.thread_entry_position(
+            logical_id, window.next_index_for(logical_id))
         if position is None:
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
             for hook in shared.hooks.sync_stall:
-                hook(variant, thread.logical_id, "log_wait", "po")
+                hook(variant, logical_id, "log_wait", "po")
             return Wait(("po_log", variant),
-                        cost=self.costs.buffer_consume
-                        + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "window", variant),
-                                                thread.global_id))
-        entry = shared.log.entry(position)
+                        cost=costs.buffer_consume
+                        + costs.cursor_contention_factor * shared.coherence_cost(
+                            ("po", "window", variant), thread.global_id))
+        entry = log.entry(position)
         # Charge the lookahead scan over the unreplayed window.
         span = max(0, position - window.frontier)
         shared.stats.scanned_entries += span
-        scan_cost = span * self.costs.po_scan_per_entry
+        scan_cost = span * costs.po_scan_per_entry
         # Dependence test: are we the oldest unconsumed op on this address?
         positions_on_addr = shared.addr_positions.get(entry.addr, ())
         cursor = shared.addr_cursor.get((variant, entry.addr), 0)
@@ -160,15 +162,15 @@ class PartialOrderAgent(BaseAgent):
             shared.stats.stalls += 1
             shared.stats.order_waits += 1
             for hook in shared.hooks.sync_stall:
-                hook(variant, thread.logical_id, "order_wait", "po")
+                hook(variant, logical_id, "order_wait", "po")
             return Wait(("po_consume", variant),
                         cost=scan_cost
-                        + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "window", variant),
-                                                thread.global_id))
+                        + costs.cursor_contention_factor * shared.coherence_cost(
+                            ("po", "window", variant), thread.global_id))
         if shared.check_sites and entry.site != op.site:
             raise RuntimeError(
-                f"PO replay mismatch in v{variant} {thread.logical_id}: "
+                f"PO replay mismatch in v{variant} {logical_id}: "
                 f"recorded site {entry.site!r}, replaying {op.site!r}")
-        cost = scan_cost + self.costs.cursor_contention_factor * shared.coherence_cost(("po", "window", variant),
-                                                 thread.global_id)
+        cost = scan_cost + costs.cursor_contention_factor * shared.coherence_cost(
+            ("po", "window", variant), thread.global_id)
         return Proceed(cost=cost)

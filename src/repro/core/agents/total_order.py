@@ -72,33 +72,34 @@ class TotalOrderAgent(BaseAgent):
 
     def after_sync_op(self, vm, thread, op, value) -> float:
         shared: TotalOrderShared = self.shared
+        costs = shared.costs
+        log = shared.log
         if self.is_master:
-            shared.log.append(SyncRecord(thread=thread.logical_id,
-                                         addr=op.addr, site=op.site))
+            log.append(SyncRecord(thread=thread.logical_id,
+                                  addr=op.addr, site=op.site))
             shared.stats.recorded += 1
             for hook in shared.hooks.sync_record:
-                hook(
-                    vm.index, thread.logical_id, "to",
-                    shared.log.occupancy(shared.next_index.values()))
+                hook(vm.index, thread.logical_id, "to",
+                     log.occupancy(shared.next_index.values()))
             # Claiming the next free log position is read-write sharing
             # among all master threads (Section 4.5's scalability remark).
-            cost = (self.costs.buffer_log
-                    + self.costs.cursor_contention_factor * shared.coherence_cost(("to", "producer_cursor"),
-                                            thread.global_id))
+            cost = (costs.buffer_log
+                    + costs.cursor_contention_factor * shared.coherence_cost(
+                        ("to", "producer_cursor"), thread.global_id))
+            wake = shared.wake
             for slave in self.slave_indices():
-                shared.wake(("to_log", slave))
+                wake(("to_log", slave))
             return cost
         # Slave: consume the entry we were cleared for.
         variant = self.variant_index
         shared.next_index[variant] += 1
         shared.stats.replayed += 1
         for hook in shared.hooks.sync_replay:
-            hook(
-                variant, thread.logical_id, "to",
-                shared.log.occupancy(shared.next_index.values()))
-        cost = (self.costs.buffer_consume
-                + self.costs.cursor_contention_factor * shared.coherence_cost(("to", "consume_cursor", variant),
-                                        thread.global_id))
+            hook(variant, thread.logical_id, "to",
+                 log.occupancy(shared.next_index.values()))
+        cost = (costs.buffer_consume
+                + costs.cursor_contention_factor * shared.coherence_cost(
+                    ("to", "consume_cursor", variant), thread.global_id))
         shared.wake(("to_next", variant))
         shared.wake(("to_full",))
         return cost
@@ -107,21 +108,23 @@ class TotalOrderAgent(BaseAgent):
 
     def _slave_check(self, thread, op):
         shared: TotalOrderShared = self.shared
+        costs = shared.costs
+        log = shared.log
         variant = self.variant_index
         index = shared.next_index[variant]
         # Every check reads the shared consumption cursor: coherence
         # traffic is paid whether or not we may proceed.
-        check_cost = (self.costs.buffer_consume
+        check_cost = (costs.buffer_consume
                       + shared.coherence_cost(
                           ("to", "consume_cursor", variant),
                           thread.global_id))
-        if index >= len(shared.log):
+        if index >= len(log):
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
             for hook in shared.hooks.sync_stall:
                 hook(variant, thread.logical_id, "log_wait", "to")
             return Wait(("to_log", variant), cost=check_cost)
-        entry = shared.log.entry(index)
+        entry = log.entry(index)
         if entry.thread != thread.logical_id:
             # Not our turn: stall until another thread consumes (this is
             # the unnecessary serialization on unrelated critical sections).
@@ -135,4 +138,4 @@ class TotalOrderAgent(BaseAgent):
                 f"TO replay mismatch in v{variant} {thread.logical_id}: "
                 f"recorded site {entry.site!r}, replaying {op.site!r} "
                 "(diversity changed synchronization behaviour?)")
-        return Proceed(cost=self.costs.buffer_consume)
+        return Proceed(cost=costs.buffer_consume)

@@ -112,46 +112,47 @@ class WallOfClocksAgent(BaseAgent):
 
     def after_sync_op(self, vm, thread, op, value) -> float:
         shared: WallOfClocksShared = self.shared
+        costs = shared.costs
+        logical_id = thread.logical_id
         if self.is_master:
-            clock_id = clock_for_address(op.addr, shared.n_clocks)
-            shared.clock_granules.setdefault(clock_id,
-                                             set()).add(op.addr >> 3)
+            addr = op.addr
+            clock_id = clock_for_address(addr, shared.n_clocks)
+            shared.clock_granules.setdefault(clock_id, set()).add(addr >> 3)
             time = shared.walls[0].tick(clock_id)
-            buffer = shared.buffer_for(thread.logical_id)
-            buffer.produce(SyncRecord(thread=thread.logical_id,
-                                      addr=op.addr, site=op.site,
+            buffer = shared.buffer_for(logical_id)
+            buffer.produce(SyncRecord(thread=logical_id, addr=addr,
+                                      site=op.site,
                                       payload=(clock_id, time)))
             shared.stats.recorded += 1
             for hook in shared.hooks.sync_record:
-                hook(
-                    vm.index, thread.logical_id,
-                    f"woc:{thread.logical_id}", buffer.occupancy())
+                hook(vm.index, logical_id, f"woc:{logical_id}",
+                     buffer.occupancy())
             # SPSC buffer: no cursor sharing.  The clock line is shared
             # only with other master threads using the same clock — i.e.
             # where the application itself contends.
-            cost = (self.costs.buffer_log
-                    + self.costs.woc_clock_factor * shared.coherence_cost(("woc", "clock", 0, clock_id),
-                                            thread.global_id))
+            cost = (costs.buffer_log
+                    + costs.woc_clock_factor * shared.coherence_cost(
+                        ("woc", "clock", 0, clock_id), thread.global_id))
+            wake = shared.wake
             for slave in self.slave_indices():
-                shared.wake(("woc_buf", slave, thread.logical_id))
+                wake(("woc_buf", slave, logical_id))
             return cost
         # Slave: commit done; tick our local copy and wake clock waiters.
         variant = self.variant_index
-        buffer = shared.buffer_for(thread.logical_id)
+        buffer = shared.buffer_for(logical_id)
         record = buffer.peek(variant)
         clock_id, _ = record.payload
         shared.walls[variant].tick(clock_id)
         buffer.advance(variant)
         shared.stats.replayed += 1
         for hook in shared.hooks.sync_replay:
-            hook(variant, thread.logical_id,
-                 f"woc:{thread.logical_id}",
+            hook(variant, logical_id, f"woc:{logical_id}",
                  buffer.occupancy())
-        cost = (self.costs.buffer_consume
-                + self.costs.woc_clock_factor * shared.coherence_cost(("woc", "clock", variant, clock_id),
-                                        thread.global_id))
+        cost = (costs.buffer_consume
+                + costs.woc_clock_factor * shared.coherence_cost(
+                    ("woc", "clock", variant, clock_id), thread.global_id))
         shared.wake(("woc_clock", variant, clock_id))
-        shared.wake(("woc_full", thread.logical_id))
+        shared.wake(("woc_full", logical_id))
         return cost
 
     # -- slave: replay ----------------------------------------------------------
@@ -159,33 +160,32 @@ class WallOfClocksAgent(BaseAgent):
     def _slave_check(self, thread, op):
         shared: WallOfClocksShared = self.shared
         variant = self.variant_index
-        buffer = shared.buffers.get(thread.logical_id)
+        logical_id = thread.logical_id
+        buffer = shared.buffers.get(logical_id)
         record = buffer.peek(variant) if buffer is not None else None
         if record is None:
             shared.stats.stalls += 1
             shared.stats.log_waits += 1
             for hook in shared.hooks.sync_stall:
-                hook(variant, thread.logical_id,
-                     "log_wait",
-                     f"woc:{thread.logical_id}")
-            return Wait(("woc_buf", variant, thread.logical_id),
-                        cost=self.costs.buffer_consume)
+                hook(variant, logical_id, "log_wait", f"woc:{logical_id}")
+            return Wait(("woc_buf", variant, logical_id),
+                        cost=shared.costs.buffer_consume)
         clock_id, time = record.payload
         local = shared.walls[variant].read(clock_id)
         if local < time:
             shared.stats.stalls += 1
             shared.stats.order_waits += 1
             for hook in shared.hooks.clock_lag:
-                hook(variant, thread.logical_id, clock_id, time - local)
+                hook(variant, logical_id, clock_id, time - local)
             if len(shared.clock_granules.get(clock_id, ())) > 1:
                 # More than one 64-bit granule hashes to this clock: the
                 # stall may be pure collision serialization (Section 4.5's
                 # "unnecessary stalls in the slave variants").
                 shared.stats.clock_collision_stalls += 1
             return Wait(("woc_clock", variant, clock_id),
-                        cost=self.costs.buffer_consume)
+                        cost=shared.costs.buffer_consume)
         if shared.check_sites and record.site != op.site:
             raise RuntimeError(
-                f"WoC replay mismatch in v{variant} {thread.logical_id}: "
+                f"WoC replay mismatch in v{variant} {logical_id}: "
                 f"recorded site {record.site!r}, replaying {op.site!r}")
-        return Proceed(cost=self.costs.buffer_consume)
+        return Proceed(cost=shared.costs.buffer_consume)

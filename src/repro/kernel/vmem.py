@@ -28,8 +28,11 @@ from dataclasses import dataclass
 
 from repro.errors import MemoryFault, SyscallError
 
+#: log2 of the page size: ``addr >> PAGE_SHIFT`` is the page number.
+PAGE_SHIFT = 12
+
 #: Size of one simulated page.
-PAGE_SIZE = 4096
+PAGE_SIZE = 1 << PAGE_SHIFT
 
 #: Word size; sync variables are 4 or 8 bytes in the paper's x86 target.
 WORD_SIZE = 8
@@ -46,6 +49,11 @@ class Protection(enum.Flag):
     RX = READ | EXEC
 
 
+#: Integer masks for the access checks (``enum.Flag`` arithmetic is slow).
+_READ = Protection.READ.value
+_WRITE = Protection.WRITE.value
+
+
 @dataclass
 class MemoryRegion:
     """A contiguous mapped region."""
@@ -58,9 +66,6 @@ class MemoryRegion:
     @property
     def end(self) -> int:
         return self.start + self.size
-
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr < self.end
 
 
 def page_align_up(value: int) -> int:
@@ -84,11 +89,23 @@ class LayoutBases:
 
 
 class AddressSpace:
-    """Mapped regions, the brk heap, and word-granular data memory."""
+    """Mapped regions, the brk heap, and word-granular data memory.
+
+    ``regions`` is searched first-match in mapping order: regions may
+    overlap (the heap can grow over a later mapping, and diversified
+    bases need not be page-aligned), and the earliest mapping wins.
+    Lookups go through a page index built lazily from that list: for
+    each page touched, the ``(start, end, protection mask, region)`` of
+    every region intersecting it, in list order.  Every change to the
+    regions (``_map``, ``munmap``, ``brk``, ``mprotect``) drops the
+    index, so it always answers exactly what a scan of ``regions``
+    would.
+    """
 
     def __init__(self, bases: LayoutBases | None = None):
         self.bases = bases or LayoutBases()
         self.regions: list[MemoryRegion] = []
+        self._pages: dict[int, tuple] = {}
         self._memory: dict[int, int] = {}
         # Code and static-data regions exist from "process start".
         self._map(self.bases.code_base, 16 * PAGE_SIZE, Protection.RX, "code")
@@ -108,14 +125,30 @@ class AddressSpace:
              tag: str) -> MemoryRegion:
         region = MemoryRegion(start=start, size=size, prot=prot, tag=tag)
         self.regions.append(region)
+        self._pages.clear()
         return region
 
-    def region_at(self, addr: int) -> MemoryRegion | None:
-        """Find the region containing ``addr``, if any."""
-        for region in self.regions:
-            if region.contains(addr):
-                return region
+    def _lookup(self, addr: int) -> tuple | None:
+        """Page-index entry ``(start, end, mask, region)`` of the first
+        region (in mapping order) containing ``addr``, if any."""
+        page = addr >> PAGE_SHIFT
+        hits = self._pages.get(page)
+        if hits is None:
+            low = page << PAGE_SHIFT
+            high = low + PAGE_SIZE
+            hits = self._pages[page] = tuple(
+                (region.start, region.end, region.prot.value, region)
+                for region in self.regions
+                if region.start < high and low < region.end)
+        for hit in hits:
+            if hit[0] <= addr < hit[1]:
+                return hit
         return None
+
+    def region_at(self, addr: int) -> MemoryRegion | None:
+        """Find the first region (in mapping order) containing ``addr``."""
+        hit = self._lookup(addr)
+        return hit[3] if hit is not None else None
 
     # -- syscall backends ---------------------------------------------------
 
@@ -127,6 +160,7 @@ class AddressSpace:
             raise SyscallError("brk below heap start", errno_name="ENOMEM")
         self.brk_current = new_end
         self.heap_region.size = page_align_up(new_end - self.brk_start)
+        self._pages.clear()
         return self.brk_current
 
     def mmap(self, size: int, prot: Protection = Protection.RW,
@@ -147,6 +181,7 @@ class AddressSpace:
             if region.start == start and region.tag not in ("code", "data",
                                                             "heap"):
                 del self.regions[index]
+                self._pages.clear()
                 return
         raise SyscallError(f"munmap: no region at {start:#x}",
                            errno_name="EINVAL")
@@ -158,6 +193,7 @@ class AddressSpace:
             raise SyscallError(f"mprotect: unmapped address {start:#x}",
                                errno_name="ENOMEM")
         region.prot = prot
+        self._pages.clear()
 
     # -- static and heap allocation -----------------------------------------
 
@@ -177,23 +213,25 @@ class AddressSpace:
 
     # -- data access ----------------------------------------------------------
 
-    def _check(self, addr: int, need: Protection) -> None:
-        region = self.region_at(addr)
-        if region is None:
+    def _check(self, addr: int, need: int) -> None:
+        """Raise :class:`MemoryFault` unless the region containing
+        ``addr`` grants the integer protection mask ``need``."""
+        hit = self._lookup(addr)
+        if hit is None:
             raise MemoryFault(f"access to unmapped address {addr:#x}")
-        if not region.prot & need:
+        if not hit[2] & need:
             raise MemoryFault(
                 f"protection violation at {addr:#x}: "
-                f"page is {region.prot}, need {need}")
+                f"page is {hit[3].prot}, need {Protection(need)}")
 
     def load(self, addr: int) -> int:
         """Read the word at ``addr`` (0 if never written)."""
-        self._check(addr, Protection.READ)
+        self._check(addr, _READ)
         return self._memory.get(addr, 0)
 
     def store(self, addr: int, value: int) -> None:
         """Write the word at ``addr``."""
-        self._check(addr, Protection.WRITE)
+        self._check(addr, _WRITE)
         self._memory[addr] = value
 
     def peek(self, addr: int) -> int:

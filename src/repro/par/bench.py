@@ -52,8 +52,9 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
     ``repro bench --compare`` to flag category-share shifts.
 ``observability_overhead`` (v2)
     Telemetry's self-measured host cost on the first cell
-    (``repro.telemetry.overhead``): bare vs traced wall, the overhead
-    fraction, and ``digest_identical`` — the zero-perturbation
+    (``repro.telemetry.overhead``): bare vs traced wall over
+    alternating pairs, the median per-pair overhead fraction, and
+    ``digest_identical`` — the zero-perturbation
     contract, self-checked per run.  ``--compare`` warns (never fails)
     on an overhead regression; a broken ``digest_identical`` fails.
 ``trajectory`` (v2)

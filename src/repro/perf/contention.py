@@ -30,17 +30,19 @@ class SharedLineModel:
     def access(self, thread_id: str) -> int:
         """Record an access; return the number of distinct *other* recent
         accessors (the coherence-miss multiplier)."""
-        if len(self._recent) == self._recent.maxlen:
-            oldest = self._recent[0]
-            count = self._recent_set.get(oldest, 0)
-            if count <= 1:
-                self._recent_set.pop(oldest, None)
+        recent = self._recent
+        counts = self._recent_set
+        if len(recent) == self.window:
+            # The append below evicts the oldest accessor.
+            oldest = recent[0]
+            count = counts[oldest]
+            if count == 1:
+                del counts[oldest]
             else:
-                self._recent_set[oldest] = count - 1
-        self._recent.append(thread_id)
-        self._recent_set[thread_id] = self._recent_set.get(thread_id, 0) + 1
-        sharers = len(self._recent_set)
-        return max(0, sharers - 1)
+                counts[oldest] = count - 1
+        recent.append(thread_id)
+        counts[thread_id] = counts.get(thread_id, 0) + 1
+        return len(counts) - 1
 
 
 def coherence_cycles(costs, sharers: int) -> float:

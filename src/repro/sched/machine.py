@@ -468,8 +468,12 @@ class Machine:
         sharers = self._line_contention.access(
             (vm.index, event.addr >> 6), thread.global_id)
         duration += coherence_cycles(costs, sharers)
-        if vm.agent is not None and vm.is_instrumented(event.site):
+        agent = vm.agent
+        if agent is not None and vm.is_instrumented(event.site):
             duration += costs.agent_wrapper
+        else:
+            agent = None
+        thread.sync_agent = agent
         return duration
 
     def _duration_syscall(self, thread: GuestThread, event) -> float:
@@ -550,10 +554,9 @@ class Machine:
 
     def _commit_syncop(self, thread: GuestThread, event: SyncOp) -> None:
         vm = thread.vm
-        instrumented = (vm.agent is not None
-                        and vm.is_instrumented(event.site))
-        if instrumented:
-            outcome = vm.agent.before_sync_op(vm, thread, event)
+        agent = thread.sync_agent
+        if agent is not None:
+            outcome = agent.before_sync_op(vm, thread, event)
             if isinstance(outcome, Wait):
                 thread.carry_cost(outcome.cost
                                   + self.costs.ordering_wait_recheck)
@@ -570,9 +573,8 @@ class Machine:
                 thread=thread.logical_id, kind="syncop",
                 name=f"{event.op}@{event.site}", detail=(event.addr,),
                 result=value, time=self.now))
-        if instrumented:
-            thread.carry_cost(vm.agent.after_sync_op(vm, thread, event,
-                                                     value))
+        if agent is not None:
+            thread.carry_cost(agent.after_sync_op(vm, thread, event, value))
         thread.inbox = value
         self._after_step(thread)
 
@@ -779,7 +781,7 @@ class Machine:
 
     def _finish_thread(self, thread: GuestThread, value) -> None:
         thread.result = value
-        thread.state = ThreadState.DONE
+        thread.terminate(ThreadState.DONE)
         thread.pending_event = None
         for hook in self.hooks.thread_finished:
             hook(thread.vm.index, thread.global_id, thread.logical_id)
@@ -801,7 +803,7 @@ class Machine:
                 elif other.state is ThreadState.READY:
                     if other in self._ready:
                         self._ready.remove(other)
-                other.state = ThreadState.DONE
+                other.terminate(ThreadState.DONE)
                 other.result = code
                 self.wake_key(("join", vm.index, other.logical_id))
 
@@ -820,7 +822,7 @@ class Machine:
     def _handle_fault(self, thread: GuestThread, fault: GuestFault) -> None:
         fault.variant = thread.vm.index
         fault.thread = thread.logical_id
-        thread.state = ThreadState.KILLED
+        thread.terminate(ThreadState.KILLED)
         self._release_core()
         if self.interceptor is not None:
             directive = self.interceptor.on_fault(thread.vm, thread, fault)
@@ -850,7 +852,7 @@ class Machine:
             elif thread.state is ThreadState.READY:
                 if thread in self._ready:
                     self._ready.remove(thread)
-            thread.state = ThreadState.KILLED
+            thread.terminate(ThreadState.KILLED)
         agent_shared = getattr(vm.agent, "shared", None)
         if agent_shared is not None:
             # A demoted slave stops consuming the sync logs; ring-buffer
@@ -879,7 +881,7 @@ class Machine:
             vm.killed = True
             for thread in vm.threads.values():
                 if thread.alive:
-                    thread.state = ThreadState.KILLED
+                    thread.terminate(ThreadState.KILLED)
         self._heap.clear()
         self._ready.clear()
         self._parked.clear()

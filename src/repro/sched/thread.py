@@ -49,7 +49,7 @@ class GuestThread:
         "vm", "logical_id", "gen", "state", "inbox", "park_key",
         "park_resume", "result", "stats", "child_count", "global_id",
         "burst_cycles", "burst_quantum", "ready_since", "park_time",
-        "pending_event", "_step_extra",
+        "pending_event", "_step_extra", "alive", "sync_agent",
     )
 
     def __init__(self, vm, logical_id: str,
@@ -61,6 +61,11 @@ class GuestThread:
         self.global_id = f"v{vm.index}:{logical_id}"
         self.gen = gen
         self.state = ThreadState.READY
+        #: False once the thread is DONE or KILLED.  A plain attribute
+        #: because the step loop reads it on every event; states change
+        #: to DONE/KILLED only through :meth:`terminate`, which keeps it
+        #: in step.
+        self.alive = True
         #: Value sent into the generator at the next resume.
         self.inbox: Any = None
         self.park_key: tuple | None = None
@@ -81,6 +86,10 @@ class GuestThread:
         self.pending_event = None
         #: Extra cycles carried into the next step (monitor/agent costs).
         self._step_extra = 0.0
+        #: The agent the pending sync op calls, or None when it is not
+        #: instrumented: decided once when the op begins, read again at
+        #: every commit attempt.
+        self.sync_agent = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -98,9 +107,10 @@ class GuestThread:
         extra, self._step_extra = self._step_extra, 0.0
         return extra
 
-    @property
-    def alive(self) -> bool:
-        return self.state not in (ThreadState.DONE, ThreadState.KILLED)
+    def terminate(self, state: ThreadState) -> None:
+        """Move to ``DONE`` or ``KILLED``: the thread stops being alive."""
+        self.state = state
+        self.alive = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GuestThread {self.global_id} {self.state.value}>"

@@ -44,8 +44,6 @@ class VariantVM:
         #: The injected synchronization agent (None when not injected —
         #: e.g. native runs, or the un-instrumented nginx demo).
         self.agent = None
-        #: Predicate deciding whether a sync-op *site* is instrumented.
-        #: ``None`` means "nothing instrumented".
         self.instrument = instrument
         self.record_trace = record_trace
         self.record_sync_trace = record_sync_trace
@@ -98,11 +96,28 @@ class VariantVM:
             self._thread_factors[logical_id] = factor
         return factor
 
+    @property
+    def instrument(self) -> Callable[[str], bool] | None:
+        """Predicate deciding whether a sync-op *site* is instrumented;
+        ``None`` means "nothing instrumented".  Assigning it forgets the
+        per-site decisions :meth:`is_instrumented` remembered."""
+        return self._instrument
+
+    @instrument.setter
+    def instrument(self, predicate: Callable[[str], bool] | None) -> None:
+        self._instrument = predicate
+        self._instrumented: dict[str, bool] = {}
+
     def is_instrumented(self, site: str) -> bool:
-        """Whether sync ops at ``site`` call the agent wrappers."""
-        if self.instrument is None:
-            return False
-        return self.instrument(site)
+        """Whether sync ops at ``site`` call the agent wrappers.
+
+        The predicate is asked once per site (predicates are pure
+        functions of the site label) and its answer remembered."""
+        decided = self._instrumented.get(site)
+        if decided is None:
+            decided = self._instrumented[site] = (
+                self._instrument is not None and bool(self._instrument(site)))
+        return decided
 
     def per_thread_syscall_trace(self) -> dict[str, list[tuple]]:
         """Traced syscalls grouped by logical thread (comparison keys).

@@ -16,14 +16,15 @@ wall jitters across runners; a moved digest, by contrast, hard-fails).
 from __future__ import annotations
 
 import shutil
+import statistics
 import tempfile
 import time
 from dataclasses import replace
 
 __all__ = ["measure_cell_overhead", "OVERHEAD_REPEATS"]
 
-#: Per-arm repetitions; the minimum wall is reported (noise floor).
-OVERHEAD_REPEATS = 3
+#: Bare/traced pairs timed; the median per-pair delta is reported.
+OVERHEAD_REPEATS = 5
 
 
 def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
@@ -36,6 +37,11 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
     instead of timing a cache hit.  The traced arm carries a trace
     context, records spans to a scratch directory, and feeds a host
     latency histogram — the full per-cell telemetry path.
+
+    The arms alternate (bare, traced, bare, traced, ...), so host drift
+    over the measurement hits both arms of a pair alike;
+    ``overhead_frac`` is the median of the per-pair relative deltas and
+    the two walls are each arm's median.
     """
     from repro.par.cells import execute_cell
     from repro.run import reset_caches
@@ -46,35 +52,28 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
     reset_caches()
     warmup = execute_cell(task, None)
 
-    bare_wall = None
-    bare_result = None
-    with scoped(None):
-        for _ in range(max(1, repeats)):
-            reset_caches()
-            start = time.perf_counter()
-            bare_result = execute_cell(task, None)
-            wall = time.perf_counter() - start
-            if bare_wall is None or wall < bare_wall:
-                bare_wall = wall
+    def timed(cell_task):
+        reset_caches()
+        start = time.perf_counter()
+        result = execute_cell(cell_task, None)
+        return result, time.perf_counter() - start
 
+    pairs = max(1, repeats)
+    bare_walls: list[float] = []
+    traced_walls: list[float] = []
+    bare_result = traced_result = None
     scratch = tempfile.mkdtemp(prefix="repro-telemetry-overhead-")
-    traced_wall = None
-    traced_result = None
-    spans_recorded = 0
     try:
-        ctx = new_context()
-        traced_task = replace(task, trace=ctx.to_dict())
-        with scoped(scratch, service="bench"):
-            for _ in range(max(1, repeats)):
-                reset_caches()
-                start = time.perf_counter()
-                traced_result = execute_cell(traced_task, None)
-                wall = time.perf_counter() - start
-                hostmetrics.observe_seconds("host.bench.cell_wall_s",
-                                            wall)
-                if traced_wall is None or wall < traced_wall:
-                    traced_wall = wall
-            spans_recorded = len(read_spans(scratch))
+        traced_task = replace(task, trace=new_context().to_dict())
+        for _ in range(pairs):
+            with scoped(None):
+                bare_result, wall = timed(task)
+            bare_walls.append(wall)
+            with scoped(scratch, service="bench"):
+                traced_result, wall = timed(traced_task)
+            hostmetrics.observe_seconds("host.bench.cell_wall_s", wall)
+            traced_walls.append(wall)
+        spans_recorded = len(read_spans(scratch))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -84,16 +83,16 @@ def measure_cell_overhead(task, repeats: int = OVERHEAD_REPEATS) -> dict:
     digest_identical = (all(run is not None and run.ok for run in runs)
                         and warmup.value == bare_result.value
                         == traced_result.value)
-    overhead = None
-    if bare_wall and traced_wall is not None:
-        overhead = (traced_wall - bare_wall) / bare_wall
+    deltas = [(traced - bare) / bare
+              for bare, traced in zip(bare_walls, traced_walls, strict=True)
+              if bare]
     return {
-        "repeats": max(1, repeats),
+        "repeats": pairs,
         "cell": {"sweep_id": task.sweep_id, "index": task.index,
                  "seed": task.seed},
-        "bare_wall_s": bare_wall,
-        "traced_wall_s": traced_wall,
-        "overhead_frac": overhead,
+        "bare_wall_s": statistics.median(bare_walls),
+        "traced_wall_s": statistics.median(traced_walls),
+        "overhead_frac": statistics.median(deltas) if deltas else None,
         "spans_recorded": spans_recorded,
         "digest_identical": digest_identical,
     }

@@ -142,3 +142,68 @@ class TestMachineEdgeCases:
 
         with pytest.raises(DeadlockError):
             run_native(Forever(), seed=0, max_cycles=50_000)
+
+
+class TestInstrumentationMemo:
+    """``VariantVM`` remembers the predicate's answer per site; assigning
+    ``vm.instrument`` (as ``inject_agents`` and the restart path do) must
+    make the next sync op follow the new predicate."""
+
+    def test_reassigning_forgets_remembered_sites(self, vm):
+        vm.instrument = lambda site: site == "a"
+        assert vm.is_instrumented("a") and not vm.is_instrumented("b")
+        vm.instrument = lambda site: site == "b"
+        assert not vm.is_instrumented("a") and vm.is_instrumented("b")
+        vm.instrument = None
+        assert not vm.is_instrumented("b")
+
+    def test_inject_agents_replaces_the_decisions(self, vm):
+        from repro.core.injection import inject_agents, instrument_sites
+
+        vm.instrument = lambda site: True
+        assert vm.is_instrumented("x")
+        inject_agents([vm], "total_order", instrument=instrument_sites({"y"}))
+        assert not vm.is_instrumented("x") and vm.is_instrumented("y")
+
+    @pytest.mark.parametrize("first,second", [(True, False), (False, True)])
+    def test_next_sync_op_follows_new_predicate(self, vm, first, second):
+        from repro.guest.program import build_context
+        from repro.sched.events import SyncOp
+        from repro.sched.interceptor import Proceed, SyncAgent
+        from tests.guestlib import CounterProgram
+
+        class CountingAgent(SyncAgent):
+            def __init__(self):
+                self.calls = 0
+
+            def before_sync_op(self, vm, thread, op):
+                return Proceed()
+
+            def after_sync_op(self, vm, thread, op, value) -> float:
+                self.calls += 1
+                return 0.0
+
+        program = CounterProgram(workers=3, iters=40, chatty=False)
+        vm.instrument = lambda site: first
+        vm.agent = agent = CountingAgent()
+        machine = Machine(cores=4, seed=7)
+        machine.add_vm(vm)
+        machine.add_thread(vm, "main", program.main(build_context(vm,
+                                                                  program)))
+        while vm.total_sync_ops < 20:
+            assert machine.advance(max_events=1) is None
+        assert agent.calls == (vm.total_sync_ops if first else 0)
+        # Sync ops already begun keep the decision taken when they began.
+        in_flight = sum(1 for thread in vm.threads.values()
+                        if thread.alive
+                        and isinstance(thread.pending_event, SyncOp))
+        calls_before, ops_before = agent.calls, vm.total_sync_ops
+        vm.instrument = lambda site: second
+        machine.run()
+        later_calls = agent.calls - calls_before
+        later_ops = vm.total_sync_ops - ops_before
+        assert later_ops > in_flight
+        if second:
+            assert later_calls >= later_ops - in_flight
+        else:
+            assert later_calls <= in_flight

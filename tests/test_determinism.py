@@ -552,6 +552,28 @@ class TestReplayDeterminism:
         # reproduces the digest sealed into the footer.
         assert replayed.log.digest() == recorded.footer["digest"]
 
+    #: sha256 of the decision log ``repro record nginx --variants 3
+    #: --seed 7`` writes (the digest its footer seals and the command
+    #: prints), with the run's cycle count.  A guard for simulator-core
+    #: changes meant to be pure host-speed work: it moves with any
+    #: change to the RNG draw order or to any recorded decision.
+    NGINX_X3_SEED7_LOG_DIGEST = (
+        "sha256:7616723c832c8c2cb4e4e5fcd336ef807bba0678e6ee6b2df0865ff78e70809e")
+    NGINX_X3_SEED7_CYCLES = 114934.15631380351
+
+    def test_nginx_record_log_digest_is_pinned(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.replay import DecisionLog
+
+        path = str(tmp_path / "nginx.decisions.jsonl")
+        assert main(["record", "nginx", "-o", path, "--variants", "3",
+                     "--seed", "7"]) == 0
+        assert self.NGINX_X3_SEED7_LOG_DIGEST in capsys.readouterr().out
+        log = DecisionLog.load(path)
+        assert log.digest() == self.NGINX_X3_SEED7_LOG_DIGEST
+        assert log.footer["digest"] == self.NGINX_X3_SEED7_LOG_DIGEST
+        assert log.footer["cycles"] == self.NGINX_X3_SEED7_CYCLES
+
     def test_replay_reproduces_divergence_report(self, tmp_path):
         from repro.replay import record_run, replay_run
 
