@@ -930,15 +930,17 @@ def _cmd_nginx(args) -> int:
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    from repro.par.engine import ENVIRONMENT_NAMES
+
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="shard sweep cells across N workers "
                              "(default 1 = serial; output is identical "
                              "either way — see docs/PERFORMANCE.md)")
     parser.add_argument("--env", default=None,
-                        choices=("inline", "process"),
+                        choices=ENVIRONMENT_NAMES,
                         help="execution environment for the workers: "
                              "serial in-process or a persistent "
-                             "work-stealing process pool "
+                             "process pool "
                              "(default: process when --jobs > 1; "
                              "output is digest-identical in both "
                              "environments — see docs/PERFORMANCE.md)")
@@ -1368,7 +1370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = sub.add_parser(
         "top",
         help="live operations view of a serve daemon: sessions, "
-             "executor, pool/steal counters, op latency")
+             "executor, pool counters, op latency")
     p_top.add_argument("--host", default="127.0.0.1")
     p_top.add_argument("--port", type=int, default=7333)
     p_top.add_argument("--interval", type=float, default=2.0,

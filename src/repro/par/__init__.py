@@ -4,9 +4,9 @@ The paper's thesis is that an MVEE can *exploit* parallel hardware
 instead of serializing it; this package applies the same discipline to
 the reproduction's own experiment sweeps.  Sweep cells (fault-matrix
 cells, race-sweep rows, Figure 5 grid cells, table rows, benchmark
-matrix entries) run under a pluggable **execution environment**
-(:mod:`repro.par.environment`): serial inline, or a persistent
-work-stealing pool of forked worker processes — with:
+matrix entries) run in one of two named execution environments
+(:data:`ENVIRONMENT_NAMES`): serially in the calling thread, or on a
+persistent pool of forked worker processes — with:
 
 * deterministic per-cell seed derivation
   (:func:`repro.par.seeds.derive_cell_seed`),
@@ -14,12 +14,12 @@ work-stealing pool of forked worker processes — with:
   :class:`CellResult`),
 * worker crash isolation and health-checked respawn (a dead worker
   fails its cell, not the sweep; the pool returns to target size),
-* work-stealing scheduling over per-worker deques
-  (:class:`repro.par.stealing.StealScheduler`),
+* first-in first-out dispatch: an idle worker gets the oldest cell not
+  yet dispatched,
 * shared-memory transport for large results
   (:mod:`repro.par.transport`),
 * aggregation ordered by task position, independent of completion
-  order, environment, and steal schedule,
+  order, dispatch order and environment,
 * one dispatch loop (:class:`repro.par.runners.ProcessRunner`) shared
   by batch sweeps and the serve daemon's :class:`CellExecutor`.
 
@@ -34,6 +34,7 @@ speedup and pool amortisation and writes ``BENCH_par.json``.  See
 from __future__ import annotations
 
 from repro.par.engine import (
+    ENVIRONMENT_NAMES,
     CellExecutor,
     CellResult,
     CellTask,
@@ -42,17 +43,8 @@ from repro.par.engine import (
     raise_failures,
     run_cells,
 )
-from repro.par.environment import (
-    ENVIRONMENT_NAMES,
-    ExecutionEnvironment,
-    InlineEnvironment,
-    ProcessEnvironment,
-    environment_for,
-    resolve_environment,
-)
 from repro.par.pool import WorkerPool, shared_pool, shutdown_shared_pools
 from repro.par.seeds import derive_cell_seed
-from repro.par.stealing import StealScheduler
 
 __all__ = [
     "CellTask",
@@ -63,13 +55,7 @@ __all__ = [
     "raise_failures",
     "merge_cell_traces",
     "derive_cell_seed",
-    "ExecutionEnvironment",
-    "InlineEnvironment",
-    "ProcessEnvironment",
     "ENVIRONMENT_NAMES",
-    "environment_for",
-    "resolve_environment",
-    "StealScheduler",
     "WorkerPool",
     "shared_pool",
     "shutdown_shared_pools",

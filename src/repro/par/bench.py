@@ -31,12 +31,13 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
     environment ``parallel`` also carries ``warm_wall_s`` — the same
     matrix re-run on the already-forked pool (worker memo caches reset
     first), isolating fork/import amortisation from cache effects.
-``environment``/``pool``/``scheduler``
+``environment``/``pool``
     The execution environment the parallel phase ran in
-    (``--env inline|process``), the persistent pool's lifecycle
-    counters (spawned/respawns/tasks/batches), and the work-stealing
-    scheduler's steal counts.  Host diagnostics only —
-    never part of the digest.
+    (``--env inline|process``) and the persistent pool's lifecycle
+    counters (spawned/respawns/tasks/batches).  Host diagnostics only —
+    never part of the digest.  Reports written before dispatch became
+    first-in first-out also carry a ``scheduler`` block (steal counts);
+    nothing reads it.
 ``speedup``
     serial wall / parallel wall (``null`` for ``--jobs 1``);
     ``speedup_warm`` is the same ratio against the warm-pool re-run.
@@ -182,11 +183,13 @@ def run_bench(jobs: int = 1, quick: bool = False,
 
     ``env`` selects the execution environment for the parallel phase
     (default ``process``).  The process environment runs the matrix
-    twice on a *private* pool: a cold pass on a freshly created pool
-    (fork cost included, like the first sweep of a session) and a warm pass
-    on the same already-forked workers — with the workers' memo caches
-    reset in between via the pool control plane, so ``warm_wall_s``
-    measures fork/import amortisation rather than cache hits.
+    twice on a *private* pool, through its own
+    :class:`~repro.par.runners.process.ProcessRunner`: a cold pass on a
+    freshly created pool (fork cost included, like the first sweep of a
+    session) and a warm pass on the same already-forked workers — with
+    the workers' memo caches reset in between via the pool control
+    plane, so ``warm_wall_s`` measures fork/import amortisation rather
+    than cache hits.
     """
     from repro.run import reset_caches, run_spec_cell
 
@@ -198,13 +201,9 @@ def run_bench(jobs: int = 1, quick: bool = False,
     merged_trace = None
     environment_name = None
     pool_block = None
-    scheduler_block = None
     if jobs > 1:
-        from repro.par.environment import (
-            ProcessEnvironment,
-            environment_for,
-        )
         from repro.par.pool import WorkerPool
+        from repro.par.runners.process import ProcessRunner
 
         environment_name = env or "process"
         pool = None
@@ -212,15 +211,17 @@ def run_bench(jobs: int = 1, quick: bool = False,
             # Private pool: cold/warm measurement must not ride workers
             # another sweep already forked.
             pool = WorkerPool(jobs)
-            environment = ProcessEnvironment(pool=pool)
+            run = ProcessRunner(pool).run
         else:
-            environment = environment_for(environment_name)
-        runner = environment.make_runner(jobs)
+            def run(tasks, trace_dir):
+                # ``inline``; run_cells rejects an unknown name.
+                return run_cells(tasks, jobs, trace_dir,
+                                 env=environment_name)
         tasks = bench_tasks(matrix, with_obs=trace_dir is not None)
         reset_caches()
         try:
             start = time.perf_counter()
-            par_results = runner.run(tasks, trace_dir)
+            par_results = run(tasks, trace_dir)
             par_wall = time.perf_counter() - start
             parallel_block = {
                 "wall_s": par_wall,
@@ -234,17 +235,14 @@ def run_bench(jobs: int = 1, quick: bool = False,
                 # Warm pass: same workers, cold caches.
                 pool.call_all(reset_caches)
                 start = time.perf_counter()
-                warm_results = runner.run(bench_tasks(matrix), None)
+                warm_results = run(bench_tasks(matrix), None)
                 parallel_block["warm_wall_s"] = (time.perf_counter()
                                                  - start)
                 if (canonical_cells(warm_results)
                         != canonical_cells(par_results)):
                     parallel_block["warm_identical"] = False
-            runner_stats = runner.stats()
-            scheduler_block = runner_stats.get("scheduler")
-            pool_block = runner_stats.get("pool")
+                pool_block = pool.stats()
         finally:
-            runner.close()
             if pool is not None:
                 pool.shutdown()
 
@@ -288,7 +286,6 @@ def run_bench(jobs: int = 1, quick: bool = False,
         "quick": quick,
         "environment": environment_name,
         "pool": pool_block,
-        "scheduler": scheduler_block,
         "matrix": matrix,
         "serial": {
             "wall_s": serial_wall,
@@ -360,11 +357,6 @@ def render_bench(report: dict) -> str:
                 f"{pool['spawned']} spawned, {pool['respawns']} "
                 f"respawn(s), {pool['tasks']} cell(s) over "
                 f"{pool['batches']} batch(es)")
-        scheduler = report.get("scheduler")
-        if scheduler:
-            lines.append(
-                f"stealing : {scheduler['steals']} steal(s) moved "
-                f"{scheduler['cells_stolen']} cell(s)")
         lines.append(
             f"speedup  : {report['speedup']:.2f}x vs serial; "
             "structural output "

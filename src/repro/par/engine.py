@@ -3,16 +3,17 @@
 Every sweep in the repo — the fault matrix, the race sweep, the Figure 5
 grid, table rows, the benchmark matrix — is a list of *cells*: pure
 functions of their parameters (including an explicit seed) that return a
-picklable result.  :func:`run_cells` executes such a list under an
-:mod:`execution environment <repro.par.environment>` — serial inline,
-or a persistent work-stealing pool of forked processes — with three
-guarantees that hold in both:
+picklable result.  :func:`run_cells` executes such a list in one of
+two execution environments, named in :data:`ENVIRONMENT_NAMES` —
+serially in the calling thread (``inline``), or on a persistent pool of
+forked processes (``process``) — with three guarantees that hold in
+both:
 
 * **determinism** — cell results are a function of the task list alone.
   Aggregated output is ordered by task position, never by completion
   order, and per-cell seeds come from
-  :func:`repro.par.seeds.derive_cell_seed`, so worker count, scheduling
-  and environment choice cannot leak into results.
+  :func:`repro.par.seeds.derive_cell_seed`, so worker count, dispatch
+  order and environment choice cannot leak into results.
 * **crash isolation** (process environment) — a worker that dies
   (``os._exit``, segfault, OOM kill) fails *its* cell with a diagnostic
   :class:`CellResult` and leaves every sibling cell untouched; the pool
@@ -53,15 +54,11 @@ from repro.par.cells import (
     merge_cell_traces,
     raise_failures,
 )
-from repro.par.environment import (
-    ENVIRONMENT_NAMES,
-    ExecutionEnvironment,
-    resolve_environment,
-)
-from repro.par.pool import WorkerPool
+from repro.par.pool import WorkerPool, shared_pool
 from repro.par.runners.process import STOP, ProcessRunner
 
 __all__ = [
+    "ENVIRONMENT_NAMES",
     "CellTask",
     "CellResult",
     "CellExecutor",
@@ -73,31 +70,41 @@ __all__ = [
 ]
 
 
+#: Valid ``env`` names (the ``--env`` choices): ``inline`` runs cells
+#: serially in the calling thread — the determinism oracle; ``process``
+#: runs them on a persistent forked worker pool.  Both produce the same
+#: canonical digest (``tests/par/test_env_equivalence.py``).
+ENVIRONMENT_NAMES = ("inline", "process")
+
+
+def _check_environment(env: str | None) -> None:
+    """Reject an ``env`` that is not ``None`` or a known name."""
+    if env is not None and env not in ENVIRONMENT_NAMES:
+        raise ValueError(
+            f"unknown execution environment {env!r}; choose from "
+            f"{', '.join(ENVIRONMENT_NAMES)}")
+
+
 def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
-              env: str | ExecutionEnvironment | None = None,
+              env: str | None = None,
               stall_timeout_s: float | None = None) -> list[CellResult]:
     """Run every task and return results **in task-list order**.
 
-    ``env`` selects the execution environment by name (``inline``,
-    ``process``) or instance; ``None`` keeps the historical behaviour —
-    inline for ``jobs<=1``, the persistent process pool otherwise.
-    Single-cell batches always run inline (there is nothing to
-    parallelise).  ``stall_timeout_s`` arms the process environment's
-    wedged-worker harvester.
+    ``jobs<=1``, a single task, or ``env="inline"`` runs the cells in
+    the calling thread; anything else runs them on the process-wide
+    :func:`shared_pool` of ``jobs`` workers, where ``stall_timeout_s``
+    arms the wedged-worker harvester.
     """
     tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
+    _check_environment(env)
+    if jobs <= 1 or len(tasks) <= 1 or env == "inline":
         return [execute_cell(task, trace_dir) for task in tasks]
-    environment = resolve_environment(env, jobs)
-    runner = environment.make_runner(jobs, stall_timeout_s=stall_timeout_s)
-    try:
-        return runner.run(tasks, trace_dir)
-    finally:
-        runner.close()
+    return ProcessRunner(shared_pool(jobs), stall_timeout_s).run(
+        tasks, trace_dir)
 
 
 def run_specs(sweep_id: str, cells, jobs: int = 1,
-              env: str | ExecutionEnvironment | None = None) -> list:
+              env: str | None = None) -> list:
     """Run :func:`repro.run.run_spec_cell` once per cell (its keyword
     dicts, each with a ``spec``) through :func:`run_cells`; values in
     cell order, independent of ``jobs`` and ``env``."""
@@ -124,9 +131,10 @@ class CellExecutor:
     every subsequent session warm, and a worker that dies is respawned
     without disturbing its siblings.
 
-    The pool is private to the executor and driven by a
-    :class:`~repro.par.runners.process.ProcessRunner` on one dispatch
-    thread, fed from the pending queue and woken through a pipe.
+    The pool is private to the executor, which shuts it down, and is
+    driven by a :class:`~repro.par.runners.process.ProcessRunner` on one
+    dispatch thread, fed first-in first-out from the pending queue and
+    woken through a pipe.
     ``jobs == 0`` (or ``env="inline"``) runs every cell inline in the
     submitting thread — no fork at all, used by tests and fork-less
     platforms; results are identical because cells are pure functions of
@@ -139,13 +147,10 @@ class CellExecutor:
     def __init__(self, jobs: int = 2, trace_dir: str | None = None,
                  env: str | None = None,
                  stall_timeout_s: float | None = None):
+        _check_environment(env)
         self.jobs = max(0, jobs)
         self.trace_dir = trace_dir
-        self.env = ("inline" if self.jobs == 0
-                    else getattr(env, "name", env) or "process")
-        if self.env not in ENVIRONMENT_NAMES:
-            raise ValueError(
-                f"unknown executor environment {self.env!r}")
+        self.env = "inline" if self.jobs == 0 else env or "process"
         self._lock = threading.Lock()
         self._pending: deque = deque()
         self._done: dict[int, CellResult] = {}
@@ -164,8 +169,7 @@ class CellExecutor:
             for slot in range(self.jobs):
                 pool.worker(slot)
             self._runner = ProcessRunner(pool,
-                                         stall_timeout_s=stall_timeout_s,
-                                         owns_pool=True)
+                                         stall_timeout_s=stall_timeout_s)
             self._wake_r, self._wake_w = os.pipe()
             # A full pipe already means "wake up": never block a submit.
             os.set_blocking(self._wake_w, False)
@@ -288,4 +292,4 @@ class CellExecutor:
             self._deliver(ticket, CellResult(
                 index=task.index, ok=False,
                 error="executor shut down", worker_pid=worker.pid))
-        self._runner.close()
+        self._runner.pool.shutdown()

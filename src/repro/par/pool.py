@@ -19,10 +19,7 @@ that with a small set of long-lived worker processes:
   dispatch proceeds on a fresh process;
 * **stall harvesting** — a dispatch loop may declare a busy worker
   wedged (no result within its stall budget) and have the pool kill and
-  replace it, converting a hung sweep into one failed cell;
-* **idle reaping** — workers idle longer than ``idle_timeout_s`` are
-  stopped on the next pool interaction, so a daemon that served a burst
-  does not hold its peak worker count forever.
+  replace it, converting a hung sweep into one failed cell.
 
 Determinism is unaffected by any of this: cells are pure functions of
 their :class:`~repro.par.cells.CellTask` (seeds derive from the cell
@@ -107,8 +104,7 @@ def _pool_worker_main(conn) -> None:
 class PoolWorker:
     """One persistent worker process and its parent-side bookkeeping."""
 
-    __slots__ = ("index", "proc", "conn", "busy", "dispatched_at",
-                 "last_used", "tasks_run")
+    __slots__ = ("index", "proc", "conn", "busy", "dispatched_at")
 
     def __init__(self, index: int, proc, conn):
         self.index = index
@@ -118,8 +114,6 @@ class PoolWorker:
         #: flight (task position or executor ticket); None when idle.
         self.busy = None
         self.dispatched_at = 0.0
-        self.last_used = time.monotonic()
-        self.tasks_run = 0
 
     @property
     def pid(self) -> int:
@@ -130,13 +124,12 @@ class PoolWorker:
 
 
 class WorkerPool:
-    """``size`` persistent workers with respawn, reaping, and stats."""
+    """``size`` persistent workers with respawn and stats."""
 
-    def __init__(self, size: int, idle_timeout_s: float | None = None):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = size
-        self.idle_timeout_s = idle_timeout_s
         self._ctx = _mp_context()
         self._slots: list[PoolWorker | None] = [None] * size
         self._closed = False
@@ -148,7 +141,6 @@ class WorkerPool:
         self.spawned = 0
         self.respawns = 0
         self.stall_kills = 0
-        self.reaped = 0
         self.tasks_dispatched = 0
         self.batches = 0
 
@@ -210,23 +202,6 @@ class WorkerPool:
             worker.proc.kill()
         worker.proc.join(timeout=_STOP_GRACE_S)
 
-    def reap_idle(self, now: float | None = None) -> int:
-        """Stop workers idle beyond ``idle_timeout_s``; returns count."""
-        if self.idle_timeout_s is None:
-            return 0
-        now = time.monotonic() if now is None else now
-        reaped = 0
-        for worker in list(self._slots):
-            if worker is None or worker.busy is not None:
-                continue
-            if now - worker.last_used < self.idle_timeout_s:
-                continue
-            self._stop_worker(worker)
-            self._slots[worker.index] = None
-            reaped += 1
-        self.reaped += reaped
-        return reaped
-
     def _stop_worker(self, worker: PoolWorker) -> None:
         try:
             worker.conn.send(("stop",))
@@ -268,11 +243,6 @@ class WorkerPool:
         self.tasks_dispatched += 1
         return worker
 
-    def mark_idle(self, worker: PoolWorker) -> None:
-        worker.busy = None
-        worker.tasks_run += 1
-        worker.last_used = time.monotonic()
-
     def call_all(self, fn, timeout_s: float = 30.0) -> int:
         """Run a module-level callable in every *live, idle* worker
         (control plane — e.g. resetting memo caches between bench
@@ -280,7 +250,8 @@ class WorkerPool:
         with self.lock:
             reached = 0
             for worker in self._slots:
-                if worker is None or not worker.alive() or worker.busy:
+                if (worker is None or not worker.alive()
+                        or worker.busy is not None):
                     continue
                 worker.conn.send(("call", fn))
                 if worker.conn.poll(timeout_s):
@@ -307,7 +278,6 @@ class WorkerPool:
             "spawned": self.spawned,
             "respawns": self.respawns,
             "stall_kills": self.stall_kills,
-            "reaped": self.reaped,
             "tasks": self.tasks_dispatched,
             "batches": self.batches,
         }
@@ -321,8 +291,7 @@ _shared_pools: dict[int, WorkerPool] = {}
 _shared_lock = threading.Lock()
 
 
-def shared_pool(jobs: int,
-                idle_timeout_s: float | None = None) -> WorkerPool:
+def shared_pool(jobs: int) -> WorkerPool:
     """The process-wide persistent pool for ``jobs`` workers.
 
     Every sweep that asks for the same worker count gets the same pool,
@@ -332,7 +301,7 @@ def shared_pool(jobs: int,
     with _shared_lock:
         pool = _shared_pools.get(jobs)
         if pool is None or pool.closed:
-            pool = WorkerPool(jobs, idle_timeout_s=idle_timeout_s)
+            pool = WorkerPool(jobs)
             _shared_pools[jobs] = pool
         return pool
 

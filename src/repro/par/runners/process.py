@@ -1,20 +1,21 @@
 """Process runner: the one dispatch loop over a persistent worker pool.
 
 Every cell that leaves the calling process goes through
-:meth:`ProcessRunner.dispatch_loop`.  Two callers feed it:
+:meth:`ProcessRunner.dispatch_loop`.  Two callers feed it, with the
+same discipline — an idle slot gets exactly one cell, the oldest not
+yet dispatched:
 
-* :meth:`ProcessRunner.run` — a batch (``run_cells``): each worker slot
-  is fed from a :class:`~repro.par.stealing.StealScheduler` (cell ``i``
-  starts on slot ``i % jobs``; an idle slot steals half the busiest
-  sibling's backlog) and results land in a position-slotted
-  :class:`~repro.par.transport.ListBuffer`;
+* :meth:`ProcessRunner.run` — a batch (``run_cells``): slots are fed
+  the next undispatched task position, in task order, and results land
+  in a position-slotted :class:`~repro.par.transport.ListBuffer`;
 * :class:`~repro.par.engine.CellExecutor` — a daemon's ticket queue: its
   dispatch thread feeds slots from the pending deque, delivers results
   by ticket, and wakes the loop through a pipe when a cell arrives.
 
 Workers are persistent (:class:`~repro.par.pool.WorkerPool`), so
 consecutive batches amortise fork + import cost, and large results
-cross through shared memory (:mod:`repro.par.transport`).
+cross through shared memory (:mod:`repro.par.transport`).  A runner
+never owns its pool: whoever built the pool shuts it down.
 
 The loop waits on worker pipes *and* process sentinels, so a worker
 that dies without reporting (SIGKILL, ``os._exit``, OOM) fails only its
@@ -34,8 +35,6 @@ from multiprocessing import connection
 from repro.par import transport
 from repro.par.cells import CellResult, CellTask
 from repro.par.pool import PoolWorker, WorkerPool
-from repro.par.runners.base import Runner
-from repro.par.stealing import StealScheduler
 from repro.par.transport import ListBuffer
 
 #: Floor for the connection.wait timeout while a stall budget is armed,
@@ -48,33 +47,25 @@ _MIN_WAIT_S = 0.05
 STOP = b"q"
 
 
-class ProcessRunner(Runner):
+class ProcessRunner:
     """Run cells on a (usually shared) pool of persistent workers."""
 
-    env_name = "process"
-
     def __init__(self, pool: WorkerPool,
-                 stall_timeout_s: float | None = None,
-                 owns_pool: bool = False):
+                 stall_timeout_s: float | None = None):
         self.pool = pool
         self.stall_timeout_s = stall_timeout_s
-        self._owns_pool = owns_pool
-        self._last_scheduler: StealScheduler | None = None
 
     def run(self, tasks: list[CellTask],
             trace_dir: str | None = None) -> list[CellResult]:
+        """Execute every task; results come back in task-list order,
+        whatever order the cells complete in."""
         tasks = list(tasks)
         buffer = ListBuffer(len(tasks))
-        scheduler = StealScheduler(len(tasks), self.pool.size)
-        self._last_scheduler = scheduler
-
-        def feed(slot: int):
-            position = scheduler.next_for(slot)
-            return None if position is None else (position, tasks[position])
-
+        undispatched = iter(enumerate(tasks))
         with self.pool.lock:
             self.pool.batches += 1
-            self.dispatch_loop(feed, buffer.put, trace_dir)
+            self.dispatch_loop(lambda slot: next(undispatched, None),
+                               buffer.put, trace_dir)
         return buffer.collect()
 
     # -- the dispatch loop -------------------------------------------------
@@ -162,7 +153,7 @@ class ProcessRunner(Runner):
             except (EOFError, OSError):
                 result = None
         if result is not None:
-            self.pool.mark_idle(worker)
+            worker.busy = None
             return result
         # Sentinel fired with nothing in the pipe: the worker died
         # mid-cell.
@@ -200,16 +191,6 @@ class ProcessRunner(Runner):
                        for _, _, worker in in_flight.values())
         return max(deadline - now, _MIN_WAIT_S)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self.pool.shutdown()
-
     def stats(self) -> dict:
-        stats = {"environment": self.env_name,
-                 "jobs": self.pool.size,
-                 "pool": self.pool.stats()}
-        if self._last_scheduler is not None:
-            stats["scheduler"] = self._last_scheduler.stats()
-        return stats
+        """Plain-data diagnostics: the pool's lifecycle counters."""
+        return {"pool": self.pool.stats()}

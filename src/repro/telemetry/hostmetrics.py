@@ -3,7 +3,7 @@
 Reuses the counter/gauge/histogram classes from
 :mod:`repro.obs.metrics` — the same deterministic-snapshot machinery
 that serves the guest — but holds *host* quantities: pool spawns and
-respawns, steals, queue depth, shm-vs-pipe transport arms, session
+respawns, queue depth, shm-vs-pipe transport arms, session
 admission, daemon op latency.  One registry per process, guarded by a
 lock (the daemon's handler threads write concurrently).
 
@@ -13,7 +13,7 @@ Two feeding disciplines:
   (:func:`inc`, :func:`observe_seconds`): op latency, transport arm.
 * **scrape-time** — cumulative counters that already live somewhere
   authoritative (the :class:`~repro.par.pool.WorkerPool`'s amortisation
-  counters, the steal scheduler, the session registry) are *published*
+  counters, the session registry) are *published*
   into the registry when it is rendered
   (:func:`publish_pool_stats` & co).  The pool's own counters stay the
   single source of truth: ``serve status`` and the ``metrics`` op both
@@ -81,7 +81,7 @@ def observe_seconds(name: str, seconds: float) -> None:
 def _set_counter(name: str, value) -> None:
     """Publish a cumulative count owned elsewhere.
 
-    The source (pool, scheduler, registry) is monotonic; publishing
+    The source (pool, registry) is monotonic; publishing
     advances our counter to match, never backwards — a freshly reset
     source (new pool) leaves the high-water value in place rather than
     fabricating a negative increment.
@@ -93,28 +93,24 @@ def _set_counter(name: str, value) -> None:
 
 
 def publish_pool_stats(stats: dict | None) -> None:
-    """Mirror :meth:`repro.par.pool.WorkerPool.stats` (plus the steal
-    scheduler's counters when present) into the host registry."""
+    """Mirror :meth:`repro.par.pool.WorkerPool.stats` into the host
+    registry."""
     if not stats:
         return
     with _lock:
-        for key in ("spawned", "respawns", "stall_kills", "reaped",
-                    "tasks", "batches"):
+        for key in ("spawned", "respawns", "stall_kills", "tasks",
+                    "batches"):
             if key in stats:
                 _set_counter(f"host.pool.{key}", stats[key])
         for key in ("size", "alive"):
             if key in stats:
                 _registry.gauge(f"host.pool.{key}").set(
                     float(stats[key] or 0))
-        scheduler = stats.get("scheduler") or {}
-        for key in ("steals", "cells_stolen"):
-            if key in scheduler:
-                _set_counter(f"host.steal.{key}", scheduler[key])
 
 
 def publish_executor_stats(stats: dict | None) -> None:
     """Mirror a :class:`~repro.par.engine.CellExecutor` stats block:
-    ticket counts, queue depth, and the nested pool/scheduler stats."""
+    ticket counts, queue depth, and the nested pool stats."""
     if not stats:
         return
     with _lock:
@@ -125,12 +121,8 @@ def publish_executor_stats(stats: dict | None) -> None:
             if key in stats:
                 _registry.gauge(f"host.executor.{key}").set(
                     float(stats[key] or 0))
-    pool = stats.get("pool")
-    if isinstance(pool, dict):
-        merged = dict(pool)
-        if isinstance(stats.get("scheduler"), dict):
-            merged["scheduler"] = stats["scheduler"]
-        publish_pool_stats(merged)
+    if isinstance(stats.get("pool"), dict):
+        publish_pool_stats(stats["pool"])
 
 
 def publish_serve_status(status: dict | None) -> None:

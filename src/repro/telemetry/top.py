@@ -26,15 +26,12 @@ __all__ = ["render_top", "run_top"]
 #: Clear screen + home cursor; only emitted on a tty.
 _ANSI_CLEAR = "\x1b[2J\x1b[H"
 
-#: Counter families surfaced in the pool/steal header line
+#: Counter families surfaced in the pool header line
 #: (registry name -> short label).
 _POOL_COUNTERS = (
     ("host.pool.spawned", "spawned"),
     ("host.pool.respawns", "respawns"),
     ("host.pool.stall_kills", "stall-kills"),
-    ("host.pool.reaped", "reaped"),
-    ("host.steal.steals", "steals"),
-    ("host.steal.cells_stolen", "cells-stolen"),
 )
 
 _TRANSPORT_COUNTERS = (

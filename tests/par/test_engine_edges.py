@@ -3,8 +3,9 @@
 Each test pins one of the ways a cell result can take an unusual route
 home: oversized payloads diverted through POSIX shared memory,
 unpicklable values downgraded to failed envelopes, workers that die
-without reporting (caught by the process sentinel), and completions
-arriving out of task order (slotted back by position).  These are the
+without reporting (caught by the process sentinel), completions
+arriving out of task order (slotted back by position), and batch cells
+dispatched in task order, each exactly once.  These are the
 paths the differential suite exercises only implicitly — here each gets
 a direct witness.
 """
@@ -16,11 +17,12 @@ import pickle
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.par.cells import CellResult, CellTask
-from repro.par.engine import run_cells
-from repro.par.environment import ProcessEnvironment
 from repro.par.pool import WorkerPool
+from repro.par.runners.process import ProcessRunner
 from repro.par.transport import (
     SHM_THRESHOLD_BYTES,
     ListBuffer,
@@ -57,11 +59,10 @@ def _task(index, fn, **kwargs):
                     kwargs=kwargs)
 
 
-def _run_private(tasks, jobs=2, **kwargs):
+def _run_private(tasks, jobs=2):
     pool = WorkerPool(jobs)
     try:
-        return run_cells(tasks, jobs=jobs,
-                         env=ProcessEnvironment(pool=pool), **kwargs)
+        return ProcessRunner(pool).run(tasks)
     finally:
         pool.shutdown()
 
@@ -170,6 +171,38 @@ class TestOutOfOrderCompletion:
         assert [r.value for r in results] == [0, 10, 20, 30]
 
 
+class TestBatchDispatch:
+    """A batch feeds each idle slot the oldest undispatched cell."""
+
+    def _run_recording(self, monkeypatch, tasks, jobs):
+        dispatched = []
+        dispatch = WorkerPool.dispatch
+
+        def recording(self, index, task, trace_dir, tag=None):
+            dispatched.append(task.index)
+            return dispatch(self, index, task, trace_dir, tag=tag)
+
+        monkeypatch.setattr(WorkerPool, "dispatch", recording)
+        return _run_private(tasks, jobs=jobs), dispatched
+
+    def test_cells_dispatch_in_task_order(self, monkeypatch):
+        # Cell 0 holds one slot while the other runs every other cell.
+        tasks = [_task(i, _sleep_then_value,
+                       seconds=0.6 if i == 0 else 0.01, value=i)
+                 for i in range(6)]
+        results, dispatched = self._run_recording(monkeypatch, tasks, 2)
+        assert dispatched == list(range(6))
+        assert [r.value for r in results] == list(range(6))
+
+    def test_every_cell_runs_exactly_once(self, monkeypatch):
+        tasks = [_task(i, _sleep_then_value, seconds=0.02 * (i % 3),
+                       value=i * 10)
+                 for i in range(12)]
+        results, dispatched = self._run_recording(monkeypatch, tasks, 3)
+        assert sorted(dispatched) == list(range(12))
+        assert [r.value for r in results] == [i * 10 for i in range(12)]
+
+
 class TestDispatchFailure:
     def test_double_dispatch_failure_fails_only_the_cell(self,
                                                          monkeypatch):
@@ -186,6 +219,17 @@ class TestDispatchFailure:
 
 
 class TestBufferContract:
+    @given(st.integers(min_value=0, max_value=64).flatmap(
+        lambda items: st.permutations(range(items))))
+    def test_buffer_collects_in_task_order(self, completion_order):
+        """Results land at their task position, whatever order the
+        cells complete in."""
+        buffer = ListBuffer(len(completion_order))
+        for position in completion_order:
+            buffer.put(position, f"cell-{position}")
+        assert buffer.collect() == [f"cell-{position}" for position
+                                    in range(len(completion_order))]
+
     def test_incomplete_buffer_refuses_to_collect(self):
         buffer = ListBuffer(3)
         buffer.put(0, CellResult(index=0, ok=True, value=1))

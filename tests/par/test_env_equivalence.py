@@ -1,13 +1,13 @@
 """Differential conformance across execution environments.
 
 ``test_serial_parallel_equiv`` licenses *sharding* (jobs=N equals
-jobs=1); this suite licenses the *environment axis*: every registered
-:class:`~repro.par.environment.ExecutionEnvironment` — inline and the
-persistent work-stealing process pool — must produce the same canonical
-digest as the serial path for every sweep family the engine carries,
-across seeds and worker counts.  If an environment ever leaks scheduling into
-simulated results, the digest moves and this file names the family,
-environment, and seed that diverged.
+jobs=1); this suite licenses the *environment axis*: every name in
+:data:`~repro.par.engine.ENVIRONMENT_NAMES` — inline and the persistent
+process pool — must produce the same canonical digest as the serial
+path for every sweep family the engine carries, across seeds and worker
+counts.  If an environment ever leaks dispatch order into simulated
+results, the digest moves and this file names the family, environment,
+and seed that diverged.
 
 Serial baselines are computed once per (family, seed) and cached, so
 the grid costs one serial run plus one run per environment.
@@ -30,8 +30,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.tables import table2
 from repro.par.bench import bench_tasks, build_matrix, canonical_cells
-from repro.par.engine import merge_cell_traces, run_cells
-from repro.par.environment import ENVIRONMENT_NAMES
+from repro.par.engine import ENVIRONMENT_NAMES, merge_cell_traces, run_cells
 from repro.prof.runner import PROFILE_AGENTS, run_profiles
 
 SEEDS = (1, 2, 7)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.experiments import serve_load
-from repro.par.engine import CellExecutor, CellTask
+from repro.par.engine import CellExecutor, CellTask, run_cells
 from repro.par.pool import WorkerPool
 from repro.run import run_spec_cell
 from repro.serve.session import session_result
@@ -70,6 +70,18 @@ class TestInlineMode:
             assert result.index == 4
         finally:
             executor.shutdown()
+
+
+class TestEnvironmentNames:
+    def test_unknown_env_is_rejected_alike_by_batch_and_executor(self):
+        """One check serves both: a batch at ``jobs=1`` that never
+        leaves the caller still refuses a name the executor refuses."""
+        with pytest.raises(ValueError) as executor_error:
+            CellExecutor(env="bogus")
+        with pytest.raises(ValueError) as batch_error:
+            run_cells([_task(0, _square, x=2)], jobs=1, env="bogus")
+        assert str(batch_error.value) == str(executor_error.value)
+        assert "'bogus'" in str(batch_error.value)
 
 
 class TestForkPool:

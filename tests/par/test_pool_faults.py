@@ -20,8 +20,9 @@ from repro.experiments.runner import reset_caches
 from repro.par.bench import bench_tasks, build_matrix, canonical_cells
 from repro.par.cells import CellTask
 from repro.par.engine import run_cells
-from repro.par.environment import ProcessEnvironment
 from repro.par.pool import WorkerPool
+from repro.par.runners.process import ProcessRunner
+from repro.par.transport import recv_result
 
 
 # Module-level so fork workers can pickle them by reference.
@@ -38,6 +39,10 @@ def _sleep_then_square(seconds, x):
     return x * x
 
 
+def _noop():
+    pass
+
+
 def _announce_pid_and_hang(pid_file):
     with open(pid_file, "w") as handle:
         handle.write(str(os.getpid()))
@@ -50,12 +55,8 @@ def _task(index, fn, **kwargs):
 
 
 def run_on(pool, tasks, stall_timeout_s=None):
-    env = ProcessEnvironment(pool=pool)
-    runner = env.make_runner(pool.size, stall_timeout_s=stall_timeout_s)
-    try:
-        return runner.run(tasks)
-    finally:
-        runner.close()  # non-owning: leaves the pool warm
+    # The runner never owns the pool: it stays warm for the next sweep.
+    return ProcessRunner(pool, stall_timeout_s=stall_timeout_s).run(tasks)
 
 
 class TestWorkerDeath:
@@ -187,17 +188,18 @@ class TestPoolLifecycle:
         finally:
             pool.shutdown()
 
-    def test_idle_reaping_stops_workers_but_not_the_pool(self):
-        pool = WorkerPool(2, idle_timeout_s=0.01)
+    def test_call_all_skips_a_worker_busy_with_cell_zero(self):
+        """Tag 0 (cell 0, ticket 0) is busy too: the control plane must
+        not talk to that worker mid-cell, or the call would swallow the
+        cell's result as its acknowledgement."""
+        pool = WorkerPool(1)
         try:
-            run_on(pool, [_task(i, _square, x=i) for i in range(2)])
-            time.sleep(0.05)
-            assert pool.reap_idle() == 2
-            assert pool.stats()["alive"] == 0
-            # The pool itself stays usable: next sweep respawns lazily.
-            results = run_on(pool, [_task(0, _square, x=8)])
-            assert results[0].ok and results[0].value == 64
-            assert pool.stats()["reaped"] == 2
+            worker = pool.dispatch(0, _task(0, _sleep_then_square,
+                                            seconds=0.3, x=6), None)
+            assert worker.busy == 0
+            assert pool.call_all(_noop, timeout_s=5.0) == 0
+            result = recv_result(worker.conn.recv())
+            assert result.ok and result.value == 36
         finally:
             pool.shutdown()
 

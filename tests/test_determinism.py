@@ -634,9 +634,8 @@ class TestTelemetryZeroPerturbation:
         from repro.experiments.runner import reset_caches
         from repro.par.bench import (bench_tasks, build_matrix,
                                      canonical_cells, digest_of)
-        from repro.par.engine import run_cells
-        from repro.par.environment import ProcessEnvironment
         from repro.par.pool import WorkerPool
+        from repro.par.runners.process import ProcessRunner
         from repro.telemetry.context import new_context
         from repro.telemetry.spans import read_spans, scoped
 
@@ -650,8 +649,7 @@ class TestTelemetryZeroPerturbation:
             # inherit the span directory.
             pool = WorkerPool(2)
             try:
-                results = run_cells(tasks, jobs=2,
-                                    env=ProcessEnvironment(pool=pool))
+                results = ProcessRunner(pool).run(tasks)
             finally:
                 pool.shutdown()
             recorded = read_spans(str(tmp_path))
