@@ -251,11 +251,5 @@ class Module:
         for function in self.functions:
             yield from function.pointer_facts
 
-    def global_by_name(self, name: str) -> GlobalVar | None:
-        for candidate in self.globals:
-            if candidate.name == name:
-                return candidate
-        return None
-
     def instruction_count(self) -> int:
         return sum(len(fn.instructions) for fn in self.functions)

@@ -76,10 +76,6 @@ class MVEEOutcome:
     def stdout(self) -> str:
         return self.disk.stream_text("stdout")
 
-    def slowdown_vs(self, native_cycles: float) -> float:
-        """Relative run time against an unprotected execution."""
-        return self.cycles / native_cycles if native_cycles else float("inf")
-
 
 class MVEE:
     """Bootstrap and run one multi-variant execution."""

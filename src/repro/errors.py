@@ -155,11 +155,3 @@ class DeadlockError(ReproError):
     def __init__(self, message: str, blocked: list[str] | None = None):
         super().__init__(message)
         self.blocked = blocked or []
-
-
-class VariantKilled(ReproError):
-    """Internal control-flow signal: the monitor shut this variant down.
-
-    Raised inside guest threads when the MVEE terminates all variants after
-    detecting divergence; guests are not expected to catch it.
-    """

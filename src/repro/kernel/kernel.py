@@ -103,10 +103,6 @@ class VirtualKernel:
         """Whether this kernel performs real I/O (native or master role)."""
         return self.role in ("native", "master")
 
-    def set_role(self, role: str) -> None:
-        """Called by the MVEE bootstrap when variants are assigned roles."""
-        self.role = role
-
     # -- dispatch ----------------------------------------------------------
 
     def execute(self, name: str, args: tuple, thread_id: str):

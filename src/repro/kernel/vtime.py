@@ -51,10 +51,6 @@ class VirtualClock:
         """Install the simulator callback returning current cycles."""
         self._now_cycles = now_cycles_fn
 
-    def now_cycles(self) -> float:
-        """Current simulated time in cycles."""
-        return self._now_cycles()
-
     def gettimeofday(self) -> tuple[int, int]:
         """Return ``(seconds, microseconds)`` like the real syscall."""
         total = self.epoch + cycles_to_seconds(self._now_cycles())

@@ -105,33 +105,14 @@ def trace_path_for(trace_dir: str, task: CellTask) -> str:
     return os.path.join(trace_dir, f"cell-{task.index:04d}.jsonl")
 
 
-def _host_span(task: CellTask):
-    """Host-telemetry span around a traced cell, or a no-op.
-
-    Only engaged when the task carries a trace context *and* the
-    process has a telemetry directory (pool workers inherit the
-    daemon's via fork/env) — the untraced path stays import-free.
-    """
-    from contextlib import nullcontext
-
-    if task.trace is None:
-        return nullcontext()
-    try:
-        from repro.telemetry.context import TraceContext
-        from repro.telemetry.spans import enabled, span
-    except Exception:  # pragma: no cover - telemetry must never fail a cell
-        return nullcontext()
-    if not enabled():
-        return nullcontext()
-    parent = TraceContext.from_dict(task.trace)
-    ctx = parent.child() if parent is not None else None
-    return span("cell", ctx=ctx, service="worker",
-                track=f"worker {os.getpid()}",
-                sweep=task.sweep_id, index=task.index)
-
-
 def execute_cell(task: CellTask, trace_dir: str | None) -> CellResult:
-    """Run one cell in the current process/thread (any environment)."""
+    """Run one cell in the current process/thread (any environment).
+
+    A task carrying a trace context runs under a ``cell`` host span
+    when this process records telemetry (pool workers inherit the
+    daemon's directory through fork and the environment)."""
+    from repro.telemetry.spans import child_span
+
     kwargs = dict(task.kwargs)
     hub = None
     trace_path = None
@@ -142,7 +123,9 @@ def execute_cell(task: CellTask, trace_dir: str | None) -> CellResult:
         kwargs["obs"] = hub
     start = time.perf_counter()
     try:
-        with _host_span(task):
+        with child_span("cell", task.trace, service="worker",
+                        track=f"worker {os.getpid()}",
+                        sweep=task.sweep_id, index=task.index):
             value = task.fn(**kwargs)
     except Exception as exc:
         return CellResult(index=task.index, ok=False,

@@ -215,23 +215,20 @@ class CellExecutor:
             return None
         return self.poll(ticket)
 
-    @property
-    def in_flight(self) -> int:
+    def stats(self) -> dict:
+        """Plain-data executor diagnostics for ``serve status`` and the
+        host metrics: ticket counts, ``queued`` (cells accepted but not
+        yet dispatched to a worker) and, on the process environment, the
+        pool's own stats under ``pool``."""
         with self._lock:
-            return self.submitted - self.completed
-
-    @property
-    def queued(self) -> int:
-        """Cells accepted but not yet dispatched to a worker (the
-        queue-depth gauge ``serve status`` and the metrics op report)."""
-        with self._lock:
-            return len(self._pending)
-
-    def pool_stats(self) -> dict | None:
-        """Persistent-pool diagnostics (``None`` when inline)."""
-        if self._runner is None:
-            return None
-        return self._runner.pool.stats()
+            stats = {"jobs": self.jobs, "env": self.env,
+                     "submitted": self.submitted,
+                     "completed": self.completed,
+                     "in_flight": self.submitted - self.completed,
+                     "queued": len(self._pending)}
+        if self._runner is not None:
+            stats["pool"] = self._runner.pool.stats()
+        return stats
 
     def shutdown(self) -> None:
         """Stop the pool: running workers are terminated, queued cells

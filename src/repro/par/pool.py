@@ -246,10 +246,14 @@ class WorkerPool:
     def call_all(self, fn, timeout_s: float = 30.0) -> int:
         """Run a module-level callable in every *live, idle* worker
         (control plane — e.g. resetting memo caches between bench
-        phases).  Returns the number of workers reached."""
+        phases).  Returns the number of workers reached.
+
+        A worker that does not acknowledge within ``timeout_s`` is
+        respawned: its late acknowledgement would otherwise sit in the
+        pipe and be read as the next cell's result."""
         with self.lock:
             reached = 0
-            for worker in self._slots:
+            for worker in list(self._slots):
                 if (worker is None or not worker.alive()
                         or worker.busy is not None):
                     continue
@@ -257,6 +261,8 @@ class WorkerPool:
                 if worker.conn.poll(timeout_s):
                     worker.conn.recv()
                     reached += 1
+                else:
+                    self.respawn(worker.index)
             return reached
 
     def live_workers(self) -> list[PoolWorker]:

@@ -28,10 +28,6 @@ class SlowdownReport:
     def native_seconds(self) -> float:
         return cycles_to_seconds(self.native_cycles)
 
-    @property
-    def mvee_seconds(self) -> float:
-        return cycles_to_seconds(self.mvee_cycles)
-
 
 def geometric_mean(values: list[float]) -> float:
     """Geometric mean (the conventional aggregate for slowdown ratios).

@@ -118,9 +118,6 @@ class RaceReport:
             sites |= race.sites()
         return frozenset(sites)
 
-    def races_at(self, site: str) -> list[RaceRecord]:
-        return [race for race in self.races if site in race.sites()]
-
     @property
     def total_occurrences(self) -> int:
         return sum(self.occurrences.values())

@@ -26,8 +26,10 @@ from repro.replay.checkpoint import (
 )
 from repro.replay.driver import (
     RecordedRun,
+    Recording,
     ReplayedRun,
     ResumedRun,
+    build_recording,
     record_run,
     replay_run,
     resume_recorded,
@@ -50,11 +52,13 @@ __all__ = [
     "DecisionRecorder",
     "DecisionReplayer",
     "RecordedRun",
+    "Recording",
     "RecordingRandom",
     "ReplayMismatch",
     "ReplayRandom",
     "ReplayedRun",
     "ResumedRun",
+    "build_recording",
     "decode_rng_state",
     "encode_rng_state",
     "record_run",

@@ -6,7 +6,8 @@ CLI assembles — and builds through :func:`repro.run.build_mvee`, so a
 decision log is self-contained: its header carries the spec, and
 :func:`replay_run` rebuilds the same MVEE from the log alone.
 
-Three entry points:
+Three entry points, and the builder the first shares with recording
+serve sessions (:func:`build_recording`):
 
 * :func:`record_run` — run a spec with a :class:`DecisionRecorder`
   attached, streaming the log to disk; the sealed footer carries the
@@ -63,6 +64,44 @@ def _outcome_summary(outcome, hub) -> dict:
 
 
 @dataclass
+class Recording:
+    """A recording MVEE, built and not yet run (:func:`build_recording`)."""
+
+    mvee: object
+    native: float | None
+    log: DecisionLog
+    recorder: DecisionRecorder
+    #: Streams the log to disk; ``None`` without a log path.
+    writer: DecisionLogWriter | None
+
+
+def build_recording(spec: RunSpec, hub, log_path: str | None = None,
+                    checkpoint_every: float | None = None,
+                    checkpoint_path: str | None = None,
+                    meta: dict | None = None) -> Recording:
+    """Build ``spec``'s MVEE under a decision recorder.
+
+    The log carries the spec (and ``meta``) in its header; with
+    ``checkpoint_every`` a :class:`CheckpointPolicy` snapshots the run
+    into a store persisted at ``checkpoint_path``; with ``log_path`` a
+    :class:`DecisionLogWriter` streams the log there.  :func:`record_run`
+    and recording serve sessions both build through here.
+    """
+    log = DecisionLog(spec=spec.to_dict(), meta=meta)
+    recorder = DecisionRecorder(log)
+    checkpoints = None
+    if checkpoint_every is not None:
+        checkpoints = CheckpointPolicy(every_cycles=checkpoint_every)
+    mvee, native = build_mvee(spec, obs=hub, replay=recorder,
+                              checkpoints=checkpoints)
+    if checkpoint_path is not None and mvee.checkpointer is not None:
+        mvee.checkpointer.store.path = checkpoint_path
+    writer = DecisionLogWriter(log_path, log) if log_path else None
+    return Recording(mvee=mvee, native=native, log=log, recorder=recorder,
+                     writer=writer)
+
+
+@dataclass
 class RecordedRun:
     """Everything :func:`record_run` produced."""
 
@@ -83,32 +122,23 @@ def record_run(spec, out_path: str | None = None,
     spec = _run_spec(spec)
     if hub is None:
         hub = ObsHub(trace=False)
-    log = DecisionLog(spec=spec.to_dict(), meta=meta)
-    recorder = DecisionRecorder(log)
-    checkpoints = None
-    if checkpoint_every is not None:
-        checkpoints = CheckpointPolicy(every_cycles=checkpoint_every)
-    mvee, native = build_mvee(spec, obs=hub, replay=recorder,
-                              checkpoints=checkpoints)
-    if (checkpoint_path is not None
-            and mvee.checkpointer is not None):
-        mvee.checkpointer.store.path = checkpoint_path
-    writer = DecisionLogWriter(out_path, log) if out_path else None
+    built = build_recording(spec, hub, out_path, checkpoint_every,
+                            checkpoint_path, meta)
     try:
-        outcome = mvee.run()
+        outcome = built.mvee.run()
     except BaseException:
-        if writer is not None:
-            writer.abandon()
+        if built.writer is not None:
+            built.writer.abandon()
         raise
-    footer = None
     summary = _outcome_summary(outcome, hub)
-    if writer is not None:
-        footer = writer.close(steps=recorder.steps, **summary)
+    if built.writer is not None:
+        footer = built.writer.close(steps=built.recorder.steps, **summary)
     else:
-        footer = log.seal(steps=recorder.steps, **summary)
-    return RecordedRun(outcome=outcome, log=log, recorder=recorder,
-                       hub=hub, native=native, footer=footer,
-                       checkpointer=mvee.checkpointer)
+        footer = built.log.seal(steps=built.recorder.steps, **summary)
+    return RecordedRun(outcome=outcome, log=built.log,
+                       recorder=built.recorder, hub=hub,
+                       native=built.native, footer=footer,
+                       checkpointer=built.mvee.checkpointer)
 
 
 @dataclass

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import astuple, dataclass, field, replace
 
 # The native-baseline imports come first: importing ``repro.sched``
@@ -414,22 +413,6 @@ class RunRecord:
 _cell_cache: dict[tuple, RunRecord] = {}
 
 
-def _session_span(spec: RunSpec, session_id: str | None):
-    """The ``session.run`` host span of a traced serve batch session,
-    or a no-op (the untraced path stays telemetry-import-free)."""
-    if session_id is None or spec.trace is None:
-        return nullcontext()
-    from repro.telemetry.context import TraceContext
-    from repro.telemetry.spans import enabled, span
-
-    if not enabled():
-        return nullcontext()
-    parent = TraceContext.from_dict(spec.trace)
-    return span("session.run", ctx=parent.child() if parent else None,
-                service="session", track=f"session {session_id}",
-                session=session_id)
-
-
 def run_spec_cell(spec, outputs=(), session_id: str | None = None, *,
                   costs: CostModel | None = None, instrument=None,
                   checkpoints=None, obs=None):
@@ -485,12 +468,17 @@ def run_spec_cell(spec, outputs=(), session_id: str | None = None, *,
 
 def _run_spec(spec: RunSpec, outputs: dict, session_id: str | None,
               keywords: dict, obs) -> RunRecord:
+    from repro.telemetry.spans import child_span
+
     if outputs:
         from repro.obs import ObsHub
 
         obs = ObsHub(trace=False, profile="profile" in outputs,
                      lag_sample_every=outputs.get("profile") or 1)
-    with _session_span(spec, session_id):
+    with child_span("session.run",
+                    spec.trace if session_id is not None else None,
+                    service="session", track=f"session {session_id}",
+                    session=session_id):
         mvee, native = build_mvee(spec, obs=obs, **keywords)
         start = time.perf_counter()
         outcome = mvee.run()

@@ -94,9 +94,10 @@ class Machine:
         self._parked: dict[tuple, list[GuestThread]] = {}
         self._external_waiters: dict[tuple, list] = {}
         self._threads_by_id: dict[str, GuestThread] = {}
-        self._divergence = None
-        self._fault: GuestFault | None = None
-        self._guest_deadlock: DeadlockError | None = None
+        #: The exception that ends the run, raised after the current
+        #: event commits: a divergence kill, else an unhandled guest
+        #: fault, else a detected guest deadlock (in that precedence).
+        self._flagged: Exception | None = None
         # Whether the initial dispatch has happened; lets advance() be
         # called repeatedly (incremental driving) without re-running the
         # bootstrap dispatch.
@@ -268,7 +269,8 @@ class Machine:
         if not self._started:
             self._started = True
             self._dispatch()
-            self._raise_if_flagged()
+            if self._flagged is not None:
+                raise self._flagged
         processed = 0
         while self._heap:
             if max_events is not None and processed >= max_events:
@@ -279,9 +281,11 @@ class Machine:
                 # Probes neither advance the clock nor count against the
                 # budget; a firing probe commits its own time.
                 payload(self, time)
-                self._raise_if_flagged()
+                if self._flagged is not None:
+                    raise self._flagged
                 self._dispatch()
-                self._raise_if_flagged()
+                if self._flagged is not None:
+                    raise self._flagged
                 continue
             if time > self.max_cycles:
                 raise DeadlockError(
@@ -320,23 +324,17 @@ class Machine:
                         if not waiting:
                             del self._parked[key]
                     self._unpark(thread)
-            self._raise_if_flagged()
+            if self._flagged is not None:
+                raise self._flagged
             self._dispatch()
-            self._raise_if_flagged()
+            if self._flagged is not None:
+                raise self._flagged
         alive = [t for t in self._threads_by_id.values() if t.alive]
         if alive:
             raise DeadlockError(
                 f"{len(alive)} thread(s) blocked with no pending events",
                 blocked=self._blocked_summary())
         return self._report()
-
-    def _raise_if_flagged(self) -> None:
-        if self._divergence is not None:
-            raise DivergenceError(self._divergence)
-        if self._fault is not None:
-            raise self._fault
-        if self._guest_deadlock is not None:
-            raise self._guest_deadlock
 
     def flag_guest_deadlock(self, record) -> None:
         """Sticky-flag a detected guest deadlock (raised after the
@@ -346,14 +344,14 @@ class Machine:
         the raised :class:`DeadlockError` as ``.record`` so the MVEE can
         name the cycle in the outcome and forensics bundle.
         """
-        if self._guest_deadlock is not None:
+        if self._flagged is not None:
             return
         error = DeadlockError(
             f"guest deadlock: {record.cycle_name()} "
             f"(variant {record.variant})",
             blocked=self._blocked_summary())
         error.record = record
-        self._guest_deadlock = error
+        self._flagged = error
 
     def _blocked_summary(self) -> list[str]:
         return [f"{t.global_id} waiting on {t.park_key}"
@@ -832,7 +830,8 @@ class Machine:
             # Monitor tolerated the fault: the thread dies alone.
             self.wake_key(("join", thread.vm.index, thread.logical_id))
             return
-        self._fault = fault
+        if not isinstance(self._flagged, DivergenceError):
+            self._flagged = fault
 
     def terminate_variant(self, variant_index: int) -> None:
         """Quarantine support: kill every thread of one variant without
@@ -874,7 +873,7 @@ class Machine:
 
     def _kill_all(self, report) -> None:
         """Divergence: terminate every variant (the MVEE's response)."""
-        self._divergence = report
+        self._flagged = DivergenceError(report)
         for hook in self.hooks.divergence:
             hook(report)
         for vm in self.vms:

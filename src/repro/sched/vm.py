@@ -130,6 +130,3 @@ class VariantVM:
             if entry.kind == "syscall":
                 grouped.setdefault(entry.thread, []).append(entry.key())
         return grouped
-
-    def alive_threads(self) -> list:
-        return [t for t in self.threads.values() if t.alive]

@@ -115,16 +115,8 @@ def run_serve_bench(sessions: int = 256, concurrency: int = 72,
                 with lock:
                     rejected += 1
                 time.sleep(0.005)
-        if mode == "batch":
-            envelope = client.run(session_id, wait=True)
-            while not envelope["done"]:
-                envelope = client.poll(session_id)
-        else:
-            while True:
-                envelope = client.step(session_id,
-                                       max_events=step_events)
-                if envelope["done"] or envelope["state"] == "killed":
-                    break
+        envelope = client.drive(session_id,
+                                step_events if mode == "step" else None)
         client.close_session(session_id)
         return envelope["result"]
 

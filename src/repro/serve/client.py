@@ -22,6 +22,9 @@ import time
 from repro.errors import DaemonUnavailable
 from repro.serve import protocol
 
+#: Gap between two polls of one unfinished batch session.
+POLL_INTERVAL_S = 0.010
+
 
 class ServeClient:
     """One connection to a serve daemon."""
@@ -140,27 +143,33 @@ class ServeClient:
 
     # -- conveniences ------------------------------------------------------
 
-    def run_to_verdict(self, spec: dict, step_events: int | None = None,
-                       close: bool = True) -> dict:
-        """create → drive to completion → (optionally) close.
+    def drive(self, session_id: str,
+              step_events: int | None = None) -> dict:
+        """Drive a created session to its verdict; returns the final
+        envelope (its ``result`` is the session's result dict).
 
         ``step_events`` selects the stepped path with that event budget
-        per step; ``None`` uses the batch path (one blocking ``run``).
-        Returns the session's final result dict.
+        per step; ``None`` uses the batch path: one blocking ``run``,
+        then polls :data:`POLL_INTERVAL_S` apart should it return
+        unfinished.
         """
-        session_id = self.create(spec)
         if step_events is None:
             envelope = self.run(session_id, wait=True)
             while not envelope["done"]:
+                time.sleep(POLL_INTERVAL_S)
                 envelope = self.poll(session_id)
-                if not envelope["done"]:
-                    time.sleep(0.01)
-        else:
-            while True:
-                envelope = self.step(session_id, max_events=step_events)
-                if envelope["done"] or envelope["state"] == "killed":
-                    break
-        result = envelope["result"]
+            return envelope
+        while True:
+            envelope = self.step(session_id, max_events=step_events)
+            if envelope["done"] or envelope["state"] == "killed":
+                return envelope
+
+    def run_to_verdict(self, spec: dict, step_events: int | None = None,
+                       close: bool = True) -> dict:
+        """create → :meth:`drive` to completion → (optionally) close.
+        Returns the session's final result dict."""
+        session_id = self.create(spec)
+        result = self.drive(session_id, step_events)["result"]
         if close:
             self.close_session(session_id)
         return result

@@ -35,18 +35,12 @@ from repro.errors import (
     SessionConflict,
     ServeError,
 )
-from repro.par.engine import CellExecutor, CellTask
-from repro.run import RunSpec, run_spec_cell
+from repro.par.engine import CellExecutor
+from repro.run import RunSpec
 from repro.serve import protocol
 from repro.serve.registry import SessionRegistry
-from repro.serve.session import Session, session_result
 from repro.telemetry import hostmetrics, spans
-from repro.telemetry.context import (
-    TraceContext,
-    current_context,
-    new_context,
-    wire_context,
-)
+from repro.telemetry.context import TraceContext, current_context, new_context
 
 #: Default cap on events per ``step`` request: large enough that a short
 #: session finishes in a handful of steps, small enough that one step
@@ -241,17 +235,7 @@ class ServeDaemon:
 
     def _op_status(self, request: dict) -> dict:
         status = self.registry.status()
-        status["executor"] = {
-            "jobs": self.executor.jobs,
-            "env": self.executor.env,
-            "submitted": self.executor.submitted,
-            "completed": self.executor.completed,
-            "in_flight": self.executor.in_flight,
-            "queued": self.executor.queued,
-        }
-        pool_stats = self.executor.pool_stats()
-        if pool_stats is not None:
-            status["executor"]["pool"] = pool_stats
+        status["executor"] = self.executor.stats()
         status["sessions_detail"] = self.registry.table()
         status["uptime_s"] = round(time.time() - self.started_unix, 3)
         status["version"] = protocol.PROTOCOL_VERSION
@@ -311,28 +295,21 @@ class ServeDaemon:
                     f"session {session.id} is {session.state}; run "
                     "needs a freshly created session (use step to "
                     "drive a running one)")
-            task = CellTask(
-                sweep_id="serve", index=self._task_index(session),
-                fn=run_spec_cell,
-                kwargs={"spec": session.spec.to_dict(),
-                        "outputs": {"obs": session.bundle_path},
-                        "session_id": session.id},
-                seed=session.spec.seed,
-                trace=wire_context() or session.spec.trace)
-            session.state = "queued"
-            session.ticket = self.executor.submit(task)
+            session.submit(self.executor)
             self.registry.journal_state(session)
+            ticket = session.ticket
         if not request.get("wait", True):
             return protocol.ok_response("run", id=session.id, done=False,
                                         state=session.state)
         timeout = request.get("timeout")
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise BadRequest("timeout must be a number of seconds")
-        result = self.executor.wait(session.ticket, timeout)
+        result = self.executor.wait(ticket, timeout)
         if result is None:       # timed out; session stays queued
             return protocol.ok_response("run", id=session.id, done=False,
                                         state=session.state)
-        envelope = self._harvest(session, result)
+        with session.lock:
+            envelope = self._settle(session, result)
         return protocol.ok_response("run", id=session.id, **envelope)
 
     def _op_poll(self, request: dict) -> dict:
@@ -341,8 +318,7 @@ class ServeDaemon:
             if session.state == "queued" and session.ticket is not None:
                 result = self.executor.poll(session.ticket)
                 if result is not None:
-                    envelope = self._harvest(session, result,
-                                             locked=True)
+                    envelope = self._settle(session, result)
                     return protocol.ok_response("poll", id=session.id,
                                                 **envelope)
             return protocol.ok_response(
@@ -357,17 +333,8 @@ class ServeDaemon:
         if request.get("id") is None:
             from repro.telemetry.prometheus import render_prometheus
 
-            status = self.registry.status()
-            hostmetrics.publish_serve_status(status)
-            executor = {
-                "jobs": self.executor.jobs,
-                "submitted": self.executor.submitted,
-                "completed": self.executor.completed,
-                "in_flight": self.executor.in_flight,
-                "queued": self.executor.queued,
-                "pool": self.executor.pool_stats(),
-            }
-            hostmetrics.publish_executor_stats(executor)
+            hostmetrics.publish_serve_status(self.registry.status())
+            hostmetrics.publish_executor_stats(self.executor.stats())
             return protocol.ok_response(
                 "metrics", scope="host",
                 exposition=render_prometheus(hostmetrics.host_registry()),
@@ -389,41 +356,11 @@ class ServeDaemon:
 
     # -- batch-path helpers ------------------------------------------------
 
-    @staticmethod
-    def _task_index(session: Session) -> int:
-        try:
-            return int(session.id.split("-")[-1])
-        except ValueError:  # pragma: no cover - ids are always s-<n>
-            return 0
-
-    def _harvest(self, session: Session, cell_result,
-                 locked: bool = False) -> dict:
-        """Fold a finished CellResult into the session (single consumer:
-        the executor hands each ticket's result over exactly once)."""
-        lock = session.lock if not locked else None
-        if lock is not None:
-            lock.acquire()
-        try:
-            session.ticket = None
-            if not cell_result.ok:
-                session.state = "killed"
-                session.result = {"verdict": "error",
-                                  "error": cell_result.error}
-            else:
-                session.result = session_result(cell_result.value)
-                quota = self.config.max_cycles_per_session
-                cycles = session.result.get("cycles") or 0
-                if quota is not None and cycles > quota:
-                    session.state = "killed"
-                    session.result = {
-                        "verdict": "killed",
-                        "reason": "cycle quota exceeded",
-                        "cycles": cycles}
-                else:
-                    session.state = "finished"
-            self.registry.journal_state(session)
-            return {"done": True, "state": session.state,
-                    "result": session.result}
-        finally:
-            if lock is not None:
-                lock.release()
+    def _settle(self, session, cell_result) -> dict:
+        """Settle a batch session's harvested cell (single consumer: the
+        executor hands each ticket's result over exactly once) and
+        journal the outcome.  Caller holds ``session.lock``."""
+        envelope = session.settle(cell_result.value if cell_result.ok
+                                  else cell_result)
+        self.registry.journal_state(session)
+        return envelope

@@ -38,21 +38,17 @@ from repro.errors import (
 )
 from repro.logio import read_jsonl
 from repro.run import RunSpec
-from repro.serve.session import CLOSEABLE_STATES, SESSION_STATES, Session
+from repro.serve.session import (
+    CLOSEABLE_STATES,
+    SESSION_STATES,
+    Session,
+    recover_state,
+)
+
+__all__ = ["ACTIVE_STATES", "SessionRegistry", "recover_state"]
 
 #: States that count against the concurrent-session quota.
 ACTIVE_STATES = ("created", "running", "queued")
-
-#: What an in-flight state becomes after a daemon restart, by policy.
-RECOVERY = {"kill-all": "killed", "quarantine": "quarantined",
-            "restart": "created"}
-
-
-def recover_state(state: str, policy: str) -> str:
-    """Post-restart state for a journaled session."""
-    if state in ("running", "queued"):
-        return RECOVERY[policy]
-    return state
 
 
 class SessionRegistry:
@@ -116,21 +112,13 @@ class SessionRegistry:
                 spec = RunSpec.from_dict(entry["spec"]).validate()
             except (KeyError, BadRequest):
                 continue
-            new_state = recover_state(state, spec.policy)
-            if new_state != state:
-                self.recovered[sid] = new_state
             session = Session(sid, spec,
                               max_cycles=self.max_cycles_per_session,
                               state_dir=self.state_dir,
                               checkpoint_every=self.checkpoint_every)
-            session.state = new_state
-            if (state in ("running", "queued")
-                    and new_state == "created" and session.recording):
-                # Interrupted restart-policy session with replay
-                # artifacts on disk: the first step resumes in-flight
-                # work from checkpoint + decision-log prefix instead of
-                # re-executing from scratch.
-                session.resume_from_disk = True
+            session.recover(state)
+            if session.state != state:
+                self.recovered[sid] = session.state
             self.sessions[sid] = session
             try:
                 highest = max(highest, int(sid.split("-")[-1]))
@@ -200,16 +188,10 @@ class SessionRegistry:
             raise SessionNotFound(f"no session {session_id!r}")
         return session
 
-    def mark(self, session: Session, state: str) -> None:
-        """Record a state change (journaled, so it survives restarts)."""
-        session.state = state
-        with self._lock:
-            self._append({"event": "state", "id": session.id,
-                          "state": state})
-
     def journal_state(self, session: Session) -> None:
-        """Journal the session's *current* state (after a transition the
-        session object made itself, e.g. inside :meth:`Session.step`)."""
+        """Journal the session's *current* state, after a transition the
+        session made itself (every transition is a :class:`Session`
+        method), so it survives restarts."""
         with self._lock:
             self._append({"event": "state", "id": session.id,
                           "state": session.state})
@@ -226,16 +208,8 @@ class SessionRegistry:
                 raise SessionConflict(
                     f"session {session_id} is {session.state}; only "
                     "quarantined sessions can be resumed")
-            session.state = "created"
-            session.release_writer()
-            session._mvee = None
-            session._hub = None
-            session.result = None
-            session.ticket = None
-            session.steps = 0
-        with self._lock:
-            self._append({"event": "state", "id": session_id,
-                          "state": "created"})
+            session.reset("created")
+            self.journal_state(session)
         return session
 
     def close(self, session_id: str) -> Session:
@@ -245,13 +219,8 @@ class SessionRegistry:
                 raise SessionConflict(
                     f"session {session_id} is {session.state}; close "
                     "accepts " + ", ".join(CLOSEABLE_STATES))
-            session.state = "closed"
-            session.release_writer()
-            session._mvee = None
-            session._hub = None
-        with self._lock:
-            self._append({"event": "state", "id": session_id,
-                          "state": "closed"})
+            session.reset("closed")
+            self.journal_state(session)
         return session
 
     def status(self) -> dict:

@@ -21,11 +21,15 @@ can be driven two ways:
 
 Both paths build their MVEE through :func:`repro.run.build_mvee`, the
 builder ``repro run`` uses, fold the outcome into a
-:class:`~repro.run.RunRecord` and project it with
-:func:`session_result` into the same result dict, whose ``obs_digest``
-(see :meth:`repro.obs.ObsHub.digest`) is the byte-identity anchor
-against single-shot ``repro run`` for the same
-:class:`~repro.run.RunSpec`.
+:class:`~repro.run.RunRecord` and hand it to :meth:`Session.settle`,
+which projects it with :func:`session_result` into the same result
+dict, whose ``obs_digest`` (see :meth:`repro.obs.ObsHub.digest`) is the
+byte-identity anchor against single-shot ``repro run`` for the same
+:class:`~repro.run.RunSpec`, and applies the cycle quota.
+
+:class:`Session` is the only code that changes a session's state,
+result, ticket or live run; the daemon and the registry validate,
+lock, journal and reply.
 """
 
 from __future__ import annotations
@@ -36,27 +40,37 @@ import threading
 
 from repro.errors import SessionConflict
 from repro.obs import ObsHub
-from repro.replay import (
-    CheckpointPolicy,
-    DecisionLog,
-    DecisionLogWriter,
-    DecisionRecorder,
-    resume_recorded,
-)
-from repro.run import RunRecord, RunSpec, build_mvee
+from repro.par.cells import CellResult, CellTask
+from repro.replay import DecisionLogWriter, build_recording, resume_recorded
+from repro.run import RunRecord, RunSpec, build_mvee, run_spec_cell
 
-#: Every state a session can be in.  Transitions:
-#: created -> running -> finished | killed       (stepped path)
-#: created -> queued -> finished | killed        (batch path)
+#: Every state a session can be in.  Transitions, each made by one
+#: :class:`Session` method:
+#: created -> running -> finished | killed       (stepped path: step)
+#: created -> queued -> finished | killed        (batch path: submit,
+#:                                                settle)
 #: any in-flight state -> quarantined | killed | created   (daemon restart,
-#:   per degradation policy — see registry.recover_state)
-#: finished | quarantined | killed -> closed
+#:   per degradation policy: recover)
+#: quarantined -> created                        (resume: reset)
+#: created | finished | quarantined | killed -> closed   (close: reset)
 SESSION_STATES = ("created", "running", "queued", "finished",
                   "quarantined", "killed", "closed")
 
 #: States a close() accepts from; everything else must finish or be
 #: killed first.
 CLOSEABLE_STATES = ("created", "finished", "quarantined", "killed")
+
+#: What an in-flight state becomes after a daemon restart, by policy.
+RECOVERY = {"kill-all": "killed", "quarantine": "quarantined",
+            "restart": "created"}
+
+
+def recover_state(state: str, policy: str) -> str:
+    """Post-restart state for a journaled session."""
+    if state in ("running", "queued"):
+        return RECOVERY[policy]
+    return state
+
 
 def session_result(record: RunRecord) -> dict:
     """The wire ``result`` of a finished session: the projection of its
@@ -87,7 +101,8 @@ class Session:
     cheap (admission control responds in microseconds) and so a
     batch-mode session never materialises guest state in the daemon
     process.  Each session carries its own lock: steps on one session
-    serialize, steps on different sessions proceed concurrently.
+    serialize, steps on different sessions proceed concurrently.  Every
+    method that changes the session runs with the lock held.
     """
 
     def __init__(self, session_id: str, spec: RunSpec,
@@ -98,6 +113,8 @@ class Session:
         self.id = session_id
         self.spec = spec
         self.state = "created"
+        #: The cycle quota (``--max-cycles``); :meth:`settle` and
+        #: :meth:`step` apply it, and nothing else reads it.
         self.max_cycles = max_cycles
         #: Where a diverged run's forensics bundle is saved (both paths).
         self.bundle_path = (f"{bundle_dir}/{session_id}.bundle.json"
@@ -107,17 +124,20 @@ class Session:
         #: session can be resumed from checkpoint + log prefix.
         self.state_dir = state_dir
         self.checkpoint_every = checkpoint_every
-        #: Set by the registry when on-disk replay artifacts from a
+        #: Set by :meth:`recover` when on-disk replay artifacts from a
         #: previous daemon incarnation should be resumed.
         self.resume_from_disk = False
-        #: Populated after a successful resume (diagnostics).
-        self.resumed: dict | None = None
         self.lock = threading.Lock()
+        self._forget_run()
+
+    def _forget_run(self) -> None:
+        """No run yet: no result, ticket, steps or live MVEE."""
         self.result: dict | None = None
         #: CellExecutor ticket while the session is queued (batch path).
         self.ticket: int | None = None
         self.steps = 0
-        self.events_processed = 0
+        #: Populated after a successful resume (diagnostics).
+        self.resumed: dict | None = None
         self._mvee = None
         self._hub = None
         self._native = None
@@ -143,6 +163,89 @@ class Session:
         if self.state_dir is None:
             return None
         return os.path.join(self.state_dir, f"{self.id}.ckpt.json")
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def recover(self, journaled: str) -> None:
+        """Enter the post-restart state of a session the journal last
+        recorded as ``journaled``, by its spec's degradation policy."""
+        self.state = recover_state(journaled, self.spec.policy)
+        # An interrupted restart-policy session with replay artifacts on
+        # disk resumes in-flight work on its first step, from checkpoint
+        # + decision-log prefix, instead of re-executing from scratch.
+        self.resume_from_disk = (journaled in ("running", "queued")
+                                 and self.state == "created"
+                                 and self.recording)
+
+    def reset(self, state: str) -> None:
+        """Release the live run and enter ``state``: ``closed`` keeps the
+        result for the status table; ``created`` (a resume) forgets the
+        run, so the next step or run starts the spec over."""
+        self.release_writer()
+        self._mvee = None
+        self._hub = None
+        if state == "created":
+            self._forget_run()
+        self.state = state
+
+    def release_writer(self) -> None:
+        """Close the decision-log handle without sealing (the log keeps
+        its torn-tolerant prefix for a later resume)."""
+        if self._writer is not None:
+            self._writer.abandon()
+            self._writer = None
+
+    def settle(self, run: RunRecord | CellResult) -> dict:
+        """Settle a finished run and return its completion envelope.
+
+        ``run`` is the run's :class:`~repro.run.RunRecord`, or the
+        failed :class:`~repro.par.cells.CellResult` of a batch cell.
+        The record's :func:`session_result` projection finishes the
+        session unless its cycles exceed the quota; then, on either
+        path, the session is killed with "cycle quota exceeded".  A
+        failed cell kills the session with the cell's error.
+        """
+        self.ticket = None
+        if isinstance(run, CellResult):
+            self.state = "killed"
+            self.result = {"verdict": "error", "error": run.error}
+        else:
+            result = session_result(run)
+            if self.resumed is not None:
+                result["resumed"] = dict(self.resumed)
+            if not self._over_quota(result["cycles"]):
+                self.state = "finished"
+                self.result = result
+        return {"done": True, "state": self.state, "result": self.result}
+
+    def _over_quota(self, cycles: float) -> bool:
+        """Apply the cycle quota: past it, the session is killed."""
+        if self.max_cycles is None or cycles <= self.max_cycles:
+            return False
+        self.state = "killed"
+        self.result = {"verdict": "killed",
+                       "reason": "cycle quota exceeded",
+                       "cycles": cycles}
+        return True
+
+    # -- batch execution -----------------------------------------------------
+
+    def submit(self, executor) -> None:
+        """Queue the whole run on ``executor`` as one
+        :func:`~repro.run.run_spec_cell` cell; its result comes back
+        through :meth:`settle`."""
+        from repro.telemetry.context import wire_context
+
+        task = CellTask(
+            sweep_id="serve", index=int(self.id.split("-")[-1]),
+            fn=run_spec_cell,
+            kwargs={"spec": self.spec.to_dict(),
+                    "outputs": {"obs": self.bundle_path},
+                    "session_id": self.id},
+            seed=self.spec.seed,
+            trace=wire_context() or self.spec.trace)
+        self.ticket = executor.submit(task)
+        self.state = "queued"
 
     # -- stepped execution ---------------------------------------------------
 
@@ -180,15 +283,11 @@ class Session:
                 }
                 self.state = "running"
                 return handle.outcome
-        log = DecisionLog(spec=self.spec.to_dict(),
-                          meta={"session": self.id})
-        self._recorder = DecisionRecorder(log)
-        self._mvee, self._native = build_mvee(
-            self.spec, obs=self._hub, replay=self._recorder,
-            checkpoints=CheckpointPolicy(
-                every_cycles=self.checkpoint_every))
-        self._mvee.checkpointer.store.path = ckpt_path
-        self._writer = DecisionLogWriter(log_path, log)
+        built = build_recording(self.spec, self._hub, log_path,
+                                self.checkpoint_every, ckpt_path,
+                                meta={"session": self.id})
+        self._mvee, self._native = built.mvee, built.native
+        self._recorder, self._writer = built.recorder, built.writer
         self.state = "running"
         return None
 
@@ -197,8 +296,7 @@ class Session:
 
         Returns the step envelope: new events since the previous step
         (faults, recovery actions, races), a live metrics snapshot, and
-        — once the run completes — the final result dict.  Caller holds
-        ``self.lock``.
+        — once the run completes — the final result dict.
 
         When the spec carries a trace context and host telemetry is
         recording, each step emits one host-time span on the session's
@@ -207,23 +305,20 @@ class Session:
         trace_id across daemon incarnations because the spec (and its
         trace) is journaled.
         """
-        from repro.telemetry.context import TraceContext
-        from repro.telemetry.spans import enabled, span
+        from repro.telemetry.spans import child_span
 
-        if self.spec.trace is None or not enabled():
-            return self._step_inner(max_events)
-        parent = TraceContext.from_dict(self.spec.trace)
-        ctx = parent.child() if parent is not None else None
         was_resume = self.resume_from_disk or self.resumed is not None
-        with span("session.step", ctx=ctx, service="session",
-                  track=f"session {self.id}", session=self.id) as live:
+        with child_span("session.step", self.spec.trace,
+                        service="session", track=f"session {self.id}",
+                        session=self.id) as live:
             envelope = self._step_inner(max_events)
-            if was_resume or self.resumed is not None:
-                live.attrs["resumed"] = True
-            live.attrs["steps"] = self.steps
-            if envelope.get("done"):
-                live.attrs["done"] = True
-            return envelope
+            if live is not None:
+                if was_resume or self.resumed is not None:
+                    live.attrs["resumed"] = True
+                live.attrs["steps"] = self.steps
+                if envelope["done"]:
+                    live.attrs["done"] = True
+        return envelope
 
     def _step_inner(self, max_events: int) -> dict:
         if self.state not in ("created", "running"):
@@ -236,7 +331,6 @@ class Session:
         if self._writer is not None:
             self._writer.flush()
         self.steps += 1
-        self.events_processed += max_events if outcome is None else 0
         envelope = {
             "done": outcome is not None,
             "state": self.state,
@@ -249,38 +343,22 @@ class Session:
             if self.bundle_path and outcome.obs_bundle is not None:
                 bundle_path = self.bundle_path
                 outcome.obs_bundle.save(bundle_path)
-            self.result = session_result(RunRecord.of(
-                self.spec, outcome, self._native,
-                extras={"obs": {"digest": self._hub.digest(),
-                                "bundle": bundle_path}}))
-            if self.resumed is not None:
-                self.result["resumed"] = dict(self.resumed)
-            self.state = "finished"
-            envelope["state"] = self.state
-            envelope["result"] = self.result
+            digest = self._hub.digest()
             if self._writer is not None:
                 self._writer.close(
                     steps=self._recorder.steps,
                     verdict=outcome.verdict, cycles=outcome.cycles,
-                    obs_digest=self.result.get("obs_digest"))
+                    obs_digest=digest)
                 self._writer = None
-        elif (self.max_cycles is not None
-                and self._mvee.machine.now > self.max_cycles):
-            self.state = "killed"
-            self.result = {"verdict": "killed",
-                           "reason": "cycle quota exceeded",
-                           "cycles": self._mvee.machine.now}
+            envelope.update(self.settle(RunRecord.of(
+                self.spec, outcome, self._native,
+                extras={"obs": {"digest": digest,
+                                "bundle": bundle_path}})))
+        elif self._over_quota(self._mvee.machine.now):
             envelope["state"] = self.state
             envelope["result"] = self.result
             self.release_writer()
         return envelope
-
-    def release_writer(self) -> None:
-        """Close the decision-log handle without sealing (the log keeps
-        its torn-tolerant prefix for a later resume)."""
-        if self._writer is not None:
-            self._writer.abandon()
-            self._writer = None
 
     def _drain_events(self) -> list[dict]:
         """New fault/recovery/race records since the last step.
@@ -311,8 +389,3 @@ class Session:
         if self._hub is None:
             return {}
         return self._hub.metrics.snapshot()
-
-    def describe(self) -> dict:
-        return {"id": self.id, "state": self.state,
-                "spec": self.spec.to_dict(), "steps": self.steps,
-                "result": self.result}

@@ -24,7 +24,7 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from repro.telemetry.context import (
     TraceContext,
@@ -41,6 +41,7 @@ __all__ = [
     "telemetry_dir",
     "service_name",
     "span",
+    "child_span",
     "Span",
     "merge_host_trace",
 ]
@@ -237,6 +238,19 @@ def span(name: str, ctx: TraceContext | None = None,
         if live.attrs:
             record["attrs"] = live.attrs
         _write(record, svc)
+
+
+def child_span(name: str, wire: dict | None, **fields):
+    """A :func:`span` that descends from the wire trace context
+    ``wire`` (a spec's or a cell task's ``trace`` field), or a no-op
+    that yields ``None`` when there is no context or telemetry is off.
+    ``fields`` are :func:`span`'s ``service``, ``track`` and attributes.
+    """
+    if wire is None or not enabled():
+        return nullcontext()
+    parent = TraceContext.from_dict(wire)
+    return span(name, ctx=parent.child() if parent is not None else None,
+                **fields)
 
 
 # -- merging ----------------------------------------------------------------

@@ -307,12 +307,8 @@ def make_traffic(config: NginxConfig, latency_s: float,
     return driver
 
 
-#: Instrumentation predicates for the two experimental conditions.
 def pthread_only_sites(site: str) -> bool:
-    """The 'before refactoring' condition: custom nginx primitives bare."""
+    """The 'before refactoring' instrumentation predicate: custom nginx
+    primitives bare (the 'after analysis' condition instruments every
+    site)."""
     return not site.startswith("nginx.")
-
-
-def all_nginx_sites(site: str) -> bool:
-    """The 'after analysis' condition: everything instrumented."""
-    return True

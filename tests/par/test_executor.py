@@ -47,7 +47,7 @@ class TestInlineMode:
             result = executor.poll(ticket)
             assert result.ok and result.value == 49
             assert result.worker_pid == os.getpid()
-            assert executor.in_flight == 0
+            assert executor.stats()["in_flight"] == 0
         finally:
             executor.shutdown()
 
@@ -91,7 +91,7 @@ class TestForkPool:
         # import lock.
         executor = CellExecutor(jobs=2, env="process")
         try:
-            assert executor.pool_stats()["alive"] == 2
+            assert executor.stats()["pool"]["alive"] == 2
         finally:
             executor.shutdown()
 
@@ -125,7 +125,7 @@ class TestForkPool:
             blocker = executor.submit(_task(0, _sleep_forever))
             queued = executor.submit(_task(1, _square, x=2))
             assert executor.wait(queued, timeout=0.1) is None
-            assert executor.in_flight == 2
+            assert executor.stats()["in_flight"] == 2
         finally:
             executor.shutdown()
         # Shutdown fails both without hanging; tickets still resolve.
@@ -156,7 +156,7 @@ class TestForkPool:
             assert failed is not None and not failed.ok
             assert "cannot dispatch cell 0" in failed.error
             assert "pipe gone" in failed.error
-            assert executor.in_flight == 0
+            assert executor.stats()["in_flight"] == 0
             # The dispatch thread survived: once dispatch works again,
             # the same executor serves the next cell.
             monkeypatch.undo()

@@ -43,6 +43,10 @@ def _noop():
     pass
 
 
+def _sleep_half_a_second():
+    time.sleep(0.5)
+
+
 def _announce_pid_and_hang(pid_file):
     with open(pid_file, "w") as handle:
         handle.write(str(os.getpid()))
@@ -200,6 +204,21 @@ class TestPoolLifecycle:
             assert pool.call_all(_noop, timeout_s=5.0) == 0
             result = recv_result(worker.conn.recv())
             assert result.ok and result.value == 36
+        finally:
+            pool.shutdown()
+
+    def test_call_all_timeout_respawns_the_late_worker(self):
+        """A control call that outlives its timeout must not leave its
+        late acknowledgement in the pipe for the next batch to read as
+        a cell result."""
+        pool = WorkerPool(1)
+        try:
+            pool.worker(0)
+            assert pool.call_all(_sleep_half_a_second, timeout_s=0.1) == 0
+            results = run_on(pool, [_task(i, _square, x=i)
+                                    for i in range(2)])
+            assert [r.value for r in results] == [0, 1]
+            assert pool.stats()["respawns"] == 1
         finally:
             pool.shutdown()
 

@@ -146,6 +146,33 @@ class TestSessionOverTheWire:
         assert len(set(digests)) == 1
 
 
+class TestQuotaParity:
+    """One spec under one cycle quota gets one verdict, whichever path
+    ran it: the quota is applied where a finished run is settled."""
+
+    SPEC = {"workload": "fft", "scale": 0.05, "seed": 5}
+
+    def test_one_big_step_and_a_batch_run_settle_alike(self):
+        daemon = ServeDaemon(ServeConfig(jobs=0,
+                                         max_cycles_per_session=1.0))
+        try:
+            stepped = daemon.handle(
+                {"op": "create", "spec": dict(self.SPEC)})["id"]
+            step = daemon.handle({"op": "step", "id": stepped,
+                                  "max_events": 10**9})
+            batch = daemon.handle(
+                {"op": "create", "spec": dict(self.SPEC)})["id"]
+            run = daemon.handle({"op": "run", "id": batch})
+        finally:
+            daemon.stop()
+        assert step["done"] and run["done"]
+        assert step["state"] == run["state"] == "killed"
+        assert step["result"] == run["result"]
+        assert step["result"] == {
+            "verdict": "killed", "reason": "cycle quota exceeded",
+            "cycles": single_shot(dict(self.SPEC))["cycles"]}
+
+
 class TestForkPool:
     def test_batch_sessions_share_the_worker_pool(self):
         daemon = ServeDaemon(ServeConfig(port=0, jobs=2))

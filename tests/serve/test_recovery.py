@@ -47,9 +47,10 @@ class TestCrashRecovery:
         # Uninterrupted reference run in its own state dir.
         ref_registry = _registry(tmp_path / "ref")
         ref_session = ref_registry.create(_spec())
-        ref_registry.mark(ref_session, "running")
+        ref_session.state = "running"
+        ref_registry.journal_state(ref_session)
         reference = _drive(ref_session)
-        ref_registry.mark(ref_session, ref_session.state)
+        ref_registry.journal_state(ref_session)
         ref_registry.shutdown()
 
         # The same run, killed mid-flight: journal says "running", the
@@ -58,7 +59,8 @@ class TestCrashRecovery:
         registry = SessionRegistry(state_dir=str(state),
                                    checkpoint_every=CHECKPOINT_EVERY)
         session = registry.create(_spec())
-        registry.mark(session, "running")
+        session.state = "running"
+        registry.journal_state(session)
         for _ in range(8):
             with session.lock:
                 envelope = session.step(STEP_EVENTS)
@@ -91,7 +93,8 @@ class TestCrashRecovery:
         state = tmp_path / "state"
         registry = _registry(state)
         session = registry.create(_spec())
-        registry.mark(session, "running")
+        session.state = "running"
+        registry.journal_state(session)
         registry.shutdown()
         # No step ever ran: there is no decision log or checkpoint on
         # disk, so the recovered session runs from scratch — and still

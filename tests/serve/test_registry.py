@@ -84,7 +84,8 @@ class TestPersistence:
                                                expected):
         first = self._registry(tmp_path)
         session = first.create(spec(policy=policy))
-        first.mark(session, "running")
+        session.state = "running"
+        first.journal_state(session)
         first.shutdown()
         second = self._registry(tmp_path)
         recovered = second.get(session.id)
@@ -95,9 +96,11 @@ class TestPersistence:
     def test_terminal_states_survive_verbatim(self, tmp_path):
         first = self._registry(tmp_path)
         finished = first.create(spec())
-        first.mark(finished, "finished")
+        finished.state = "finished"
+        first.journal_state(finished)
         closed = first.create(spec())
-        first.mark(closed, "closed")
+        closed.state = "closed"
+        first.journal_state(closed)
         first.shutdown()
         second = self._registry(tmp_path)
         assert second.get(finished.id).state == "finished"
@@ -128,7 +131,8 @@ class TestPersistence:
         first = self._registry(tmp_path)
         session = first.create(spec())
         for state in ("running", "quarantined", "created", "running"):
-            first.mark(session, state)
+            session.state = state
+            first.journal_state(session)
         first.shutdown()
         second = self._registry(tmp_path)
         second.shutdown()

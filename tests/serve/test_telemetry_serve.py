@@ -179,7 +179,8 @@ class TestTraceSurvivesDaemonDeath:
             state_dir=str(state),
             checkpoint_every=self.CHECKPOINT_EVERY)
         session = registry.create(spec)
-        registry.mark(session, "running")
+        session.state = "running"
+        registry.journal_state(session)
         for _ in range(8):
             with session.lock:
                 envelope = session.step(self.STEP_EVENTS)
