@@ -153,22 +153,18 @@ def _run_spec(args):
         variants=args.variants, seed=args.seed, scale=args.scale,
         faults=args.faults or None, fault_seed=args.fault_seed,
         policy=args.policy, watchdog=args.watchdog,
-        race_detect=args.race_detect, resync_mode=args.resync_mode)
+        race_detect=args.race_detect, resync_mode=args.resync_mode,
+        deadlock_detect=args.deadlock_detect, diversity=args.diversity)
 
 
 def _cmd_run(args) -> int:
-    from repro.diversity.spec import DiversitySpec
     from repro.run import build_mvee
 
     if args.record:
         return _record_to(args, args.record)
     hub = _make_hub(args)
-    diversity = (DiversitySpec(aslr=True, dcl=True, seed=args.seed)
-                 if args.diversity else None)
     mvee, native = build_mvee(_run_spec(args), obs=hub,
-                              diversity=diversity,
-                              checkpoints=args.checkpoint_every,
-                              deadlocks=args.deadlock_detect)
+                              checkpoints=args.checkpoint_every)
     outcome = mvee.run()
     print(f"benchmark : {args.benchmark}")
     print(f"agent     : {args.agent}, variants: {args.variants}, "
@@ -284,17 +280,8 @@ def _cmd_fault_matrix(args) -> int:
 
 def _record_to(args, out_path: str) -> int:
     """Shared body of ``repro record`` and ``repro run --record``."""
-    from repro.errors import ReproError
     from repro.replay import record_run
 
-    # Replay rebuilds the run from the spec in the log header, which
-    # has no field for either: refuse rather than record a run that
-    # replays differently.
-    for flag in ("diversity", "deadlock_detect"):
-        if getattr(args, flag, False):
-            raise ReproError(f"--record does not support "
-                             f"--{flag.replace('_', '-')} (the decision "
-                             "log's run spec cannot carry it)")
     spec = _run_spec(args)
     hub = _make_hub(args)
     recorded = record_run(
@@ -707,30 +694,21 @@ def _deadlock_check(args) -> int:
         analyze_module,
         cross_check,
     )
-    from repro.core.mvee import run_mvee
-    from repro.races import DeadlockDetector, DeadlockReport
-    from repro.workloads.philosophers import DiningPhilosophers
+    from repro.races import DeadlockReport
+    from repro.run import RunSpec, run_spec_cell
 
     print("dynamic evidence: dining philosophers, blocking and "
           "trylock-guarded tables")
-    wedging = DeadlockDetector()
-    wedged = run_mvee(DiningPhilosophers(3), variants=2, seed=args.seed,
-                      max_cycles=5e7, deadlocks=wedging)
-    guarded = DeadlockDetector()
-    clean = run_mvee(DiningPhilosophers(3, trylock=True), variants=2,
-                     seed=args.seed, max_cycles=5e7, deadlocks=guarded)
-    print(f"  blocking : {wedged.verdict} "
-          f"({wedging.report.summary()})")
-    print(f"  guarded  : {clean.verdict} "
-          f"({guarded.report.summary()})")
+    wedged, clean = run_spec_cell([
+        RunSpec(workload, seed=args.seed, deadlock_detect=True)
+        for workload in ("philosophers/3", "philosophers/3+trylock")])
+    wedging, guarded = wedged.deadlocks, clean.deadlocks
+    print(f"  blocking : {wedged.verdict} ({wedging.summary()})")
+    print(f"  guarded  : {clean.verdict} ({guarded.summary()})")
     evidence = DeadlockReport(
-        records=wedging.report.records + guarded.report.records,
-        observed_sites=(wedging.report.observed_sites
-                        | guarded.report.observed_sites),
-        guard_sites=(wedging.report.guard_sites
-                     | guarded.report.guard_sites),
-        guard_refusals=(wedging.report.guard_refusals
-                        + guarded.report.guard_refusals))
+        records=wedging.records + guarded.records,
+        observed_sites=wedging.observed_sites | guarded.observed_sites,
+        guard_sites=wedging.guard_sites | guarded.guard_sites)
 
     expected = {"philosophers": CONFIRMED, "abba": UNEXERCISED,
                 "trylock_guarded": REFUTED}
@@ -1146,7 +1124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.add_argument("--race-detect", action="store_true")
     _add_replay_flags(p_record)
     _add_obs_flags(p_record)
-    p_record.set_defaults(func=_cmd_record)
+    p_record.set_defaults(func=_cmd_record, diversity=False,
+                          deadlock_detect=False)
 
     p_replay = sub.add_parser(
         "replay",

@@ -9,18 +9,16 @@ execution").  Every spec-shaped sweep is a list of
 through :func:`repro.par.engine.run_specs`; each row type here is a
 projection of the :class:`~repro.run.RunRecord` it returns, computed
 in the caller.  Records are memoized per process on the spec's value,
-so the figure and table benches can share one sweep.  The deadlock
-sweep keeps its own cell: dining philosophers is not a spec workload.
+so the figure and table benches can share one sweep.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
-from repro.core.divergence import MonitorPolicy
-from repro.core.mvee import run_mvee
 from repro.faults import FAULT_KINDS, FaultSpec
-from repro.par.engine import CellTask, raise_failures, run_cells, run_specs
+from repro.par.engine import run_specs
 from repro.perf.report import SlowdownReport
 from repro.run import (
     NGINX_COSTS,
@@ -371,51 +369,24 @@ class DeadlockSweepRow:
     cycles_identical: bool | None
 
 
-def _deadlock_sweep_cell(workload: str, mode: str,
-                         seed: int) -> DeadlockSweepRow:
-    """One deadlock-sweep row; module-level for the parallel engine."""
-    import re
-
-    from repro.workloads.philosophers import DiningPhilosophers
-
-    base, _, flavor = workload.partition("+")
-    philosophers = int(base.rsplit("/", 1)[1])
-    trylock = flavor == "trylock"
-
-    def run(detector):
-        policy = (None if mode == "detector" else MonitorPolicy(
-            watchdog_cycles=DEADLOCK_SWEEP_WATCHDOG))
-        return run_mvee(DiningPhilosophers(philosophers, trylock=trylock),
-                        variants=2, seed=seed, policy=policy,
-                        max_cycles=5e7, deadlocks=detector)
-
-    if mode == "watchdog":
-        outcome = run(None)
-        diagnosis = "-"
-        if outcome.divergence is not None:
-            match = re.search(r"\[cause: ([^\]]+)\]",
-                              outcome.divergence.detail)
-            diagnosis = match.group(1) if match else "-"
-        return DeadlockSweepRow(
-            workload=workload, mode=mode, verdict=outcome.verdict,
-            cycles=outcome.machine.now, diagnosis=diagnosis,
-            guard_refusals=0, cycles_identical=None)
-
-    from repro.races import DeadlockDetector
-
-    detector = DeadlockDetector()
-    outcome = run(detector)
-    report = detector.report
-    diagnosis = (report.records[0].cycle_name() if report.records
-                 else "-")
-    identical = None
-    if outcome.verdict == "clean":
-        identical = run(None).machine.now == outcome.machine.now
+def _deadlock_row(record: RunRecord, twin: RunRecord | None = None
+                  ) -> DeadlockSweepRow:
+    """The sweep-row projection of a run record; ``twin`` is the
+    detector-less rerun of a clean detector row."""
+    spec, report = record.spec, record.deadlocks
+    diagnosis = "-"
+    if report is not None and report.records:
+        diagnosis = report.records[0].cycle_name()
+    elif record.divergence is not None:
+        match = re.search(r"\[cause: ([^\]]+)\]", record.divergence)
+        diagnosis = match.group(1) if match else "-"
     return DeadlockSweepRow(
-        workload=workload, mode=mode, verdict=outcome.verdict,
-        cycles=outcome.machine.now, diagnosis=diagnosis,
-        guard_refusals=report.guard_refusals,
-        cycles_identical=identical)
+        workload=spec.workload,
+        mode="detector" if spec.deadlock_detect else "watchdog",
+        verdict=record.verdict, cycles=record.cycles, diagnosis=diagnosis,
+        guard_refusals=report.guard_refusals if report is not None else 0,
+        cycles_identical=(twin.cycles == record.cycles
+                          if twin is not None else None))
 
 
 def run_deadlock_sweep(sizes=(3, 4), seed: int = 1, jobs: int = 1,
@@ -428,20 +399,28 @@ def run_deadlock_sweep(sizes=(3, 4), seed: int = 1, jobs: int = 1,
     hint) and once with the wait-for-graph detector (``deadlock``
     verdict at cycle formation) — and the trylock-guarded variant runs
     with the detector to show a guarded program staying clean on an
-    unperturbed timeline.
+    unperturbed timeline: each clean detector row reruns as a
+    detector-less twin, compared on cycles.
     """
-    cells = []
+    specs = []
     for size in sizes:
-        cells.append((f"philosophers/{size}", "watchdog"))
-        cells.append((f"philosophers/{size}", "detector"))
-    cells.append((f"philosophers/{sizes[0]}+trylock", "detector"))
-    tasks = [CellTask(sweep_id="deadlock-sweep", index=index,
-                      fn=_deadlock_sweep_cell,
-                      kwargs=dict(workload=workload, mode=mode,
-                                  seed=seed))
-             for index, (workload, mode) in enumerate(cells)]
-    results = raise_failures(run_cells(tasks, jobs=jobs, env=env))
-    return [result.value for result in results]
+        specs.append(RunSpec(f"philosophers/{size}", seed=seed,
+                             watchdog=DEADLOCK_SWEEP_WATCHDOG))
+        specs.append(RunSpec(f"philosophers/{size}", seed=seed,
+                             deadlock_detect=True))
+    specs.append(RunSpec(f"philosophers/{sizes[0]}+trylock", seed=seed,
+                         deadlock_detect=True))
+    records = run_specs("deadlock-sweep", [{"spec": spec}
+                                           for spec in specs],
+                        jobs=jobs, env=env)
+    clean = [index for index, record in enumerate(records)
+             if record.spec.deadlock_detect and record.verdict == "clean"]
+    twins = run_specs("deadlock-sweep-twins", [
+        {"spec": replace(records[index].spec, deadlock_detect=False)}
+        for index in clean], jobs=jobs, env=env)
+    twins = dict(zip(clean, twins, strict=True))
+    return [_deadlock_row(record, twins.get(index))
+            for index, record in enumerate(records)]
 
 
 def deadlock_sweep_table(rows) -> str:

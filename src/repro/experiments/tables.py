@@ -16,9 +16,8 @@ from repro.experiments.runner import (
     run_benchmark_grid,
 )
 from repro.perf.report import aggregate_slowdowns, format_table, render_bars
-from repro.run import run_native
+from repro.run import native_report
 from repro.workloads.spec import ALL_SPECS
-from repro.workloads.synthetic import SyntheticWorkload
 
 #: Table 1 of the paper: aggregated average slowdowns.
 TABLE1_PAPER = {
@@ -60,11 +59,10 @@ def table1(results: list[ExperimentResult] | None = None,
 def _table2_row(name: str, scale: float, seed: int) -> list[str]:
     """One Table 2 row; module-level for the parallel engine."""
     spec = ALL_SPECS[name]
-    program = SyntheticWorkload(spec, scale=scale)
-    result = run_native(program, seed=seed)
-    seconds = result.report.seconds
-    syscall_rate = result.report.total_syscalls / seconds / 1000.0
-    sync_rate = result.report.total_sync_ops / seconds / 1000.0
+    report = native_report(name, scale=scale, seed=seed)
+    seconds = report.seconds
+    syscall_rate = report.total_syscalls / seconds / 1000.0
+    sync_rate = report.total_sync_ops / seconds / 1000.0
     return [
         name,
         f"{spec.native_runtime_s:8.2f}",

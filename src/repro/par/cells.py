@@ -3,9 +3,9 @@
 Every sweep in the repo is a list of *cells*: pure functions of their
 parameters (including an explicit seed) that return a picklable result.
 The Figure 5 / Table 1 grid, the benchmark matrix, profiles, the race
-sweep, the fault matrix and serve batch sessions all run one cell,
-:func:`repro.run.run_spec_cell`; only the deadlock sweep (not a spec
-workload) and Table 2 (native-only rows) keep their own.  This module
+sweep, the fault matrix, the deadlock sweep and serve batch sessions
+all run one cell, :func:`repro.run.run_spec_cell`; only Table 2
+(native-only rows) keeps its own.  This module
 owns the envelopes those cells travel in and the one true way to
 execute a cell in the current process; everything above it (runners,
 pools, environments) moves the envelopes around without ever looking

@@ -3,7 +3,7 @@ the one sweep cell.
 
 The paper measures every configuration against its own unprotected
 native execution (§6).  This module owns that baseline
-(:func:`run_native`, memoized by :func:`native_cycles`), the JSON-safe
+(:func:`run_native`, memoized by :func:`native_report`), the JSON-safe
 :class:`RunSpec` that the serve daemon journals, a decision log carries
 and the CLI assembles, :func:`build_mvee` — the only code that turns a
 spec into an MVEE, so no two front ends can drift apart — and
@@ -17,6 +17,7 @@ build through it.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import astuple, dataclass, field, replace
 
@@ -33,6 +34,7 @@ from repro.sched.vm import VariantVM
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import MVEE
+from repro.diversity.spec import DiversitySpec
 from repro.errors import BadRequest, ConfigError
 from repro.faults import DEGRADATION_POLICIES, parse_fault_plan
 from repro.workloads.nginx import (
@@ -41,6 +43,7 @@ from repro.workloads.nginx import (
     TrafficStats,
     make_traffic,
 )
+from repro.workloads.philosophers import DiningPhilosophers
 from repro.workloads.spec import ALL_SPECS
 from repro.workloads.synthetic import make_benchmark
 
@@ -52,6 +55,17 @@ AGENT_NAMES = ("none", "total_order", "partial_order", "wall_of_clocks",
 
 #: Cycle budget of an nginx run (it has no native baseline).
 NGINX_MAX_CYCLES = 5e9
+
+#: Cycle budget of a ``philosophers/N`` run (no native baseline either):
+#: far past the deadlock sweep's watchdog deadline, so the budget never
+#: ends a sweep row.
+PHILOSOPHERS_MAX_CYCLES = 5e7
+
+#: Largest ``philosophers/N`` table a spec may ask for (the bound on
+#: ``variants``).
+MAX_PHILOSOPHERS = 16
+
+_PHILOSOPHERS = re.compile(r"philosophers/([1-9][0-9]{0,5})(\+trylock)?")
 
 #: Default checkpoint cadence under ``resync_mode="checkpoint"``: this
 #: many snapshots per native runtime.
@@ -78,9 +92,8 @@ NGINX_COSTS = CostModel(monitor_syscall_overhead=2_000.0,
 #: The only :class:`MVEE` keywords :func:`build_mvee` passes through;
 #: everything else about a run comes from its spec.
 MVEE_KEYWORDS = frozenset((
-    "obs", "replay", "checkpoints", "races", "deadlocks", "diversity",
-    "instrument", "cores", "costs", "agent_options", "record_trace",
-    "record_sync_trace"))
+    "obs", "replay", "checkpoints", "races", "instrument", "cores",
+    "costs", "agent_options", "record_trace", "record_sync_trace"))
 
 
 @dataclass
@@ -131,7 +144,7 @@ def run_native(program: GuestProgram, *, seed: int = 0, cores: int = 16,
     return NativeResult(report=report, disk=disk, vm=vm, machine=machine)
 
 
-_native_cache: dict[tuple, float] = {}
+_native_cache: dict[tuple, MachineReport] = {}
 
 
 def reset_caches() -> None:
@@ -145,10 +158,10 @@ def reset_caches() -> None:
     _cell_cache.clear()
 
 
-def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
+def native_report(benchmark: str, scale: float = 1.0, seed: int = 1,
                   cores: int = PAPER_CORES,
-                  costs: CostModel | None = None) -> float:
-    """Native (unprotected) runtime of a benchmark slice, memoized.
+                  costs: CostModel | None = None) -> MachineReport:
+    """The native (unprotected) run of a benchmark slice, memoized.
 
     The cache is keyed on every input, the cost model by field values,
     so equal configurations share one native run per process.
@@ -156,11 +169,17 @@ def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
     key = (benchmark, scale, seed, cores, astuple(costs or DEFAULT_COSTS))
     cached = _native_cache.get(key)
     if cached is None:
-        result = run_native(make_benchmark(benchmark, scale=scale),
-                            seed=seed, cores=cores, costs=costs)
-        cached = result.report.cycles
+        cached = run_native(make_benchmark(benchmark, scale=scale),
+                            seed=seed, cores=cores, costs=costs).report
         _native_cache[key] = cached
     return cached
+
+
+def native_cycles(benchmark: str, scale: float = 1.0, seed: int = 1,
+                  cores: int = PAPER_CORES,
+                  costs: CostModel | None = None) -> float:
+    """Native runtime of a benchmark slice (:func:`native_report`)."""
+    return native_report(benchmark, scale, seed, cores, costs).cycles
 
 
 def _is_int(value) -> bool:
@@ -171,9 +190,24 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _philosophers(name: str) -> tuple[int, bool] | None:
+    """``(N, trylock)`` of a ``philosophers/N[+trylock]`` workload name,
+    ``None`` for any other name; an N outside 2..MAX_PHILOSOPHERS is a
+    :class:`BadRequest`."""
+    match = _PHILOSOPHERS.fullmatch(name)
+    if match is None:
+        return None
+    size = int(match.group(1))
+    if not 2 <= size <= MAX_PHILOSOPHERS:
+        raise BadRequest(f"philosophers/N needs N between 2 and "
+                         f"{MAX_PHILOSOPHERS}, got {size}")
+    return size, match.group(2) is not None
+
+
 def _check_workload(name) -> None:
     if not isinstance(name, str) or (name != "nginx"
-                                     and name not in ALL_SPECS):
+                                     and name not in ALL_SPECS
+                                     and _philosophers(name) is None):
         raise BadRequest(f"unknown workload {name!r} "
                          "(see the 'workloads' op or 'repro list')")
 
@@ -201,6 +235,12 @@ class RunSpec:
     policy: str = "kill-all"
     watchdog: float | None = None
     race_detect: bool = False
+    #: Attach the wait-for-graph deadlock detector (a lock cycle ends
+    #: the run with a ``deadlock`` verdict).
+    deadlock_detect: bool = False
+    #: ASLR+DCL diversity seeded by ``seed`` (§2); off runs identical
+    #: layouts.
+    diversity: bool = False
     #: Restart resync strategy: "history" or "checkpoint" (the latter
     #: gets a checkpointer; see MonitorPolicy.resync_mode).
     resync_mode: str = "history"
@@ -225,8 +265,9 @@ class RunSpec:
             raise BadRequest("scale must be a number")
         if self.watchdog is not None and not _is_real(self.watchdog):
             raise BadRequest("watchdog must be a number (or omitted)")
-        if not isinstance(self.race_detect, bool):
-            raise BadRequest("race_detect must be true or false")
+        for name in ("race_detect", "deadlock_detect", "diversity"):
+            if not isinstance(getattr(self, name), bool):
+                raise BadRequest(f"{name} must be true or false")
         if self.agent not in AGENT_NAMES:
             raise BadRequest(f"unknown agent {self.agent!r}; expected "
                              "one of " + ", ".join(AGENT_NAMES))
@@ -265,6 +306,11 @@ class RunSpec:
                 "race_detect": self.race_detect,
                 "resync_mode": self.resync_mode,
                 "params": dict(self.params)}
+        # Omitted at their defaults, so specs that leave them off keep
+        # their journal lines, log headers, memo keys and digests.
+        for name in ("deadlock_detect", "diversity"):
+            if getattr(self, name):
+                data[name] = True
         if self.trace is not None:
             data["trace"] = dict(self.trace)
         return data
@@ -289,15 +335,19 @@ def build_mvee(spec: RunSpec, **mvee_keywords):
     """Build the MVEE a spec describes; returns ``(mvee, native)``.
 
     ``native`` is the benchmark twin's native runtime (``None`` for
-    nginx, which has no baseline).  The spec decides the run; the
-    keywords only attach what a caller observes or overrides, and must
-    be :class:`MVEE` keywords listed in :data:`MVEE_KEYWORDS`.  Decided
-    here and nowhere else:
+    nginx and the philosophers tables, which have no baseline).  The
+    spec decides the run; the keywords only attach what a caller
+    observes or overrides, and must be :class:`MVEE` keywords listed in
+    :data:`MVEE_KEYWORDS`.  Decided here and nowhere else:
 
     * the cycle budget: 400 times the native runtime, computed with the
-      run's cores and costs (nginx: ``NGINX_MAX_CYCLES``) — far past
-      any lockstep slowdown, so only a wedged run hits it;
+      run's cores and costs (nginx: ``NGINX_MAX_CYCLES``; philosophers:
+      ``PHILOSOPHERS_MAX_CYCLES``) — far past any lockstep slowdown, so
+      only a wedged run hits it;
     * agent ``"none"`` means no agent;
+    * ``diversity``: ASLR+DCL seeded by the spec's seed;
+    * ``deadlock_detect``: a default deadlock detector;
+    * ``params`` are accepted for nginx only;
     * the :class:`MonitorPolicy` and the parsed fault plan;
     * nginx: :data:`SHORT_NGINX` sizing under ``spec.params``,
       :data:`NGINX_COSTS` unless ``costs`` is given, network and
@@ -317,9 +367,17 @@ def build_mvee(spec: RunSpec, **mvee_keywords):
     keywords = dict(mvee_keywords)
     if keywords.get("races") is None:
         keywords["races"] = spec.race_detect
+    keywords["deadlocks"] = spec.deadlock_detect
+    if spec.diversity:
+        keywords["diversity"] = DiversitySpec(aslr=True, dcl=True,
+                                              seed=spec.seed)
     if spec.faults is not None:
         keywords["faults"] = parse_fault_plan(
             spec.faults, seed=spec.fault_seed, n_variants=spec.variants)
+    if spec.params and spec.workload != "nginx":
+        raise BadRequest("params are only accepted for the nginx "
+                         "workload")
+    table = _philosophers(spec.workload)
     if spec.workload == "nginx":
         try:
             config = NginxConfig(**{**SHORT_NGINX, **spec.params})
@@ -332,10 +390,11 @@ def build_mvee(spec: RunSpec, **mvee_keywords):
         keywords.update(with_network=True,
                         traffic=make_traffic(config, 0.0, TrafficStats()),
                         max_cycles=NGINX_MAX_CYCLES)
+    elif table is not None:
+        program = DiningPhilosophers(*table)
+        native = None
+        keywords["max_cycles"] = PHILOSOPHERS_MAX_CYCLES
     else:
-        if spec.params:
-            raise BadRequest("params are only accepted for the nginx "
-                             "workload")
         program = make_benchmark(spec.workload, scale=spec.scale)
         native = native_cycles(spec.workload, scale=spec.scale,
                                seed=spec.seed,
@@ -379,6 +438,7 @@ class RunRecord:
     restarted: list[int]
     resync_stats: dict
     races: object | None
+    deadlocks: object | None
     divergence: str | None
     extras: dict = field(default_factory=dict)
     wall_s: float = field(default=0.0, compare=False)
@@ -404,7 +464,7 @@ class RunRecord:
             resync_stats={name: sum(entry.get(name, 0)
                                     for entry in stats.values())
                           for name in ("fast_forwarded", "resynced")},
-            races=outcome.races,
+            races=outcome.races, deadlocks=outcome.deadlocks,
             divergence=(outcome.divergence.explain()
                         if outcome.divergence is not None else None),
             extras=dict(extras or {}), wall_s=wall_s)

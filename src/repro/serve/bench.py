@@ -8,9 +8,11 @@ control behaviour into ``BENCH_serve.json``.
 Admission control is part of the scenario, not an accident: the client
 count deliberately exceeds ``max_sessions``, so some creates are
 rejected with a typed :class:`repro.errors.QuotaExceeded` and retried
-with backoff.  The report counts those rejections — a healthy run has
-``rejected > 0`` (the quota engaged) and ``completed == sessions``
-(nobody was starved; rejection is backpressure, not loss).
+with backoff.  The report counts those rejections; nothing gates on
+the count, and on a fast host the quota may never engage (``rejected
+== 0``).  What is gated: ``completed == sessions`` (nobody was starved;
+rejection is backpressure, not loss), sampled sessions matching the
+daemon-less single-shot oracle, and, under ``--compare``, the digest.
 
 Artifact schema (``format_version`` 2, same trajectory discipline as
 ``BENCH_par.json`` — see ``docs/SERVING.md``):

@@ -186,7 +186,7 @@ class ServeDaemon:
             self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
-            self._teardown()
+        self._teardown()
 
     def _teardown(self) -> None:
         self.executor.shutdown()

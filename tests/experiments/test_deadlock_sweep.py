@@ -1,6 +1,8 @@
 """The deadlock-detection experiment: sweep rows, rendered table, and
 serial/parallel equivalence."""
 
+import pytest
+
 from repro.experiments.runner import (DeadlockSweepRow, deadlock_sweep_table,
                                       run_deadlock_sweep)
 
@@ -50,3 +52,23 @@ class TestDeadlockSweep:
                                verdict="clean", cycles=1.0, diagnosis="-",
                                guard_refusals=0, cycles_identical=None)
         assert row.cycles_identical is None
+
+
+#: ``deadlock_sweep_table(run_deadlock_sweep())`` at the default sizes
+#: and seed — the text ``repro deadlock bench`` prints, pinned since the
+#: sweep's cells became run specs.
+PINNED_TABLE = """\
+deadlock detection: diagnosis latency and quality
+workload                    mode     verdict     cycles  guards  timeline  diagnosis
+philosophers/3          watchdog  divergence     349591       0         -  deadlock-suspected
+philosophers/3          detector    deadlock      41013       0         -  phil0 -> phil1 -> phil2 -> phil0
+philosophers/4          watchdog  divergence     367494       0         -  deadlock-suspected
+philosophers/4          detector    deadlock      57621       0         -  phil0 -> phil1 -> phil2 -> phil3 -> phil0
+philosophers/3+trylock  detector       clean      71839       4      same  -
+detector diagnoses 2 wedge(s) 6.4-8.5x earlier than the watchdog deadline, with the cycle named"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_default_sweep_table_is_pinned(jobs):
+    assert deadlock_sweep_table(run_deadlock_sweep(jobs=jobs)) == \
+        PINNED_TABLE

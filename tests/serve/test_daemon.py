@@ -18,8 +18,10 @@ from repro.errors import (
     SessionNotFound,
 )
 from repro.experiments.serve_load import single_shot
+from repro.run import run_spec_cell
 from repro.serve.client import ServeClient, wait_for_daemon
 from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.serve.session import session_result
 
 NGINX = {"workload": "nginx", "seed": 7}
 FAULTED = {"workload": "dedup", "scale": 0.05, "seed": 5, "variants": 3,
@@ -171,6 +173,46 @@ class TestQuotaParity:
         assert step["result"] == {
             "verdict": "killed", "reason": "cycle quota exceeded",
             "cycles": single_shot(dict(self.SPEC))["cycles"]}
+
+
+class TestServedDeadlockSession:
+    """A spec that asks for the deadlock detector gets it on both
+    paths, and both settle exactly like the daemon-less cell."""
+
+    SPEC = {"workload": "philosophers/3", "deadlock_detect": True}
+
+    def test_batch_and_stepped_sessions_settle_deadlock(self):
+        expected = session_result(run_spec_cell(dict(self.SPEC),
+                                                outputs={"obs": None}))
+        assert expected["verdict"] == "deadlock"
+        daemon = ServeDaemon(ServeConfig(jobs=0))
+        try:
+            batch = daemon.handle(
+                {"op": "create", "spec": dict(self.SPEC)})["id"]
+            run = daemon.handle({"op": "run", "id": batch})
+            stepped = daemon.handle(
+                {"op": "create", "spec": dict(self.SPEC)})["id"]
+            for _ in range(10_000):
+                step = daemon.handle({"op": "step", "id": stepped,
+                                      "max_events": 50})
+                if step["done"]:
+                    break
+        finally:
+            daemon.stop()
+        assert run["done"] and step["done"]
+        assert run["result"] == step["result"] == expected
+
+
+class TestStopWithoutStart:
+    def test_stop_releases_the_pool_of_a_never_started_daemon(self):
+        # handle()-only daemons (tests, the state machine) are never
+        # started; stop must still shut their executor's workers down.
+        daemon = ServeDaemon(ServeConfig(jobs=1))
+        assert daemon.executor.stats()["pool"]["alive"] == 1
+        daemon.stop()
+        assert daemon.executor.stats()["pool"]["alive"] == 0
+        daemon.stop()   # idempotent
+        assert daemon.executor.stats()["pool"]["alive"] == 0
 
 
 class TestForkPool:

@@ -6,6 +6,18 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: ``repro deadlock check`` at the default seed, byte for byte.
+PINNED_DEADLOCK_CHECK = (
+    'dynamic evidence: dining philosophers, blocking and trylock-guarded tables\n'
+    '  blocking : deadlock (1 deadlock cycle(s); first: phil0 -> phil1 -> phil2 -> phil0 in v0)\n'
+    '  guarded  : clean (no deadlock (16 acquire(s), 16 release(s), 3 futex wait(s), 4 trylock refusal(s)))\n'
+    'static candidates vs dynamic evidence:\n'
+    '  abba             lock_a -> lock_b -> lock_a     unexercised       no run exercised these sites\n'
+    '  trylock_guarded  lock_a -> lock_b -> lock_a     refuted-by-guard  statically suppressed (trylock)\n'
+    '  philosophers     fork_0 -> fork_1 -> fork_2 -> fork_0 confirmed         runtime wait-for cycle hit the same site(s): libpthread.mutex.lock.cmpxchg\n'
+    'cross-check: the wedging cycle is confirmed, the never-run inversion stays unexercised, and the trylock guard refutes its candidate\n'
+)
+
 
 class TestParser:
     def test_requires_command(self):
@@ -273,6 +285,12 @@ class TestDeadlockCommand:
         assert "refuted-by-guard" in out
         assert "unexercised" in out
 
+    def test_check_output_is_pinned(self, capsys):
+        """The evidence runs are run specs; what ``check`` prints from
+        them stays exactly what it printed from hand-built runs."""
+        assert main(["deadlock", "check"]) == 0
+        assert capsys.readouterr().out == PINNED_DEADLOCK_CHECK
+
     def test_run_deadlock_detect_prints_summary(self, capsys):
         code = main(["run", "fft", "--scale", "0.1",
                      "--deadlock-detect"])
@@ -403,17 +421,28 @@ class TestReplayCommands:
         assert main(["replay", log]) == 0
         assert "log digest: stable" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--diversity", "--deadlock-detect"])
-    def test_run_record_refuses_what_the_log_cannot_carry(
-            self, capsys, tmp_path, flag):
-        log = tmp_path / "refused.decisions.jsonl"
-        code = main(["run", "fft", "--scale", "0.05", flag,
-                     "--record", str(log)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("repro run: --record does not support "
-                              + flag)
-        assert not log.exists()
+    @pytest.mark.parametrize("argv,verdict,code", [
+        (["fft", "--scale", "0.05", "--diversity"], "clean", 0),
+        (["philosophers/3", "--deadlock-detect"], "deadlock", 1),
+    ], ids=["diversity", "deadlock-detect"])
+    def test_run_record_replays_spec_flags(
+            self, capsys, tmp_path, argv, verdict, code):
+        # Both flags are run-spec fields, so the log header carries them
+        # and replay rebuilds the same run.
+        log = str(tmp_path / "run.decisions.jsonl")
+        assert main(["run", *argv, "--record", log]) == code
+        out = capsys.readouterr().out
+        with open(log) as handle:
+            header = json.loads(handle.readline())
+        assert header["spec"][argv[-1][2:].replace("-", "_")] is True
+        assert f"verdict   : {verdict}\n" in out
+        cycles = out.split("cycles    : ", 1)[1].split("\n", 1)[0]
+        assert main(["replay", log]) == 0
+        out = capsys.readouterr().out
+        assert f"verdict   : {verdict} (match)" in out
+        assert f"cycles    : {cycles} (match)" in out
+        assert "log digest: stable" in out
+        assert "MISMATCH" not in out
 
     def test_replay_to_step_writes_forensics_bundle(self, capsys,
                                                     tmp_path):

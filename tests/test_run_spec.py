@@ -5,9 +5,11 @@ spec-shaped sweep builds the same MVEE.
 (``single_shot``) and a stepped serve ``Session`` all turn a
 :class:`repro.run.RunSpec` into an MVEE through
 :func:`repro.run.build_mvee`, so they must agree on the verdict and the
-cycle count for the same spec.  The specs cover the two decisions that
+cycle count for the same spec.  The specs cover the decisions that
 used to live in several copies: the ``native/64`` checkpoint default
-under ``resync_mode="checkpoint"`` and the nginx sizing.
+under ``resync_mode="checkpoint"``, the nginx sizing, the ASLR+DCL
+diversity ``repro run --diversity`` asks for, and a deadlock-detected
+philosophers table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.cli import main
 from repro.errors import BadRequest
 from repro.experiments.runner import (
     run_benchmark_grid,
+    run_deadlock_sweep,
     run_fault_matrix,
     run_race_sweep,
 )
@@ -42,6 +45,10 @@ SPECS = [
       "--resync-mode", "checkpoint"]),
     ({"workload": "nginx", "variants": 3, "seed": 7},
      ["nginx", "--variants", "3", "--seed", "7"]),
+    ({"workload": "fft", "scale": 0.05, "seed": 5, "diversity": True},
+     ["fft", "--scale", "0.05", "--seed", "5", "--diversity"]),
+    ({"workload": "philosophers/3", "deadlock_detect": True},
+     ["philosophers/3", "--deadlock-detect"]),
 ]
 
 
@@ -109,11 +116,50 @@ MISTYPED = [
     {"workload": "fft", "fault_seed": 1.0},
     {"workload": "fft", "watchdog": "100"},
     {"workload": "fft", "race_detect": 1},
+    {"workload": "fft", "diversity": 1},
+    {"workload": "fft", "deadlock_detect": "yes"},
+    {"workload": "philosophers/1"},
+    {"workload": "philosophers/x"},
+    {"workload": "philosophers/17"},
+    {"workload": "philosophers/3+spinlock"},
 ])
 def test_mistyped_fields_are_bad_requests(spec):
     with pytest.raises(BadRequest) as caught:
         RunSpec.from_dict(dict(spec)).validate()
     assert caught.value.status == 400
+
+
+def test_philosophers_table_sizes_are_capped_at_sixteen():
+    for name in ("philosophers/2", "philosophers/16",
+                 "philosophers/16+trylock"):
+        RunSpec(name).validate()
+    with pytest.raises(BadRequest, match="between 2 and 16"):
+        RunSpec("philosophers/17+trylock").validate()
+
+
+def test_philosophers_reject_params():
+    with pytest.raises(BadRequest, match="only accepted for the nginx"):
+        build_mvee(RunSpec("philosophers/3", params={"meals": 1}))
+
+
+def test_default_spec_keys_are_unchanged():
+    """Fields at their defaults stay off the wire, so journals, decision
+    log headers, memo keys and digests written before ``diversity`` and
+    ``deadlock_detect`` existed stay byte-identical."""
+    assert set(RunSpec("fft").to_dict()) == {
+        "workload", "agent", "variants", "seed", "scale", "faults",
+        "fault_seed", "policy", "watchdog", "race_detect", "resync_mode",
+        "params"}
+
+
+@pytest.mark.parametrize("fields", [
+    {"diversity": True}, {"deadlock_detect": True},
+    {"diversity": True, "deadlock_detect": True}])
+def test_new_fields_round_trip(fields):
+    spec = RunSpec("philosophers/4+trylock", **fields)
+    data = spec.to_dict()
+    assert {name: data[name] for name in fields} == fields
+    assert RunSpec.from_dict(data) == spec
 
 
 def test_mistyped_fields_are_refused_over_the_wire():
@@ -162,6 +208,10 @@ def _sweep_serve_batch():
     daemon.handle({"op": "run", "id": created["id"]})
 
 
+def _sweep_deadlock():
+    run_deadlock_sweep(sizes=(3,))
+
+
 #: One small run of every spec-shaped sweep family; each runs its cells
 #: inline through the engine.
 FAMILIES = {
@@ -171,6 +221,7 @@ FAMILIES = {
     "race sweep": _sweep_race_sweep,
     "fault matrix": _sweep_fault_matrix,
     "serve batch": _sweep_serve_batch,
+    "deadlock sweep": _sweep_deadlock,
 }
 
 
