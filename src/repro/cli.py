@@ -36,11 +36,12 @@ Commands
 ``bench [run|diff] [--compare REF]``
     Performance harness: run the benchmark matrix serially and through
     the parallel engine, measure the speedup, and write
-    ``BENCH_par.json`` (see ``docs/PERFORMANCE.md``).  ``--compare REF``
-    gates the fresh report against a committed reference (digest
-    identity hard-fails, wall-clock deltas warn, profile category
-    shifts hard-fail); ``bench diff OLD NEW`` compares two existing
-    reports without re-running anything.
+    ``BENCH_par.json`` (see ``docs/PERFORMANCE.md``).  Every run is
+    checked against the report contract of :mod:`repro.prof.regress`;
+    ``--compare REF`` also checks it against a committed reference
+    (digest identity and profile category shifts hard-fail, wall-clock
+    deltas warn); ``bench diff OLD NEW`` compares two existing reports
+    without re-running anything.
 ``profile BENCH [--agent A|all] [--flame-out F] [--lag-out L]``
     Cycle-accounting profile of one workload (``docs/PROFILING.md``):
     per-category cycle attribution, cross-variant lag series, collapsed
@@ -49,8 +50,8 @@ Commands
     MVEE-as-a-service (``docs/SERVING.md``): ``start`` runs the session
     daemon in the foreground, ``status`` queries a running daemon, and
     ``bench`` load-tests an in-process daemon with hundreds of short
-    sessions and writes ``BENCH_serve.json`` (``--compare REF`` gates
-    the fresh report against a committed reference).
+    sessions and writes ``BENCH_serve.json``, checked against the same
+    report contract (``--compare REF`` adds a committed reference).
 ``telemetry {dump,merge}`` / ``top``
     Host-level observability (``docs/TELEMETRY.md``): ``dump`` scrapes
     a running daemon's host metrics as Prometheus text, ``merge DIR``
@@ -523,8 +524,29 @@ def _races_bench(args) -> int:
     return 0
 
 
+def _load_reference(path: str | None, kind: str):
+    """``(ref, trajectory)`` for ``--compare PATH`` (``(None, None)``
+    without one): the reference report, and the history a fresh report
+    carries forward — the reference's own plus the reference itself."""
+    from repro.prof import regress
+
+    if not path:
+        return None, None
+    ref = regress.load_report(path, expected_kind=kind)
+    return ref, (list(ref.get("trajectory") or [])
+                 + [regress.trajectory_entry(ref)])
+
+
+def _check_report(report: dict, ref: dict | None) -> int:
+    """Print the report's contract findings; the exit code they give."""
+    from repro.prof import regress
+
+    findings = regress.check(report, ref)
+    print(regress.render_findings(findings))
+    return regress.exit_code(findings)
+
+
 def _cmd_bench(args) -> int:
-    from repro.errors import ReproError
     from repro.par.bench import render_bench, run_bench
     from repro.prof import regress
 
@@ -533,29 +555,9 @@ def _cmd_bench(args) -> int:
             print("repro bench diff: expected exactly two report paths "
                   "(OLD NEW)", file=sys.stderr)
             return 2
-        try:
-            ref = regress.load_report(args.reports[0])
-            new = regress.load_report(args.reports[1])
-        except ReproError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-        findings = regress.compare_reports(
-            new, ref, wall_tolerance=args.tolerance,
-            fail_on_wall=args.fail_on_wall)
-        print(regress.render_findings(findings))
-        return regress.exit_code(findings)
-
-    ref = trajectory = None
-    if args.compare:
-        try:
-            ref = regress.load_report(args.compare)
-        except ReproError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-        # The reference's own history plus the reference itself: the
-        # fresh report carries the whole bench trajectory forward.
-        trajectory = (list(ref.get("trajectory") or [])
-                      + [regress.trajectory_entry(ref)])
+        ref, new = (regress.load_report(path) for path in args.reports)
+        return _check_report(new, ref)
+    ref, trajectory = _load_reference(args.compare, "repro-bench")
     report = run_bench(jobs=args.jobs, quick=args.quick,
                        scale=args.scale, seed=args.seed,
                        env=args.env,
@@ -564,21 +566,7 @@ def _cmd_bench(args) -> int:
     print(render_bench(report))
     if args.out:
         print(f"wrote    : {args.out}")
-    code = 0
-    if report.get("identical") is False:
-        code = 1
-    failed = report["serial"]["failed"]
-    if report["parallel"] is not None:
-        failed += report["parallel"]["failed"]
-    if failed:
-        code = 1
-    if ref is not None:
-        findings = regress.compare_reports(
-            report, ref, wall_tolerance=args.tolerance,
-            fail_on_wall=args.fail_on_wall)
-        print(regress.render_findings(findings))
-        code = max(code, regress.exit_code(findings))
-    return code
+    return _check_report(report, ref)
 
 
 def _cmd_profile(args) -> int:
@@ -813,21 +801,9 @@ def _serve_status(args) -> int:
 
 
 def _serve_bench(args) -> int:
-    from repro.prof import regress
-    from repro.serve.bench import (
-        compare_serve_reports,
-        render_serve_bench,
-        run_serve_bench,
-        serve_trajectory_entry,
-    )
+    from repro.serve.bench import render_serve_bench, run_serve_bench
 
-    ref = None
-    trajectory = None
-    if args.compare:
-        ref = regress.load_report(args.compare,
-                                  expected_kind="repro-serve-bench")
-        trajectory = (list(ref.get("trajectory") or [])
-                      + [serve_trajectory_entry(ref)])
+    ref, trajectory = _load_reference(args.compare, "repro-serve-bench")
     report = run_serve_bench(
         sessions=args.sessions, concurrency=args.concurrency,
         max_sessions=args.max_sessions, jobs=args.jobs, env=args.env,
@@ -836,18 +812,7 @@ def _serve_bench(args) -> int:
     print(render_serve_bench(report))
     if args.out:
         print(f"wrote    : {args.out}")
-    code = 0
-    if report["totals"]["failures"]:
-        code = 1
-    if report["totals"]["completed"] != args.sessions:
-        code = 1
-    if report.get("verified_single_shot") is False:
-        code = 1
-    if ref is not None:
-        findings = compare_serve_reports(report, ref)
-        print(regress.render_findings(findings))
-        code = max(code, regress.exit_code(findings))
-    return code
+    return _check_report(report, ref)
 
 
 def _cmd_serve(args) -> int:
@@ -999,13 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="after the run, gate the fresh report "
                               "against this reference report "
                               "(non-zero exit on regression)")
-    p_bench.add_argument("--tolerance", type=float, default=0.25,
-                         metavar="FRAC",
-                         help="relative wall-clock tolerance for "
-                              "--compare/diff (default 0.25)")
-    p_bench.add_argument("--fail-on-wall", action="store_true",
-                         help="treat wall-clock regressions as failures "
-                              "instead of warnings")
     p_bench.add_argument("--quick", action="store_true",
                          help="small matrix (2 cells) for smoke runs")
     p_bench.add_argument("--scale", type=float, default=None,

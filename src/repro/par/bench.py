@@ -27,20 +27,14 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
 ``serial``/``parallel``
     Per-phase ``wall_s``, ``ok``, ``failed`` (``parallel`` is ``null``
     for ``--jobs 1``); ``serial`` additionally carries ``cell_wall_s``,
-    the per-cell host wall-clock in cell order (v2).  For the process
-    environment ``parallel`` also carries ``warm_wall_s`` — the same
-    matrix re-run on the already-forked pool (worker memo caches reset
-    first), isolating fork/import amortisation from cache effects.
+    the per-cell host wall-clock in cell order (v2).
 ``environment``/``pool``
     The execution environment the parallel phase ran in
-    (``--env inline|process``) and the persistent pool's lifecycle
-    counters (spawned/respawns/tasks/batches).  Host diagnostics only —
-    never part of the digest.  Reports written before dispatch became
-    first-in first-out also carry a ``scheduler`` block (steal counts);
-    nothing reads it.
+    (``--env inline|process``) and, for ``process``, the shared
+    pool's lifecycle counters (spawned/respawns/tasks/batches).  Host
+    diagnostics only — never part of the digest.
 ``speedup``
-    serial wall / parallel wall (``null`` for ``--jobs 1``);
-    ``speedup_warm`` is the same ratio against the warm-pool re-run.
+    serial wall / parallel wall (``null`` for ``--jobs 1``).
 ``identical``
     Whether parallel structural output matched serial bit-for-bit.
 ``digest``
@@ -55,9 +49,9 @@ Schema of ``BENCH_par.json`` (``format_version`` 2) — see
     Telemetry's self-measured host cost on the first cell
     (``repro.telemetry.overhead``): bare vs traced wall over
     alternating pairs, the median per-pair overhead fraction, and
-    ``digest_identical`` — the zero-perturbation
-    contract, self-checked per run.  ``--compare`` warns (never fails)
-    on an overhead regression; a broken ``digest_identical`` fails.
+    ``digest_identical`` — the zero-perturbation contract, self-checked
+    per run: a broken ``digest_identical`` fails the report.  The
+    overhead fraction is reported, not compared.
 ``trajectory`` (v2)
     Accumulated history: one compact entry per prior reference this
     report was ``--compare``'d against (oldest first).
@@ -72,6 +66,7 @@ import platform
 import time
 
 from repro.par.engine import CellTask, merge_cell_traces, run_cells
+from repro.par.pool import shared_pool
 from repro.par.seeds import derive_cell_seed
 
 #: Default artifact path, at the repo root by convention.
@@ -177,74 +172,38 @@ def run_bench(jobs: int = 1, quick: bool = False,
               trajectory: list | None = None) -> dict:
     """Run the harness and return (and optionally write) the report.
 
-    The parallel phase runs *first*: its workers fork from a parent
-    whose memo caches are cold, and the caches are reset again before
-    the serial phase, so neither phase warms the other.
-
-    ``env`` selects the execution environment for the parallel phase
-    (default ``process``).  The process environment runs the matrix
-    twice on a *private* pool, through its own
-    :class:`~repro.par.runners.process.ProcessRunner`: a cold pass on a
-    freshly created pool (fork cost included, like the first sweep of a
-    session) and a warm pass on the same already-forked workers — with
-    the workers' memo caches reset in between via the pool control
-    plane, so ``warm_wall_s`` measures fork/import amortisation rather
-    than cache hits.
+    The parallel phase runs *first*, through :func:`run_cells` in the
+    ``env`` environment (default ``process``, on the shared pool).  The
+    memo caches are reset before each phase; from the CLI the pool
+    forks inside the parallel phase (its wall includes the fork cost),
+    so its workers start cold too and neither phase warms the other.
     """
     from repro.run import reset_caches, run_spec_cell
 
     matrix = build_matrix(quick=quick, scale=scale, seed=seed)
     parallel_block = None
     speedup = None
-    speedup_warm = None
     identical = None
     merged_trace = None
     environment_name = None
     pool_block = None
     if jobs > 1:
-        from repro.par.pool import WorkerPool
-        from repro.par.runners.process import ProcessRunner
-
         environment_name = env or "process"
-        pool = None
-        if environment_name == "process":
-            # Private pool: cold/warm measurement must not ride workers
-            # another sweep already forked.
-            pool = WorkerPool(jobs)
-            run = ProcessRunner(pool).run
-        else:
-            def run(tasks, trace_dir):
-                # ``inline``; run_cells rejects an unknown name.
-                return run_cells(tasks, jobs, trace_dir,
-                                 env=environment_name)
         tasks = bench_tasks(matrix, with_obs=trace_dir is not None)
         reset_caches()
-        try:
-            start = time.perf_counter()
-            par_results = run(tasks, trace_dir)
-            par_wall = time.perf_counter() - start
-            parallel_block = {
-                "wall_s": par_wall,
-                "ok": sum(1 for r in par_results if r.ok),
-                "failed": sum(1 for r in par_results if not r.ok),
-            }
-            if trace_dir is not None:
-                merged_trace = os.path.join(trace_dir, "merged.jsonl")
-                merge_cell_traces(par_results, merged_trace)
-            if pool is not None:
-                # Warm pass: same workers, cold caches.
-                pool.call_all(reset_caches)
-                start = time.perf_counter()
-                warm_results = run(bench_tasks(matrix), None)
-                parallel_block["warm_wall_s"] = (time.perf_counter()
-                                                 - start)
-                if (canonical_cells(warm_results)
-                        != canonical_cells(par_results)):
-                    parallel_block["warm_identical"] = False
-                pool_block = pool.stats()
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        start = time.perf_counter()
+        par_results = run_cells(tasks, jobs, trace_dir,
+                                env=environment_name)
+        parallel_block = {
+            "wall_s": time.perf_counter() - start,
+            "ok": sum(1 for r in par_results if r.ok),
+            "failed": sum(1 for r in par_results if not r.ok),
+        }
+        if trace_dir is not None:
+            merged_trace = os.path.join(trace_dir, "merged.jsonl")
+            merge_cell_traces(par_results, merged_trace)
+        if environment_name == "process":
+            pool_block = shared_pool(jobs).stats()
 
     tasks = bench_tasks(matrix)
     reset_caches()
@@ -267,11 +226,7 @@ def run_bench(jobs: int = 1, quick: bool = False,
     if parallel_block is not None:
         speedup = (serial_wall / parallel_block["wall_s"]
                    if parallel_block["wall_s"] > 0 else None)
-        warm_wall = parallel_block.get("warm_wall_s")
-        if warm_wall:
-            speedup_warm = serial_wall / warm_wall
-        identical = (canonical_cells(par_results) == serial_cells
-                     and parallel_block.get("warm_identical", True))
+        identical = canonical_cells(par_results) == serial_cells
 
     report = {
         "kind": "repro-bench",
@@ -296,7 +251,6 @@ def run_bench(jobs: int = 1, quick: bool = False,
         },
         "parallel": parallel_block,
         "speedup": speedup,
-        "speedup_warm": speedup_warm,
         "identical": identical,
         "digest": digest_of(serial_cells),
         "profile": {
@@ -342,14 +296,6 @@ def render_bench(report: dict) -> str:
             f"({report['jobs']} jobs, {environment} env), "
             f"{report['parallel']['ok']} ok, "
             f"{report['parallel']['failed']} failed")
-        warm = report["parallel"].get("warm_wall_s")
-        if warm is not None:
-            delta = report["parallel"]["wall_s"] - warm
-            lines.append(
-                f"warm pool: {warm:.2f}s wall on the already-forked "
-                f"pool ({delta:+.2f}s vs cold"
-                + (f", {report['speedup_warm']:.2f}x vs serial)"
-                   if report.get("speedup_warm") else ")"))
         pool = report.get("pool")
         if pool:
             lines.append(

@@ -75,15 +75,6 @@ def _pool_worker_main(conn) -> None:
         op = message[0]
         if op == "stop":
             break
-        if op == "call":
-            # Control plane: run a module-level callable (e.g. a cache
-            # reset between bench phases) and acknowledge.
-            try:
-                message[1]()
-                conn.send(("ctl", True, None))
-            except Exception as exc:
-                conn.send(("ctl", False, f"{type(exc).__name__}: {exc}"))
-            continue
         task, trace_dir = message[1], message[2]
         try:
             result = execute_cell(task, trace_dir)
@@ -242,28 +233,6 @@ class WorkerPool:
         worker.conn.send(("task", task, trace_dir))
         self.tasks_dispatched += 1
         return worker
-
-    def call_all(self, fn, timeout_s: float = 30.0) -> int:
-        """Run a module-level callable in every *live, idle* worker
-        (control plane — e.g. resetting memo caches between bench
-        phases).  Returns the number of workers reached.
-
-        A worker that does not acknowledge within ``timeout_s`` is
-        respawned: its late acknowledgement would otherwise sit in the
-        pipe and be read as the next cell's result."""
-        with self.lock:
-            reached = 0
-            for worker in list(self._slots):
-                if (worker is None or not worker.alive()
-                        or worker.busy is not None):
-                    continue
-                worker.conn.send(("call", fn))
-                if worker.conn.poll(timeout_s):
-                    worker.conn.recv()
-                    reached += 1
-                else:
-                    self.respawn(worker.index)
-            return reached
 
     def live_workers(self) -> list[PoolWorker]:
         return [w for w in self._slots if w is not None and w.alive()]

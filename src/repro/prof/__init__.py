@@ -10,9 +10,10 @@ Three layers (see ``docs/PROFILING.md``):
 * :mod:`repro.prof.analytics` — cross-variant lag series (the quantity
   wall-of-clocks exists to shrink), collapsed-stack flamegraph output,
   and markdown comparison reports.
-* :mod:`repro.prof.regress` — the ``repro bench --compare`` regression
-  gate: digest identity, wall-clock deltas, profile category shifts,
-  and bench-trajectory accumulation.
+* :mod:`repro.prof.regress` — the one report contract of ``repro
+  bench`` and ``repro serve bench``: hard checks, digest identity,
+  profile category shifts, warn-only host metrics, and trajectory
+  accumulation.
 
 Attach a profiler with ``ObsHub(profile=True)``; it obeys the same
 zero-cost contract as the rest of ``repro.obs`` — no simulated cycles
@@ -34,7 +35,7 @@ from repro.prof.analytics import (
 )
 from repro.prof.regress import (
     Finding,
-    compare_reports,
+    check,
     exit_code,
     load_report,
     render_findings,
@@ -53,7 +54,7 @@ __all__ = [
     "write_flamegraph",
     "write_lag_series",
     "Finding",
-    "compare_reports",
+    "check",
     "exit_code",
     "load_report",
     "render_findings",

@@ -83,10 +83,14 @@ def build_recording(spec: RunSpec, hub, log_path: str | None = None,
 
     The log carries the spec (and ``meta``) in its header; with
     ``checkpoint_every`` a :class:`CheckpointPolicy` snapshots the run
-    into a store persisted at ``checkpoint_path``; with ``log_path`` a
+    into a store persisted at ``checkpoint_path``, and under checkpoint
+    resync ``meta`` also carries the cadence, which :func:`replay_run`
+    rebuilds the run with; with ``log_path`` a
     :class:`DecisionLogWriter` streams the log there.  :func:`record_run`
     and recording serve sessions both build through here.
     """
+    if checkpoint_every is not None and spec.resync_mode == "checkpoint":
+        meta = {**(meta or {}), "checkpoint_every": checkpoint_every}
     log = DecisionLog(spec=spec.to_dict(), meta=meta)
     recorder = DecisionRecorder(log)
     checkpoints = None
@@ -196,7 +200,8 @@ def replay_run(log, to_step: int | None = None, hub=None) -> ReplayedRun:
     if hub is None:
         hub = ObsHub(trace=False)
     replayer = DecisionReplayer(log)
-    mvee, _ = build_mvee(spec, obs=hub, replay=replayer)
+    mvee, _ = build_mvee(spec, obs=hub, replay=replayer,
+                         checkpoints=log.meta.get("checkpoint_every"))
     if to_step is None:
         outcome = mvee.run()
         return ReplayedRun(outcome=outcome, log=log, replayer=replayer,

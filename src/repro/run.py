@@ -44,7 +44,7 @@ from repro.workloads.nginx import (
     make_traffic,
 )
 from repro.workloads.philosophers import DiningPhilosophers
-from repro.workloads.spec import ALL_SPECS
+from repro.workloads.spec import ALL_SPECS, MAX_PHILOSOPHERS
 from repro.workloads.synthetic import make_benchmark
 
 #: The paper's machine: dual-socket E5-2660, 16 physical cores (HT off).
@@ -60,10 +60,6 @@ NGINX_MAX_CYCLES = 5e9
 #: far past the deadlock sweep's watchdog deadline, so the budget never
 #: ends a sweep row.
 PHILOSOPHERS_MAX_CYCLES = 5e7
-
-#: Largest ``philosophers/N`` table a spec may ask for (the bound on
-#: ``variants``).
-MAX_PHILOSOPHERS = 16
 
 _PHILOSOPHERS = re.compile(r"philosophers/([1-9][0-9]{0,5})(\+trylock)?")
 
@@ -354,7 +350,8 @@ def build_mvee(spec: RunSpec, **mvee_keywords):
       traffic;
     * ``resync_mode="checkpoint"`` without a ``checkpoints`` keyword
       checkpoints every ``native / CHECKPOINTS_PER_NATIVE`` cycles
-      (pass ``checkpoints=False`` to attach none).
+      (pass ``checkpoints=False`` to attach none); a workload with no
+      native baseline needs the keyword, or it is a :class:`BadRequest`.
 
     The spec is not validated here; callers taking untrusted input call
     :meth:`RunSpec.validate` first.
@@ -401,9 +398,14 @@ def build_mvee(spec: RunSpec, **mvee_keywords):
                                cores=keywords.get("cores", PAPER_CORES),
                                costs=keywords.get("costs"))
         keywords["max_cycles"] = native * 400
-        if (keywords.get("checkpoints") is None
-                and spec.resync_mode == "checkpoint"):
-            keywords["checkpoints"] = native / CHECKPOINTS_PER_NATIVE
+    if (keywords.get("checkpoints") is None
+            and spec.resync_mode == "checkpoint"):
+        if native is None:
+            raise BadRequest(
+                "resync_mode 'checkpoint' needs a checkpoint cadence; "
+                f"{spec.workload!r} has no native baseline to derive "
+                "one from (give one explicitly, e.g. --checkpoint-every)")
+        keywords["checkpoints"] = native / CHECKPOINTS_PER_NATIVE
     policy = MonitorPolicy(degradation=spec.policy,
                            watchdog_cycles=spec.watchdog,
                            resync_mode=spec.resync_mode)

@@ -6,13 +6,15 @@ own socket), and records throughput, latency percentiles, and admission
 control behaviour into ``BENCH_serve.json``.
 
 Admission control is part of the scenario, not an accident: the client
-count deliberately exceeds ``max_sessions``, so some creates are
-rejected with a typed :class:`repro.errors.QuotaExceeded` and retried
-with backoff.  The report counts those rejections; nothing gates on
-the count, and on a fast host the quota may never engage (``rejected
-== 0``).  What is gated: ``completed == sessions`` (nobody was starved;
-rejection is backpressure, not loss), sampled sessions matching the
-daemon-less single-shot oracle, and, under ``--compare``, the digest.
+count deliberately exceeds ``max_sessions``, and every client makes its
+first create attempt before any session is driven, so at least
+``min(concurrency, sessions) - max_sessions`` creates are rejected with
+a typed :class:`repro.errors.QuotaExceeded` (and retried with backoff),
+whatever the host's speed.  The report contract
+(:mod:`repro.prof.regress`) gates that bound, ``completed == sessions``
+(nobody was starved; rejection is backpressure, not loss), sampled
+sessions matching the daemon-less single-shot oracle, and, under
+``--compare``, the digest.
 
 Artifact schema (``format_version`` 2, same trajectory discipline as
 ``BENCH_par.json`` — see ``docs/SERVING.md``):
@@ -107,16 +109,36 @@ def run_serve_bench(sessions: int = 256, concurrency: int = 72,
         with lock:
             return next(cursor, None)
 
-    def _drive(client: ServeClient, spec: dict) -> dict:
+    # Slots below ``first`` are the clients' first create attempts: each
+    # waits for the others before its session is driven (and so before
+    # any session closes), which makes the quota engage on every host.
+    # A client that cannot connect breaks the barrier, so no other
+    # client waits for it.
+    first = min(concurrency, sessions)
+    first_attempts = threading.Barrier(max(1, first))
+
+    def _create(client: ServeClient, spec: dict,
+                wait: bool = False) -> str | None:
+        """One create attempt; ``None`` when the quota rejected it."""
         nonlocal rejected
-        session_id = None
+        try:
+            return client.create(spec)
+        except QuotaExceeded:
+            with lock:
+                rejected += 1
+            return None
+        finally:
+            if wait:
+                try:
+                    first_attempts.wait()
+                except threading.BrokenBarrierError:
+                    pass
+
+    def _drive(client: ServeClient, index: int, spec: dict) -> dict:
+        session_id = _create(client, spec, wait=index < first)
         while session_id is None:
-            try:
-                session_id = client.create(spec)
-            except QuotaExceeded:
-                with lock:
-                    rejected += 1
-                time.sleep(0.005)
+            time.sleep(0.005)
+            session_id = _create(client, spec)
         envelope = client.drive(session_id,
                                 step_events if mode == "step" else None)
         client.close_session(session_id)
@@ -126,6 +148,7 @@ def run_serve_bench(sessions: int = 256, concurrency: int = 72,
         try:
             client = ServeClient(host, port, timeout=600.0)
         except Exception as exc:
+            first_attempts.abort()
             with lock:
                 failures.append(f"connect: {exc}")
             return
@@ -137,7 +160,7 @@ def run_serve_bench(sessions: int = 256, concurrency: int = 72,
                 index, spec = slot
                 started = time.perf_counter()
                 try:
-                    result = _drive(client, spec)
+                    result = _drive(client, index, spec)
                 except Exception as exc:
                     with lock:
                         failures.append(
@@ -266,96 +289,3 @@ def render_serve_bench(report: dict) -> str:
                         if report["verified_single_shot"]
                         else "DIFFER from single-shot runs (bug!)"))
     return "\n".join(lines)
-
-
-#: Config fields two serve reports must agree on to be comparable.
-SERVE_IDENTITY = ("sessions", "workload", "agent", "variants",
-                  "base_seed", "mode")
-
-
-def compare_serve_reports(new: dict, ref: dict,
-                          wall_tolerance: float | None = None
-                          ) -> list:
-    """Gate a fresh serve bench report against a committed reference.
-
-    Returns :class:`repro.prof.regress.Finding` lines, same contract as
-    ``repro bench --compare``: simulated quantities (digest, completion,
-    single-shot identity) are hard failures, host quantities
-    (throughput) are advisory warnings.
-    """
-    from repro.prof import regress
-
-    if wall_tolerance is None:
-        wall_tolerance = regress.DEFAULT_WALL_TOLERANCE
-    findings: list[regress.Finding] = []
-    new_config = new.get("config", {})
-    ref_config = ref.get("config", {})
-    mismatched = [key for key in SERVE_IDENTITY
-                  if new_config.get(key) != ref_config.get(key)]
-    if mismatched:
-        findings.append(regress.Finding(
-            "fail", "load-mismatch",
-            "reports ran different loads "
-            f"({', '.join(mismatched)} differ) — digests are not "
-            "comparable"))
-        return findings
-
-    if new.get("digest") != ref.get("digest"):
-        findings.append(regress.Finding(
-            "fail", "digest-divergence",
-            f"serve digest changed: {ref.get('digest')} -> "
-            f"{new.get('digest')} (a served session's simulated "
-            "outcome moved)"))
-    else:
-        findings.append(regress.Finding(
-            "info", "digest",
-            f"serve digest identical ({new.get('digest')})"))
-
-    new_totals = new.get("totals", {})
-    ref_totals = ref.get("totals", {})
-    if new_totals.get("completed") != ref_totals.get("completed"):
-        findings.append(regress.Finding(
-            "fail", "completed",
-            f"completed sessions changed: {ref_totals.get('completed')}"
-            f" -> {new_totals.get('completed')}"))
-    failures = new_totals.get("failures") or []
-    if failures:
-        findings.append(regress.Finding(
-            "fail", "failures",
-            f"{len(failures)} client failure(s) in the new run "
-            f"(first: {failures[0]})"))
-    if new.get("verified_single_shot") is False:
-        findings.append(regress.Finding(
-            "fail", "single-shot-divergence",
-            "served sessions diverged from the daemon-less "
-            "single-shot oracle"))
-
-    new_tp = new.get("throughput_sps")
-    ref_tp = ref.get("throughput_sps")
-    if new_tp and ref_tp:
-        delta = (ref_tp - new_tp) / ref_tp
-        if delta > wall_tolerance:
-            findings.append(regress.Finding(
-                "warn", "throughput",
-                f"throughput regressed {delta * 100.0:+.1f}% "
-                f"({ref_tp:.1f} -> {new_tp:.1f} sessions/s, tolerance "
-                f"{wall_tolerance * 100.0:.0f}%)"))
-        else:
-            findings.append(regress.Finding(
-                "info", "throughput",
-                f"throughput {-delta * 100.0:+.1f}% "
-                f"({ref_tp:.1f} -> {new_tp:.1f} sessions/s)"))
-    return findings
-
-
-def serve_trajectory_entry(report: dict) -> dict:
-    """Compact history record for one serve bench reference."""
-    return {
-        "generated_unix": report.get("generated_unix"),
-        "format_version": report.get("format_version"),
-        "digest": report.get("digest"),
-        "sessions": report.get("config", {}).get("sessions"),
-        "throughput_sps": (round(report["throughput_sps"], 2)
-                           if report.get("throughput_sps") else None),
-        "rejected": report.get("totals", {}).get("rejected"),
-    }

@@ -30,8 +30,8 @@ Four pieces:
   ``serve status`` + ``metrics`` into a refreshing terminal table.
 * **overhead gate** (:mod:`~repro.telemetry.overhead`) — telemetry
   measures its own host cost into the BENCH v2 report's
-  ``observability_overhead`` block, compared warn-only by
-  ``repro bench --compare``.
+  ``observability_overhead`` block; a perturbed cell digest fails the
+  report.
 
 See ``docs/TELEMETRY.md``.
 """

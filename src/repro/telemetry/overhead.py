@@ -9,8 +9,8 @@ delta *and* whether the canonical outputs stayed identical — the
 zero-perturbation contract, self-checked on every bench run.
 
 The resulting ``observability_overhead`` block lands in the BENCH v2
-report and is compared warn-only by ``repro bench --compare`` (host
-wall jitters across runners; a moved digest, by contrast, hard-fails).
+report.  Its overhead figure is reported, not compared (host wall
+jitters across runners); a moved digest fails the report.
 """
 
 from __future__ import annotations

@@ -123,11 +123,15 @@ SPLASH_SPECS = {spec.name: spec for spec in [
 
 ALL_SPECS = {**PARSEC_SPECS, **SPLASH_SPECS}
 
+#: Largest ``philosophers/N`` table a spec may ask for.
+MAX_PHILOSOPHERS = 16
+
 
 def catalog() -> list[dict]:
     """Machine-readable benchmark-twin listing.
 
-    One entry per synthetic twin plus the §5.5 nginx service — the same
+    One entry per synthetic twin, the §5.5 nginx service and the
+    ``philosophers/N[+trylock]`` name pattern — the same
     structure behind ``repro list --json`` and the serve daemon's
     ``workloads`` op, so clients discover workloads without scraping
     stdout.  Fields are plain JSON types.
@@ -154,6 +158,18 @@ def catalog() -> list[dict]:
         "topology": "acceptor_pool",
         "description": "§5.5 threaded web server with custom sync "
                        "primitives (fully instrumented)",
+    })
+    entries.append({
+        "name": "philosophers/N",
+        "kind": "deadlock",
+        "suite": "deadlock",
+        "topology": "ring",
+        "min_n": 2,
+        "max_n": MAX_PHILOSOPHERS,
+        "flavours": ["+trylock"],
+        "description": "dining philosophers, N from min_n to max_n at "
+                       "the table: the plain table always deadlocks, "
+                       "the +trylock flavour backs off and completes",
     })
     return entries
 

@@ -22,7 +22,6 @@ from repro.par.cells import CellTask
 from repro.par.engine import run_cells
 from repro.par.pool import WorkerPool
 from repro.par.runners.process import ProcessRunner
-from repro.par.transport import recv_result
 
 
 # Module-level so fork workers can pickle them by reference.
@@ -37,14 +36,6 @@ def _kill_self():
 def _sleep_then_square(seconds, x):
     time.sleep(seconds)
     return x * x
-
-
-def _noop():
-    pass
-
-
-def _sleep_half_a_second():
-    time.sleep(0.5)
 
 
 def _announce_pid_and_hang(pid_file):
@@ -189,36 +180,6 @@ class TestPoolLifecycle:
             assert stats["spawned"] == 2      # forked once, not per sweep
             assert stats["batches"] == 3
             assert stats["tasks"] == 18
-        finally:
-            pool.shutdown()
-
-    def test_call_all_skips_a_worker_busy_with_cell_zero(self):
-        """Tag 0 (cell 0, ticket 0) is busy too: the control plane must
-        not talk to that worker mid-cell, or the call would swallow the
-        cell's result as its acknowledgement."""
-        pool = WorkerPool(1)
-        try:
-            worker = pool.dispatch(0, _task(0, _sleep_then_square,
-                                            seconds=0.3, x=6), None)
-            assert worker.busy == 0
-            assert pool.call_all(_noop, timeout_s=5.0) == 0
-            result = recv_result(worker.conn.recv())
-            assert result.ok and result.value == 36
-        finally:
-            pool.shutdown()
-
-    def test_call_all_timeout_respawns_the_late_worker(self):
-        """A control call that outlives its timeout must not leave its
-        late acknowledgement in the pipe for the next batch to read as
-        a cell result."""
-        pool = WorkerPool(1)
-        try:
-            pool.worker(0)
-            assert pool.call_all(_sleep_half_a_second, timeout_s=0.1) == 0
-            results = run_on(pool, [_task(i, _square, x=i)
-                                    for i in range(2)])
-            assert [r.value for r in results] == [0, 1]
-            assert pool.stats()["respawns"] == 1
         finally:
             pool.shutdown()
 

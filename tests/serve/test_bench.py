@@ -7,11 +7,8 @@ import json
 import pytest
 
 from repro.experiments import serve_load
-from repro.serve.bench import (
-    render_serve_bench,
-    run_serve_bench,
-    serve_trajectory_entry,
-)
+from repro.prof.regress import check, trajectory_entry
+from repro.serve.bench import render_serve_bench, run_serve_bench
 
 SMALL = dict(sessions=8, concurrency=6, max_sessions=3,
              workload="fft", variants=2, base_seed=3,
@@ -29,8 +26,13 @@ class TestLoadBench:
         assert totals["completed"] == SMALL["sessions"]
         assert totals["failures"] == []
         assert totals["peak_active"] <= SMALL["max_sessions"]
-        # concurrency > max_sessions: admission control must engage.
+        # concurrency > max_sessions, and every client's first create
+        # lands before any session is driven: the quota must engage.
         assert totals["rejected"] > 0
+        assert totals["rejected"] >= (min(SMALL["concurrency"],
+                                          SMALL["sessions"])
+                                      - SMALL["max_sessions"])
+        assert check(report) == []
 
     def test_sampled_sessions_match_single_shot(self, report):
         assert report["verified_single_shot"] is True
@@ -63,7 +65,7 @@ class TestLoadBench:
         text = render_serve_bench(report)
         assert "quota 3 active" in text
         assert "MATCH single-shot" in text
-        entry = serve_trajectory_entry(report)
+        entry = trajectory_entry(report)
         assert entry["digest"] == report["digest"]
         assert entry["sessions"] == SMALL["sessions"]
 

@@ -311,6 +311,9 @@ class TestListJson:
         assert "nginx" in by_name and "fft" in by_name
         assert by_name["nginx"]["kind"] == "service"
         assert by_name["fft"]["kind"] == "benchmark"
+        philosophers = by_name["philosophers/N"]
+        assert philosophers["max_n"] == 16
+        assert philosophers["flavours"] == ["+trylock"]
 
     def test_list_json_matches_daemon_workloads_op(self, capsys):
         from repro.workloads.spec import catalog
@@ -483,6 +486,33 @@ class TestReplayCommands:
         out = capsys.readouterr().out
         assert "decision log:" in out
         assert "sealed  : verdict clean" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["nginx", "--variants", "3", "--seed", "7"],
+        ["dedup", "--scale", "0.1", "--variants", "3", "--seed", "1",
+         "--policy", "restart", "--faults", "crash@v1:3"],
+    ], ids=["nginx", "dedup-restart"])
+    def test_checkpoint_resync_log_replays_with_its_cadence(
+            self, capsys, tmp_path, argv):
+        from repro.replay import DecisionLog
+
+        log = str(tmp_path / "ckpt.decisions.jsonl")
+        assert main(["record", *argv, "--resync-mode", "checkpoint",
+                     "--checkpoint-every", "20000", "-o", log]) == 0
+        assert DecisionLog.load(log).meta["checkpoint_every"] == 20000.0
+        capsys.readouterr()
+        assert main(["replay", log]) == 0
+        out = capsys.readouterr().out
+        assert "log digest: stable" in out
+        assert "(mismatch)" not in out
+
+    def test_run_checkpoint_resync_without_cadence_exits_two(self,
+                                                              capsys):
+        code = main(["run", "nginx", "--resync-mode", "checkpoint"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("repro run: ")
+        assert "checkpoint cadence" in captured.err
 
     def test_fault_matrix_reports_resync_mode(self, capsys):
         code = main(["fault-matrix", "--benchmark", "fft",

@@ -468,6 +468,10 @@ class TestBenchCLIDeterminism:
         assert report["identical"] is True
         assert report["speedup"] == pytest.approx(
             report["serial"]["wall_s"] / report["parallel"]["wall_s"])
+        # One parallel pass on the shared pool: no warm re-run, and no
+        # scheduler block.
+        assert {"scheduler", "speedup_warm"}.isdisjoint(report)
+        assert "warm_wall_s" not in report["parallel"]
         assert (report["digest"]
                 == TestParallelSweepDeterminism.GOLDEN_QUICK_DIGEST)
         # v2 additions: per-cell walls, first-cell profile, trajectory.

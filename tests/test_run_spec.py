@@ -142,6 +142,18 @@ def test_philosophers_reject_params():
         build_mvee(RunSpec("philosophers/3", params={"meals": 1}))
 
 
+@pytest.mark.parametrize("workload", ["nginx", "philosophers/3"])
+def test_checkpoint_resync_without_native_baseline_needs_a_cadence(
+        workload):
+    spec = RunSpec(workload, variants=3, policy="restart",
+                   resync_mode="checkpoint", faults="crash@v1:3")
+    with pytest.raises(BadRequest, match="checkpoint cadence"):
+        run_spec_cell(spec)
+    # An explicit cadence, or explicitly none, still builds.
+    assert build_mvee(spec, checkpoints=50_000.0)[0].checkpointer
+    assert build_mvee(spec, checkpoints=False)[0].checkpointer is None
+
+
 def test_default_spec_keys_are_unchanged():
     """Fields at their defaults stay off the wire, so journals, decision
     log headers, memo keys and digests written before ``diversity`` and
