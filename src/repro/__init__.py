@@ -12,7 +12,7 @@ transforms, and the DMT / record-replay baselines.
 Quick start::
 
     from repro.core.mvee import run_mvee
-    from repro.workloads.parsec import make_benchmark
+    from repro.workloads.synthetic import make_benchmark
 
     program = make_benchmark("dedup")
     outcome = run_mvee(program, variants=2, agent="wall_of_clocks")
@@ -22,22 +22,4 @@ See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from repro.errors import (
-    DeadlockError,
-    DivergenceError,
-    GuestFault,
-    ReproError,
-)
-from repro.run import NativeResult, run_native
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "run_native",
-    "NativeResult",
-    "ReproError",
-    "DivergenceError",
-    "DeadlockError",
-    "GuestFault",
-    "__version__",
-]

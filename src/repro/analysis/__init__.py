@@ -34,78 +34,3 @@ On top of the pipeline sits a reusable interprocedural framework:
     gate-ordered suppression, and the cross-check against the runtime
     wait-for-graph evidence (:mod:`repro.races.deadlock`).
 """
-
-from repro.analysis.ir import (
-    Function,
-    Instruction,
-    Module,
-    GlobalVar,
-    mem,
-    imm,
-)
-from repro.analysis.scanner import ScanReport, scan_module
-from repro.analysis.pointsto import AndersenAnalysis, SteensgaardAnalysis
-from repro.analysis.identify import IdentificationReport, identify_sync_ops
-from repro.analysis.instrument import (
-    InstrumentationMismatchError,
-    instrument_module,
-    instrumented_sites,
-)
-from repro.analysis.qualify import (
-    AtomicQualifierChecker,
-    refactor_to_fixpoint,
-)
-from repro.analysis.cfg import CFG, BasicBlock, build_cfg
-from repro.analysis.dataflow import (
-    DataflowProblem,
-    DataflowResult,
-    LockHeldAnalysis,
-    solve,
-)
-from repro.analysis.callgraph import CallGraph, CallSite, build_callgraph
-from repro.analysis.lockorder import (
-    AcquisitionEdge,
-    CandidateVerdict,
-    DeadlockCandidate,
-    LockOrderReport,
-    analyze_corpus,
-    analyze_module,
-    cross_check,
-)
-
-__all__ = [
-    "Module",
-    "Function",
-    "Instruction",
-    "GlobalVar",
-    "mem",
-    "imm",
-    "ScanReport",
-    "scan_module",
-    "SteensgaardAnalysis",
-    "AndersenAnalysis",
-    "IdentificationReport",
-    "identify_sync_ops",
-    "instrumented_sites",
-    "instrument_module",
-    "InstrumentationMismatchError",
-    "AtomicQualifierChecker",
-    "refactor_to_fixpoint",
-    "CFG",
-    "BasicBlock",
-    "build_cfg",
-    "DataflowProblem",
-    "DataflowResult",
-    "LockHeldAnalysis",
-    "solve",
-    "CallGraph",
-    "CallSite",
-    "build_callgraph",
-    "AcquisitionEdge",
-    "DeadlockCandidate",
-    "CandidateVerdict",
-    "LockOrderReport",
-    "analyze_module",
-    "analyze_corpus",
-    "cross_check",
-]

@@ -9,17 +9,3 @@
   what the online agents borrow from classic R+R and what an MVEE must
   do differently (no dynamic allocation, N simultaneous consumers).
 """
-
-from repro.baselines.dmt import DMTAgent
-from repro.baselines.recplay import (
-    SyncLog,
-    record_execution,
-    replay_execution,
-)
-
-__all__ = [
-    "DMTAgent",
-    "SyncLog",
-    "record_execution",
-    "replay_execution",
-]

@@ -281,7 +281,7 @@ def _cmd_fault_matrix(args) -> int:
 
 def _record_to(args, out_path: str) -> int:
     """Shared body of ``repro record`` and ``repro run --record``."""
-    from repro.replay import record_run
+    from repro.replay.driver import record_run
 
     spec = _run_spec(args)
     hub = _make_hub(args)
@@ -313,7 +313,7 @@ def _cmd_record(args) -> int:
 def _cmd_replay(args) -> int:
     import json
 
-    from repro.replay import replay_run
+    from repro.replay.driver import replay_run
     from repro.replay.checkpoint import machine_fingerprint
 
     replayed = replay_run(args.log, to_step=args.to_step)
@@ -374,7 +374,8 @@ def _cmd_checkpoint(args) -> int:
     import json
 
     from repro.errors import ReplayError
-    from repro.replay import CheckpointStore, DecisionLog
+    from repro.replay.checkpoint import CheckpointStore
+    from repro.replay.log import DecisionLog
 
     try:
         store = CheckpointStore.load(args.path)
@@ -423,7 +424,7 @@ def _races_lint(args) -> int:
         spinlock_module,
         volatile_flag_module,
     )
-    from repro.races import lint_module
+    from repro.races.lockset import lint_module
 
     modules = [spinlock_module(), volatile_flag_module(),
                racy_counter_module(), guarded_counter_module(),
@@ -467,7 +468,8 @@ def _races_lint(args) -> int:
 def _races_check(args) -> int:
     from repro.analysis.corpus import nginx_module
     from repro.experiments.runner import nginx_identified_sites
-    from repro.races import corroborate, cross_check, lint_module
+    from repro.races.coverage import corroborate, cross_check
+    from repro.races.lockset import lint_module
     from repro.run import NGINX_PAPER_SIZING, RunSpec, run_spec_cell
     from repro.workloads.nginx import pthread_only_sites
 
@@ -682,7 +684,7 @@ def _deadlock_check(args) -> int:
         analyze_module,
         cross_check,
     )
-    from repro.races import DeadlockReport
+    from repro.races.deadlock import DeadlockReport
     from repro.run import RunSpec, run_spec_cell
 
     print("dynamic evidence: dining philosophers, blocking and "
@@ -836,7 +838,7 @@ def _cmd_telemetry(args) -> int:
         print("repro telemetry merge: a span-log directory is required",
               file=sys.stderr)
         return 2
-    from repro.telemetry import merge_host_trace
+    from repro.telemetry.spans import merge_host_trace
 
     out = args.out or (args.dir.rstrip("/") + ".trace.json")
     merged = merge_host_trace(args.dir, out, guest_trace=args.guest)
@@ -1353,7 +1355,7 @@ def main(argv=None) -> int:
         # Root of the distributed trace: every serve request this
         # command issues inherits this context, so the merged view
         # shows CLI -> daemon -> session -> worker as one trace.
-        from repro.telemetry import configure, span
+        from repro.telemetry.spans import configure, span
 
         configure(telemetry_dir, service="cli")
         with span(f"cli.{args.command}", track="cli",

@@ -12,14 +12,3 @@
   used as a baseline (works for loosely-coupled threads, fails for
   explicitly communicating ones).
 """
-
-from repro.core.divergence import DivergenceReport, MonitorPolicy
-from repro.core.mvee import MVEE, MVEEOutcome, run_mvee
-
-__all__ = [
-    "MVEE",
-    "MVEEOutcome",
-    "run_mvee",
-    "DivergenceReport",
-    "MonitorPolicy",
-]

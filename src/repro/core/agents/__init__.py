@@ -16,11 +16,9 @@ master's sync-op order:
   address (Figure 4c).  The paper's contribution and consistent winner.
 """
 
-from repro.core.agents.base import AgentSharedState, BaseAgent, make_agents
 from repro.core.agents.total_order import TotalOrderAgent
 from repro.core.agents.partial_order import PartialOrderAgent
 from repro.core.agents.wall_of_clocks import WallOfClocksAgent
-from repro.core.agents.clocks import ClockWall, clock_for_address
 
 #: Registry used by the MVEE front end and the benchmark harness.
 AGENT_REGISTRY = {
@@ -28,15 +26,3 @@ AGENT_REGISTRY = {
     "partial_order": PartialOrderAgent,
     "wall_of_clocks": WallOfClocksAgent,
 }
-
-__all__ = [
-    "AgentSharedState",
-    "BaseAgent",
-    "make_agents",
-    "TotalOrderAgent",
-    "PartialOrderAgent",
-    "WallOfClocksAgent",
-    "ClockWall",
-    "clock_for_address",
-    "AGENT_REGISTRY",
-]

@@ -151,7 +151,7 @@ class MonitorPolicy:
         checkpoint already covers are *fast-forwarded* (served from
         history with zero monitor cost charges); only the suffix past
         the checkpoint frontier is resynced at full cost.  Requires a
-        :class:`repro.replay.Checkpointer` attached to the MVEE
+        :class:`repro.replay.checkpoint.Checkpointer` attached to the MVEE
         (``checkpoints=...``); without one it behaves like
         ``"history"``.  See ``docs/REPLAY.md``.
     """

@@ -137,8 +137,8 @@ class Monitor(SyscallInterceptor):
         self._catchup: set[int] = set()
         self._history: dict[tuple[str, int], dict] | None = (
             {} if self.policy.degradation == "restart" else None)
-        #: Optional :class:`repro.replay.CheckpointStore` (set by the
-        #: MVEE when a checkpointer is attached); under
+        #: Optional :class:`repro.replay.checkpoint.CheckpointStore` (set
+        #: by the MVEE when a checkpointer is attached); under
         #: ``resync_mode == "checkpoint"`` the latest checkpoint's
         #: ``master_seq`` is the fast-forward frontier.
         self.checkpoints = None

@@ -29,12 +29,14 @@ from repro.core.monitor import Monitor
 from repro.core.relaxed import RelaxedMonitor
 from repro.diversity.spec import DiversitySpec, apply_diversity, layouts_for
 from repro.errors import DeadlockError, DivergenceError
-from repro.faults import FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.guest.program import GuestProgram, build_context
 from repro.kernel.fs import VirtualDisk
 from repro.kernel.kernel import VirtualKernel
 from repro.kernel.net import Network
 from repro.perf.costs import CostModel, DEFAULT_COSTS
+from repro.replay.recorder import RecordingRandom
+from repro.replay.replayer import ReplayRandom
 from repro.sched.machine import Machine, MachineReport
 from repro.sched.scheduler import SchedulingPolicy
 from repro.sched.vm import VariantVM
@@ -125,7 +127,7 @@ class MVEE:
         self.agent_options = agent_options or {}
         #: Optional :class:`repro.obs.ObsHub` observing this run.
         self.obs = obs
-        #: Optional fault injection: a :class:`repro.faults.FaultPlan`
+        #: Optional fault injection: a :class:`repro.faults.plan.FaultPlan`
         #: (or a pre-built injector) driving deterministic faults.
         if faults is None:
             self.fault_injector = None
@@ -134,21 +136,23 @@ class MVEE:
         else:
             self.fault_injector = FaultInjector(faults)
         #: Optional race detection: ``True`` attaches a default
-        #: :class:`repro.races.RaceDetector`, or pass a configured one.
+        #: :class:`repro.races.detector.RaceDetector`, or pass a
+        #: configured one.
         if races is None or races is False:
             self.races = None
         elif races is True:
-            from repro.races import RaceDetector
+            from repro.races.detector import RaceDetector
 
             self.races = RaceDetector()
         else:
             self.races = races
         #: Optional deadlock detection: ``True`` attaches a default
-        #: :class:`repro.races.DeadlockDetector`, or pass a configured one.
+        #: :class:`repro.races.deadlock.DeadlockDetector`, or pass a
+        #: configured one.
         if deadlocks is None or deadlocks is False:
             self.deadlocks = None
         elif deadlocks is True:
-            from repro.races import DeadlockDetector
+            from repro.races.deadlock import DeadlockDetector
 
             self.deadlocks = DeadlockDetector()
         else:
@@ -227,8 +231,6 @@ class MVEE:
         (record) or substituted (replay) so every draw flows through
         the decision stream.
         """
-        from repro.replay import RecordingRandom, ReplayRandom
-
         machine = self.machine
         obs = self.obs
         consumers = (obs, obs.prof if obs is not None else None,
@@ -254,7 +256,7 @@ class MVEE:
 
     def _attach_checkpoints(self) -> None:
         """Attach a periodic checkpointer (watchdog lane, zero cycles)."""
-        from repro.replay import Checkpointer, CheckpointPolicy
+        from repro.replay.checkpoint import CheckpointPolicy, Checkpointer
 
         request = self._checkpoint_request
         if isinstance(request, Checkpointer):

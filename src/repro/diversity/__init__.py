@@ -4,13 +4,14 @@ MVEEs derive their security from running *diversified* variants: the same
 attack cannot succeed against all of them simultaneously.  The transforms
 here are the ones the paper's evaluation exercises:
 
-* :func:`aslr_layout` — address space layout randomization: every region
-  base differs per variant, so the same logical variable lives at a
-  different address in each (Sections 3.3, 4.5.1, 5.1).
-* :func:`dcl_layouts` — disjoint code layouts [Volckaert et al., TDSC'15]:
-  code regions of different variants never overlap, so one variant's code
-  address is unmapped (or non-executable) in every other — complete ROP
-  immunity under an MVEE.
+* :func:`~repro.diversity.aslr.aslr_layout` — address space layout
+  randomization: every region base differs per variant, so the same
+  logical variable lives at a different address in each (Sections 3.3,
+  4.5.1, 5.1).
+* :func:`~repro.diversity.dcl.dcl_layouts` — disjoint code layouts
+  [Volckaert et al., TDSC'15]: code regions of different variants never
+  overlap, so one variant's code address is unmapped (or non-executable)
+  in every other — complete ROP immunity under an MVEE.
 * noise — instruction-count perturbation (NOP insertion / substitution):
   same behaviour, different logical instruction counts.  This is what
   makes performance-counter-driven DMT schedulers diverge across variants
@@ -19,15 +20,3 @@ here are the ones the paper's evaluation exercises:
   allocate different sizes, issue different syscall sequences, and are
   explicitly unsupported (Section 4.5.1); tests demonstrate the failure.
 """
-
-from repro.diversity.aslr import aslr_layout
-from repro.diversity.dcl import code_regions_disjoint, dcl_layouts
-from repro.diversity.spec import DiversitySpec, apply_diversity
-
-__all__ = [
-    "DiversitySpec",
-    "apply_diversity",
-    "aslr_layout",
-    "dcl_layouts",
-    "code_regions_disjoint",
-]

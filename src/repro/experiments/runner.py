@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from repro.faults import FAULT_KINDS, FaultSpec
+from repro.faults.plan import FAULT_KINDS, FaultSpec
 from repro.par.engine import run_specs
 from repro.perf.report import SlowdownReport
 from repro.run import (
@@ -295,7 +295,7 @@ def run_race_sweep(benchmarks=("dedup", "vips"), scale: float = 0.1,
     order or environment.  Every field of a row except ``overhead_pct``
     (host wall-clock) is a deterministic function of the arguments.
     """
-    from repro.races import cross_check
+    from repro.races.coverage import cross_check
 
     workloads = list(benchmarks)
     if include_nginx:

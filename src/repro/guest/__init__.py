@@ -14,30 +14,3 @@ paper:
 * :mod:`repro.guest.gomp` — a miniature OpenMP runtime (dynamic
   work-sharing loop + barrier) for the freqmine-like workload.
 """
-
-from repro.guest.program import GuestContext, GuestProgram
-from repro.guest.sync import (
-    Barrier,
-    CondVar,
-    Mutex,
-    RWLock,
-    Semaphore,
-    SpinLock,
-    TicketLock,
-)
-from repro.guest.libc import GuestLibc
-from repro.guest.gomp import parallel_for
-
-__all__ = [
-    "GuestContext",
-    "GuestProgram",
-    "SpinLock",
-    "TicketLock",
-    "Mutex",
-    "CondVar",
-    "Barrier",
-    "Semaphore",
-    "RWLock",
-    "GuestLibc",
-    "parallel_for",
-]

@@ -14,38 +14,3 @@ Public entry points:
 * :data:`repro.kernel.syscalls.SYSCALL_TABLE` — the syscall catalogue with
   per-call monitoring classification (ordered / replicated / blocking ...).
 """
-
-from repro.kernel.fs import VirtualDisk, VirtualFile, Pipe
-from repro.kernel.fdtable import FDTable, FileDescriptor
-from repro.kernel.vmem import AddressSpace, MemoryRegion, Protection
-from repro.kernel.vtime import VirtualClock
-from repro.kernel.futex import FutexTable
-from repro.kernel.net import Network, ListenSocket, ConnSocket
-from repro.kernel.syscalls import (
-    SYSCALL_TABLE,
-    SyscallClass,
-    SyscallSpec,
-    MVEE_GET_ROLE,
-)
-from repro.kernel.kernel import VirtualKernel
-
-__all__ = [
-    "VirtualKernel",
-    "VirtualDisk",
-    "VirtualFile",
-    "Pipe",
-    "FDTable",
-    "FileDescriptor",
-    "AddressSpace",
-    "MemoryRegion",
-    "Protection",
-    "VirtualClock",
-    "FutexTable",
-    "Network",
-    "ListenSocket",
-    "ConnSocket",
-    "SYSCALL_TABLE",
-    "SyscallClass",
-    "SyscallSpec",
-    "MVEE_GET_ROLE",
-]

@@ -23,37 +23,8 @@ simulated timeline — a property the test suite pins down.
 
 from __future__ import annotations
 
-from repro.obs.forensics import (
-    DivergenceBundle,
-    bundle_to_chrome,
-    capture_bundle,
-    diff_tails,
-    summarize_bundle,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
-
-__all__ = [
-    "ObsHub",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "TraceEvent",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DivergenceBundle",
-    "capture_bundle",
-    "diff_tails",
-    "summarize_bundle",
-    "bundle_to_chrome",
-]
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import DEFAULT_RING_SIZE, NULL_TRACER, Tracer
 
 
 class ObsHub:
@@ -72,8 +43,6 @@ class ObsHub:
 
     def __init__(self, trace: bool = True, ring_size: int | None = None,
                  profile: bool = False, lag_sample_every: int = 1):
-        from repro.obs.tracer import DEFAULT_RING_SIZE
-
         self.tracer = (Tracer(ring_size=ring_size or DEFAULT_RING_SIZE)
                        if trace else NULL_TRACER)
         self.metrics = MetricsRegistry()

@@ -5,13 +5,13 @@ instead of serializing it; this package applies the same discipline to
 the reproduction's own experiment sweeps.  Sweep cells (fault-matrix
 cells, race-sweep rows, Figure 5 grid cells, table rows, benchmark
 matrix entries) run in one of two named execution environments
-(:data:`ENVIRONMENT_NAMES`): serially in the calling thread, or on a
-persistent pool of forked worker processes — with:
+(:data:`~repro.par.engine.ENVIRONMENT_NAMES`): serially in the calling
+thread, or on a persistent pool of forked worker processes — with:
 
 * deterministic per-cell seed derivation
   (:func:`repro.par.seeds.derive_cell_seed`),
-* pickle-safe task/result envelopes (:class:`CellTask`,
-  :class:`CellResult`),
+* pickle-safe task/result envelopes (:class:`~repro.par.cells.CellTask`,
+  :class:`~repro.par.cells.CellResult`),
 * worker crash isolation and health-checked respawn (a dead worker
   fails its cell, not the sweep; the pool returns to target size),
 * first-in first-out dispatch: an idle worker gets the oldest cell not
@@ -20,8 +20,9 @@ persistent pool of forked worker processes — with:
   (:mod:`repro.par.transport`),
 * aggregation ordered by task position, independent of completion
   order, dispatch order and environment,
-* one dispatch loop (:class:`repro.par.runners.ProcessRunner`) shared
-  by batch sweeps and the serve daemon's :class:`CellExecutor`.
+* one dispatch loop (:class:`repro.par.runners.process.ProcessRunner`) shared
+  by batch sweeps and the serve daemon's
+  :class:`~repro.par.engine.CellExecutor`.
 
 ``jobs=1`` (the default everywhere) bypasses parallelism entirely and
 reproduces the historical serial behaviour; the differential suites
@@ -30,33 +31,3 @@ under ``tests/par/`` pin the process pool's output bit-equal to it.
 speedup and pool amortisation and writes ``BENCH_par.json``.  See
 ``docs/PERFORMANCE.md``.
 """
-
-from __future__ import annotations
-
-from repro.par.engine import (
-    ENVIRONMENT_NAMES,
-    CellExecutor,
-    CellResult,
-    CellTask,
-    ParallelCellError,
-    merge_cell_traces,
-    raise_failures,
-    run_cells,
-)
-from repro.par.pool import WorkerPool, shared_pool, shutdown_shared_pools
-from repro.par.seeds import derive_cell_seed
-
-__all__ = [
-    "CellTask",
-    "CellResult",
-    "CellExecutor",
-    "ParallelCellError",
-    "run_cells",
-    "raise_failures",
-    "merge_cell_traces",
-    "derive_cell_seed",
-    "ENVIRONMENT_NAMES",
-    "WorkerPool",
-    "shared_pool",
-    "shutdown_shared_pools",
-]

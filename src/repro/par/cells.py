@@ -27,6 +27,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.telemetry.spans import child_span
+
 
 __all__ = [
     "CellTask",
@@ -111,8 +113,6 @@ def execute_cell(task: CellTask, trace_dir: str | None) -> CellResult:
     A task carrying a trace context runs under a ``cell`` host span
     when this process records telemetry (pool workers inherit the
     daemon's directory through fork and the environment)."""
-    from repro.telemetry.spans import child_span
-
     kwargs = dict(task.kwargs)
     hub = None
     trace_path = None

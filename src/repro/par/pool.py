@@ -138,6 +138,10 @@ class WorkerPool:
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn(self, index: int) -> PoolWorker:
+        # A forked worker inherits this process's modules: load the
+        # simulator its cells run first, so no worker compiles it.
+        import repro.run  # noqa: F401
+
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(target=_pool_worker_main,
                                  args=(child_conn,),

@@ -1,13 +1,9 @@
 """The process runner: where cells that leave the calling process run.
 
-:class:`ProcessRunner` feeds a persistent
+:class:`~repro.par.runners.process.ProcessRunner` feeds a persistent
 :class:`~repro.par.pool.WorkerPool` of forked workers from one dispatch
 loop, with crash isolation, stall harvesting, and shared-memory result
 transport.  Batch sweeps (:func:`~repro.par.engine.run_cells`) and the
 serve daemon's :class:`~repro.par.engine.CellExecutor` both drive it;
 cells that stay in the calling process need no runner at all.
 """
-
-from repro.par.runners.process import ProcessRunner
-
-__all__ = ["ProcessRunner"]

@@ -1,13 +1,1 @@
 """Performance model: cycle costs, contention, and report formatting."""
-
-from repro.perf.costs import CostModel
-from repro.perf.contention import ContentionTracker, SharedLineModel
-from repro.perf.report import SlowdownReport, format_table
-
-__all__ = [
-    "CostModel",
-    "ContentionTracker",
-    "SharedLineModel",
-    "SlowdownReport",
-    "format_table",
-]

@@ -18,61 +18,3 @@ runtime wait-for-graph, another hook-table consumer, detecting guest
 lock-order deadlocks at cycle formation — the
 dynamic mirror of :mod:`repro.analysis.lockorder`.
 """
-
-from repro.races.coverage import (
-    REFACTOR,
-    TREAT_VOLATILE,
-    CoverageGap,
-    CoverageReport,
-    corroborate,
-    cross_check,
-    primitive_of,
-)
-from repro.races.deadlock import (
-    DeadlockDetector,
-    DeadlockRecord,
-    DeadlockReport,
-    DeadlockThread,
-)
-from repro.races.detector import (
-    AccessRecord,
-    RaceDetector,
-    RaceRecord,
-    RaceReport,
-    granule_of,
-)
-from repro.races.lockset import (
-    LintAccess,
-    RaceCandidate,
-    RaceLint,
-    lint_corpus,
-    lint_module,
-)
-from repro.races.vc import Epoch, VectorClock, join
-
-__all__ = [
-    "REFACTOR",
-    "TREAT_VOLATILE",
-    "AccessRecord",
-    "CoverageGap",
-    "CoverageReport",
-    "DeadlockDetector",
-    "DeadlockRecord",
-    "DeadlockReport",
-    "DeadlockThread",
-    "Epoch",
-    "LintAccess",
-    "RaceCandidate",
-    "RaceDetector",
-    "RaceLint",
-    "RaceRecord",
-    "RaceReport",
-    "VectorClock",
-    "corroborate",
-    "cross_check",
-    "granule_of",
-    "join",
-    "lint_corpus",
-    "lint_module",
-    "primitive_of",
-]

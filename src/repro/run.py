@@ -36,7 +36,8 @@ from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import MVEE
 from repro.diversity.spec import DiversitySpec
 from repro.errors import BadRequest, ConfigError
-from repro.faults import DEGRADATION_POLICIES, parse_fault_plan
+from repro.faults import DEGRADATION_POLICIES
+from repro.faults.plan import parse_fault_plan
 from repro.workloads.nginx import (
     NginxConfig,
     NginxServer,

@@ -7,51 +7,3 @@ on a fixed number of simulated cores with a seeded, nondeterministic
 scheduling policy.  The MVEE monitor and the synchronization agents plug in
 through the interceptor interfaces in :mod:`repro.sched.interceptor`.
 """
-
-from repro.sched.events import (
-    Compute,
-    Syscall,
-    SyncOp,
-    Spawn,
-    Join,
-    InstructionClass,
-)
-from repro.sched.interceptor import (
-    Proceed,
-    Wait,
-    Result,
-    Kill,
-    SyscallInterceptor,
-    SyncAgent,
-)
-from repro.sched.thread import GuestThread, ThreadState
-from repro.sched.scheduler import (
-    RandomPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-)
-from repro.sched.vm import VariantVM
-from repro.sched.machine import Machine, MachineReport
-
-__all__ = [
-    "Compute",
-    "Syscall",
-    "SyncOp",
-    "Spawn",
-    "Join",
-    "InstructionClass",
-    "Proceed",
-    "Wait",
-    "Result",
-    "Kill",
-    "SyscallInterceptor",
-    "SyncAgent",
-    "GuestThread",
-    "ThreadState",
-    "RandomPolicy",
-    "RoundRobinPolicy",
-    "SchedulingPolicy",
-    "VariantVM",
-    "Machine",
-    "MachineReport",
-]

@@ -3,8 +3,8 @@
 The paper's own mechanisms (the lockstep monitor, the syscall orderer,
 the sync agents) always run.  Everything around them is optional and
 purely observational: tracing and metrics (:class:`repro.obs.ObsHub`),
-cycle profiling (:class:`repro.prof.CycleProfiler`), race and deadlock
-detection (:mod:`repro.races`) and the record/replay decision stream
+cycle profiling (:class:`repro.prof.accounting.CycleProfiler`), race and
+deadlock detection (:mod:`repro.races`) and the record/replay decision stream
 (:mod:`repro.replay`).  Each of them is a *consumer* of one fixed event
 vocabulary, :data:`EVENTS`.
 
@@ -75,7 +75,7 @@ class Hooks:
     def __init__(self):
         for event in EVENTS:
             setattr(self, event, ())
-        #: The :class:`repro.faults.FaultInjector`, or None.
+        #: The :class:`repro.faults.injector.FaultInjector`, or None.
         self.faults = None
 
     def attach(self, consumer) -> None:

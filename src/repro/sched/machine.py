@@ -340,9 +340,9 @@ class Machine:
         """Sticky-flag a detected guest deadlock (raised after the
         current event commits, like divergences and faults).
 
-        ``record`` is a :class:`repro.races.DeadlockRecord`; it rides on
-        the raised :class:`DeadlockError` as ``.record`` so the MVEE can
-        name the cycle in the outcome and forensics bundle.
+        ``record`` is a :class:`repro.races.deadlock.DeadlockRecord`; it
+        rides on the raised :class:`DeadlockError` as ``.record`` so the
+        MVEE can name the cycle in the outcome and forensics bundle.
         """
         if self._flagged is not None:
             return

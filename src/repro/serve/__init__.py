@@ -16,21 +16,3 @@ single-shot ``repro run`` for the same (workload, agent, seed),
 whether the session is driven in step batches or through the shared
 worker pool.  See ``docs/SERVING.md``.
 """
-
-from __future__ import annotations
-
-from repro.serve.client import ServeClient, wait_for_daemon
-from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.registry import SessionRegistry, recover_state
-from repro.serve.session import Session, session_result
-
-__all__ = [
-    "ServeClient",
-    "ServeConfig",
-    "ServeDaemon",
-    "Session",
-    "SessionRegistry",
-    "recover_state",
-    "session_result",
-    "wait_for_daemon",
-]

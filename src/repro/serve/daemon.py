@@ -29,6 +29,13 @@ import socketserver
 import threading
 import time
 
+# Stepped sessions run on handler threads after the executor's pool has
+# forked, and a fork taken while another thread imports wedges the
+# child.  So what a spec can ask for (the race and deadlock detectors,
+# the forensics bundle) is imported here, before the pool exists.
+import repro.obs.forensics  # noqa: F401
+import repro.races.deadlock  # noqa: F401
+import repro.races.detector  # noqa: F401
 from repro.errors import (
     BadRequest,
     DaemonUnavailable,
@@ -41,6 +48,7 @@ from repro.serve import protocol
 from repro.serve.registry import SessionRegistry
 from repro.telemetry import hostmetrics, spans
 from repro.telemetry.context import TraceContext, current_context, new_context
+from repro.telemetry.prometheus import render_prometheus
 
 #: Default cap on events per ``step`` request: large enough that a short
 #: session finishes in a handful of steps, small enough that one step
@@ -90,6 +98,11 @@ class ServeConfig:
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    #: Listen backlog, above the 72 clients ``repro serve bench`` opens
+    #: at once by default: with ``socketserver``'s 5, a burst of
+    #: connects overflows the accept queue and each dropped SYN waits
+    #: out the 1 s retransmit.
+    request_queue_size = 128
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -331,8 +344,6 @@ class ServeDaemon:
         (simulated-cycle) metrics snapshot, as always; without one,
         the daemon's *host* metrics as Prometheus text exposition."""
         if request.get("id") is None:
-            from repro.telemetry.prometheus import render_prometheus
-
             hostmetrics.publish_serve_status(self.registry.status())
             hostmetrics.publish_executor_stats(self.executor.stats())
             return protocol.ok_response(

@@ -41,7 +41,8 @@ import threading
 from repro.errors import SessionConflict
 from repro.obs import ObsHub
 from repro.par.cells import CellResult, CellTask
-from repro.replay import DecisionLogWriter, build_recording, resume_recorded
+from repro.replay.driver import build_recording, resume_recorded
+from repro.replay.log import DecisionLogWriter
 from repro.run import RunRecord, RunSpec, build_mvee, run_spec_cell
 
 #: Every state a session can be in.  Transitions, each made by one

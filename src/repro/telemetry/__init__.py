@@ -35,56 +35,3 @@ Four pieces:
 
 See ``docs/TELEMETRY.md``.
 """
-
-from __future__ import annotations
-
-from repro.telemetry.context import (
-    TraceContext,
-    current_context,
-    new_context,
-    use_context,
-    wire_context,
-)
-from repro.telemetry.hostmetrics import (
-    host_registry,
-    host_snapshot,
-    inc,
-    observe_seconds,
-    publish_executor_stats,
-    publish_pool_stats,
-    publish_serve_status,
-    reset_host_metrics,
-    set_gauge,
-)
-from repro.telemetry.prometheus import parse_prometheus, render_prometheus
-from repro.telemetry.spans import (
-    configure,
-    enabled,
-    merge_host_trace,
-    span,
-    telemetry_dir,
-)
-
-__all__ = [
-    "TraceContext",
-    "current_context",
-    "new_context",
-    "use_context",
-    "wire_context",
-    "configure",
-    "enabled",
-    "span",
-    "telemetry_dir",
-    "merge_host_trace",
-    "host_registry",
-    "host_snapshot",
-    "reset_host_metrics",
-    "inc",
-    "set_gauge",
-    "observe_seconds",
-    "publish_pool_stats",
-    "publish_executor_stats",
-    "publish_serve_status",
-    "render_prometheus",
-    "parse_prometheus",
-]

@@ -11,24 +11,3 @@ exercises exactly the code paths whose cost the paper measures — monitor
 interposition, sync-buffer traffic, replay stalls — which is what makes
 the slowdown *shapes* transfer.
 """
-
-from repro.workloads.philosophers import DiningPhilosophers
-from repro.workloads.spec import (
-    ALL_SPECS,
-    PARSEC_SPECS,
-    SPLASH_SPECS,
-    WorkloadSpec,
-    spec_by_name,
-)
-from repro.workloads.synthetic import SyntheticWorkload, make_benchmark
-
-__all__ = [
-    "DiningPhilosophers",
-    "WorkloadSpec",
-    "PARSEC_SPECS",
-    "SPLASH_SPECS",
-    "ALL_SPECS",
-    "spec_by_name",
-    "SyntheticWorkload",
-    "make_benchmark",
-]

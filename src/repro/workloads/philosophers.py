@@ -8,7 +8,7 @@ Two variants of the classic table:
   full hold-and-wait pattern *deterministically*: no philosopher reaches
   for the right fork until every left fork is held, so the run always
   wedges into the complete ``fork_0 -> fork_1 -> ... -> fork_0`` cycle.
-  Under an MVEE with an attached :class:`repro.races.DeadlockDetector`
+  Under an MVEE with an attached :class:`repro.races.deadlock.DeadlockDetector`
   the run ends in a ``deadlock`` verdict at cycle formation; without one
   it burns the watchdog budget and dies as a ``WATCHDOG_TIMEOUT``
   (now tagged ``deadlock-suspected`` by the cause hint).

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import ObsHub
 from tests.guestlib import MutexCounterProgram
 

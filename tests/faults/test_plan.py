@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import (
+from repro.faults.plan import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,

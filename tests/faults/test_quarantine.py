@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.divergence import DivergenceKind, MonitorPolicy
 from repro.core.mvee import run_mvee
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from tests.guestlib import MutexCounterProgram
 
 CRASH_V1 = FaultPlan((FaultSpec(kind="crash", variant=1, at=4),))

@@ -8,7 +8,7 @@ variant and call that never arrived, and applies the degradation policy.
 
 from repro.core.divergence import DivergenceKind, MonitorPolicy
 from repro.core.mvee import run_mvee
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import ObsHub
 from tests.guestlib import MutexCounterProgram
 
@@ -88,7 +88,7 @@ class TestWatchdogCauseHint:
         assert "[cause: stall]" in outcome.divergence.detail
 
     def test_guest_deadlock_hints_deadlock_suspected(self, fast_costs):
-        from repro.workloads import DiningPhilosophers
+        from repro.workloads.philosophers import DiningPhilosophers
 
         outcome = run_mvee(DiningPhilosophers(3), variants=2, seed=11,
                            costs=fast_costs,

@@ -10,9 +10,9 @@ import pytest
 
 from repro.core.injection import make_divergence_probe
 from repro.core.mvee import run_mvee
-from repro.obs import (
+from repro.obs import ObsHub
+from repro.obs.forensics import (
     DivergenceBundle,
-    ObsHub,
     bundle_to_chrome,
     diff_tails,
     summarize_bundle,

@@ -163,7 +163,7 @@ class TestSnapshotShape:
 class TestFaultAccounting:
     def test_fault_stall_charges_fault_recovery(self, fast_costs):
         from repro.core.divergence import MonitorPolicy
-        from repro.faults import FaultPlan, FaultSpec
+        from repro.faults.plan import FaultPlan, FaultSpec
 
         _, profile = profiled_run(
             MutexCounterProgram(workers=3, iters=25), fast_costs,

@@ -16,7 +16,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.replay import DecisionLog
+from repro.replay.log import DecisionLog
 
 # JSON-safe scalars that round-trip exactly: ints within the double
 # mantissa, finite floats (Python's json preserves repr round-trips),

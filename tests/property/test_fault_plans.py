@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.perf.costs import CostModel
 from tests.guestlib import MutexCounterProgram
 

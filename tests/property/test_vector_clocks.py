@@ -10,7 +10,7 @@ function of the run.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.races import Epoch, VectorClock, join
+from repro.races.vc import Epoch, VectorClock, join
 
 tids = st.sampled_from(["v0:t0", "v0:w1", "v1:t0", "v1:w2", "v2:w3"])
 clock_maps = st.dictionaries(tids, st.integers(min_value=0, max_value=50),
@@ -116,7 +116,7 @@ class TestReportDeterminism:
     def _report(self, seed):
         from repro.core.mvee import run_mvee
         from repro.perf.costs import CostModel
-        from repro.races import RaceDetector
+        from repro.races.detector import RaceDetector
         from tests.guestlib import MutexCounterProgram
 
         detector = RaceDetector(sync_sites=lambda site: False)

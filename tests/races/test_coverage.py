@@ -9,14 +9,14 @@ import pytest
 
 from repro.core.mvee import run_mvee
 from repro.perf.costs import CostModel
-from repro.races import (
+from repro.races.coverage import (
     REFACTOR,
     TREAT_VOLATILE,
-    RaceDetector,
     corroborate,
     cross_check,
     primitive_of,
 )
+from repro.races.detector import RaceDetector
 from repro.run import NGINX_PAPER_SIZING, RunSpec, run_spec_cell
 from repro.workloads.nginx import pthread_only_sites
 from tests.guestlib import VolatileFlagProgram

@@ -8,9 +8,9 @@ import pytest
 from repro.core.mvee import run_mvee
 from repro.obs import ObsHub
 from repro.perf.costs import CostModel
-from repro.races import DeadlockDetector
+from repro.races.deadlock import DeadlockDetector
 from repro.races.deadlock import DeadlockRecord, DeadlockThread
-from repro.workloads import DiningPhilosophers
+from repro.workloads.philosophers import DiningPhilosophers
 
 FAST = CostModel(monitor_syscall_overhead=2_000.0,
                  preempt_quantum=20_000.0)

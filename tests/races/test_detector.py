@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.mvee import run_mvee
 from repro.perf.costs import CostModel
-from repro.races import RaceDetector, granule_of
+from repro.races.detector import RaceDetector, granule_of
 from tests.guestlib import MutexCounterProgram, VolatileFlagProgram
 
 FAST = CostModel(monitor_syscall_overhead=2_000.0,

@@ -9,8 +9,8 @@ predecessors' accesses and the detector reports ghost races.
 
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
-from repro.faults import FaultPlan, FaultSpec
-from repro.races import RaceDetector
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.races.detector import RaceDetector
 from tests.guestlib import MutexCounterProgram
 
 CRASH_V1 = FaultPlan((FaultSpec(kind="crash", variant=1, at=4),))

@@ -11,7 +11,7 @@ from repro.analysis.corpus import (
     spinlock_module,
     volatile_flag_module,
 )
-from repro.races import lint_corpus, lint_module
+from repro.races.lockset import lint_corpus, lint_module
 
 
 class TestDemoModules:

@@ -4,7 +4,7 @@ from repro.core.mvee import run_mvee
 from repro.obs import ObsHub
 from repro.obs.forensics import DivergenceBundle, summarize_bundle
 from repro.perf.costs import CostModel
-from repro.races import RaceDetector
+from repro.races.detector import RaceDetector
 from tests.guestlib import VolatileFlagProgram
 
 FAST = CostModel(monitor_syscall_overhead=2_000.0,

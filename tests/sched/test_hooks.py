@@ -74,8 +74,9 @@ class TestHooks:
         """Every public method a shipped consumer defines for a
         vocabulary event lands in the table, and nothing else does."""
         from repro.obs import ObsHub
-        from repro.races import DeadlockDetector, RaceDetector
-        from repro.replay import DecisionRecorder
+        from repro.races.deadlock import DeadlockDetector
+        from repro.races.detector import RaceDetector
+        from repro.replay.recorder import DecisionRecorder
 
         hub = ObsHub(profile=True)
         consumers = (hub, hub.prof, RaceDetector(), DeadlockDetector(),

@@ -8,6 +8,7 @@ CI smoke and the load bench use.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -319,3 +320,31 @@ class TestBundles:
             assert result["verdict"] == "divergence"
             assert result["bundle"] == f"{tmp_path}/{session_id}.bundle.json"
             assert DivergenceBundle.load(result["bundle"]).report
+
+
+class TestConnectBurst:
+    def test_a_burst_of_connects_is_answered_without_retransmits(
+            self, daemon):
+        # More clients connecting at once than ``repro serve bench``
+        # drives by default; a SYN dropped on a full accept queue would
+        # cost its client the 1 s retransmit.
+        clients = 96
+        barrier = threading.Barrier(clients)
+        latencies = []
+        lock = threading.Lock()
+
+        def _ping():
+            barrier.wait()
+            start = time.perf_counter()
+            with ServeClient(*daemon.address, timeout=10.0) as client:
+                client.ping()
+            with lock:
+                latencies.append(time.perf_counter() - start)
+
+        threads = [threading.Thread(target=_ping) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(latencies) == clients
+        assert max(latencies) < 0.5

@@ -24,7 +24,7 @@ from repro.run import RunSpec
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.registry import SessionRegistry
-from repro.telemetry import reset_host_metrics
+from repro.telemetry.hostmetrics import reset_host_metrics
 from repro.telemetry.context import new_context
 from repro.telemetry.prometheus import parse_prometheus
 from repro.telemetry.spans import (

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.telemetry import reset_host_metrics
+from repro.telemetry.hostmetrics import reset_host_metrics
 from repro.telemetry.spans import ENV_DIR, ENV_SERVICE, reset
 
 

@@ -494,7 +494,7 @@ class TestReplayCommands:
     ], ids=["nginx", "dedup-restart"])
     def test_checkpoint_resync_log_replays_with_its_cadence(
             self, capsys, tmp_path, argv):
-        from repro.replay import DecisionLog
+        from repro.replay.log import DecisionLog
 
         log = str(tmp_path / "ckpt.decisions.jsonl")
         assert main(["record", *argv, "--resync-mode", "checkpoint",
@@ -530,7 +530,7 @@ class TestTelemetryCommands:
 
     @pytest.fixture(autouse=True)
     def dark_telemetry(self, monkeypatch):
-        from repro.telemetry import reset_host_metrics
+        from repro.telemetry.hostmetrics import reset_host_metrics
         from repro.telemetry.spans import ENV_DIR, ENV_SERVICE, reset
 
         monkeypatch.delenv(ENV_DIR, raising=False)

@@ -11,7 +11,7 @@ import pytest
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
 from repro.diversity.spec import DiversitySpec
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import ObsHub
 from repro.run import run_native
 from repro.workloads.synthetic import make_benchmark
@@ -158,7 +158,7 @@ class TestRaceDetectorDeterminism:
                         obs=obs)
 
     def test_detector_attached_is_zero_cost(self, fast_costs):
-        from repro.races import RaceDetector
+        from repro.races.detector import RaceDetector
 
         baseline = self._run(costs=fast_costs)
         assert baseline.verdict == "clean"
@@ -168,7 +168,7 @@ class TestRaceDetectorDeterminism:
         assert detected.stdout == baseline.stdout
 
     def test_detector_leaves_obs_trace_identical(self, fast_costs):
-        from repro.races import RaceDetector
+        from repro.races.detector import RaceDetector
 
         def trace_of(**kwargs):
             hub = ObsHub()
@@ -180,7 +180,7 @@ class TestRaceDetectorDeterminism:
         assert trace_of() == trace_of(races=RaceDetector())
 
     def test_race_report_reproducible(self, fast_costs):
-        from repro.races import RaceDetector
+        from repro.races.detector import RaceDetector
 
         def report_of():
             detector = RaceDetector(sync_sites=lambda site: False)
@@ -197,7 +197,7 @@ class TestRaceDetectorDeterminism:
     def test_racy_classification_still_zero_cost(self, fast_costs):
         """Even when every op is race-checked (the expensive path), the
         simulated timeline must not move."""
-        from repro.races import RaceDetector
+        from repro.races.detector import RaceDetector
 
         baseline = self._run(costs=fast_costs)
         detected = self._run(
@@ -217,7 +217,7 @@ class TestDeadlockDetectorDeterminism:
                         deadlocks=deadlocks, obs=obs)
 
     def test_detector_attached_is_zero_cost(self, fast_costs):
-        from repro.races import DeadlockDetector
+        from repro.races.deadlock import DeadlockDetector
 
         baseline = self._run(costs=fast_costs)
         assert baseline.verdict == "clean"
@@ -227,7 +227,7 @@ class TestDeadlockDetectorDeterminism:
         assert watched.stdout == baseline.stdout
 
     def test_detector_leaves_obs_trace_identical(self, fast_costs):
-        from repro.races import DeadlockDetector
+        from repro.races.deadlock import DeadlockDetector
 
         def trace_of(**kwargs):
             hub = ObsHub()
@@ -242,8 +242,8 @@ class TestDeadlockDetectorDeterminism:
         """The trylock philosophers contend hard (refused acquisitions,
         futex parking) without deadlocking — the detector must stay
         invisible on that path too."""
-        from repro.races import DeadlockDetector
-        from repro.workloads import DiningPhilosophers
+        from repro.races.deadlock import DeadlockDetector
+        from repro.workloads.philosophers import DiningPhilosophers
 
         def cycles_of(deadlocks):
             return run_mvee(DiningPhilosophers(3, trylock=True),
@@ -253,8 +253,8 @@ class TestDeadlockDetectorDeterminism:
         assert cycles_of(None) == cycles_of(DeadlockDetector())
 
     def test_deadlock_report_reproducible(self, fast_costs):
-        from repro.races import DeadlockDetector
-        from repro.workloads import DiningPhilosophers
+        from repro.races.deadlock import DeadlockDetector
+        from repro.workloads.philosophers import DiningPhilosophers
 
         def report_of():
             detector = DeadlockDetector()
@@ -289,7 +289,7 @@ class TestProfilerDeterminism:
                                         "race-detect"])
     def test_profiler_attached_is_zero_cost(self, agent, config,
                                             fast_costs):
-        from repro.races import RaceDetector
+        from repro.races.detector import RaceDetector
 
         def run_with(obs):
             kwargs = {}
@@ -345,8 +345,10 @@ class TestAllConsumersAtOnce:
 
     @staticmethod
     def _consumers():
-        from repro.races import DeadlockDetector, RaceDetector
-        from repro.replay import DecisionLog, DecisionRecorder
+        from repro.races.deadlock import DeadlockDetector
+        from repro.races.detector import RaceDetector
+        from repro.replay.log import DecisionLog
+        from repro.replay.recorder import DecisionRecorder
 
         return {"obs": ObsHub(profile=True), "races": RaceDetector(),
                 "deadlocks": DeadlockDetector(),
@@ -520,7 +522,8 @@ class TestReplayDeterminism:
                              ids=["plain", "faulted"])
     def test_recorder_and_checkpointer_are_zero_cost(
             self, agent, faulted, fast_costs):
-        from repro.replay import DecisionLog, DecisionRecorder
+        from repro.replay.log import DecisionLog
+        from repro.replay.recorder import DecisionRecorder
 
         faults = self.CRASH if faulted else None
         baseline = self._run(agent, faults=faults, costs=fast_costs)
@@ -539,7 +542,7 @@ class TestReplayDeterminism:
                              ids=["plain", "faulted"])
     def test_replay_from_log_is_bit_identical(self, agent, faults,
                                               tmp_path):
-        from repro.replay import record_run, replay_run
+        from repro.replay.driver import record_run, replay_run
 
         spec = {"workload": "nginx", "seed": 5, "agent": agent,
                 "variants": 3, "faults": faults,
@@ -567,7 +570,7 @@ class TestReplayDeterminism:
 
     def test_nginx_record_log_digest_is_pinned(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.replay import DecisionLog
+        from repro.replay.log import DecisionLog
 
         path = str(tmp_path / "nginx.decisions.jsonl")
         assert main(["record", "nginx", "-o", path, "--variants", "3",
@@ -579,7 +582,7 @@ class TestReplayDeterminism:
         assert log.footer["cycles"] == self.NGINX_X3_SEED7_CYCLES
 
     def test_replay_reproduces_divergence_report(self, tmp_path):
-        from repro.replay import record_run, replay_run
+        from repro.replay.driver import record_run, replay_run
 
         # agent "none" removes cross-variant ordering, so the variants
         # interleave freely and the monitor flags a divergence; the

@@ -98,7 +98,7 @@ class TestConsumers:
         recovered.shutdown()
 
     def test_decision_log_survives_torn_tail(self, tmp_path):
-        from repro.replay import DecisionLog
+        from repro.replay.log import DecisionLog
 
         log = DecisionLog(spec={"workload": "nginx", "seed": 5})
         log.append({"k": "rng", "m": "randrange", "v": 3, "i": 0})
@@ -112,7 +112,7 @@ class TestConsumers:
         assert loaded.digest() == log.digest()
 
     def test_decision_log_interior_corruption_fatal(self, tmp_path):
-        from repro.replay import DecisionLog
+        from repro.replay.log import DecisionLog
 
         log = DecisionLog(spec={"workload": "nginx", "seed": 5})
         log.append({"k": "rng", "m": "randrange", "v": 3, "i": 0})

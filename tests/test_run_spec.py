@@ -29,7 +29,7 @@ from repro.par import engine
 from repro.par.bench import bench_tasks, build_matrix
 from repro.par.engine import run_cells
 from repro.prof.runner import run_profiles
-from repro.replay import DecisionLog
+from repro.replay.log import DecisionLog
 from repro.run import RunSpec, build_mvee, reset_caches, run_spec_cell
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
