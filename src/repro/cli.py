@@ -841,7 +841,8 @@ def _cmd_telemetry(args) -> int:
     from repro.telemetry.spans import merge_host_trace
 
     out = args.out or (args.dir.rstrip("/") + ".trace.json")
-    merged = merge_host_trace(args.dir, out, guest_trace=args.guest)
+    guests = [("guest", args.guest)] if args.guest else []
+    merged = merge_host_trace(args.dir, out, guests=guests)
     print(f"merged    : {merged['spans']} span(s) across "
           f"{merged['tracks']} track(s) -> {merged['out']} "
           f"({merged['events']} trace event(s))")
@@ -875,7 +876,7 @@ def _cmd_nginx(args) -> int:
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.par.engine import ENVIRONMENT_NAMES
+    from repro.par.cells import ENVIRONMENT_NAMES
 
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="shard sweep cells across N workers "
@@ -977,8 +978,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report path (default: BENCH_par.json; "
                               "empty string to skip writing)")
     p_bench.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="collect per-worker obs traces here and "
-                              "merge them into DIR/merged.jsonl")
+                         help="collect per-cell obs traces here and "
+                              "merge them into DIR/merged.trace.json")
     _add_jobs_flag(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

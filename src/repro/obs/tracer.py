@@ -7,14 +7,12 @@ the same identity scheme the monitor uses to pair equivalent threads —
 and carry the simulated-cycle timestamp of the machine clock, so a trace
 of an MVEE run is as deterministic as the run itself.
 
-Two sinks are supported:
-
-* **Chrome ``trace_event`` JSON** (:meth:`Tracer.write_chrome`): loadable
-  in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Each
-  variant becomes a process, each logical thread a named thread; wait
-  spans render as slices, buffer occupancy as counter tracks.
-* **Compact JSONL** (:meth:`Tracer.write_jsonl`): one event object per
-  line, for ad-hoc grepping and downstream tooling.
+One sink: **Chrome ``trace_event`` JSON** (:meth:`Tracer.write_chrome`),
+loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+Each variant becomes a process, each logical thread a named thread;
+wait spans render as slices, buffer occupancy as counter tracks.
+:func:`repro.telemetry.spans.merge_host_trace` folds several such files
+(and host span logs) into one.
 
 Cost discipline: the tracer is *never* consulted by hot paths unless an
 :class:`~repro.obs.ObsHub` was explicitly attached to the run — hook
@@ -211,12 +209,6 @@ class Tracer:
         with open(path, "w") as handle:
             json.dump(self.to_chrome(), handle, sort_keys=True)
 
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True))
-                handle.write("\n")
-
 
 class NullTracer:
     """A tracer that records nothing; every method is a no-op.
@@ -263,9 +255,6 @@ class NullTracer:
     def write_chrome(self, path) -> None:
         with open(path, "w") as handle:
             json.dump(self.to_chrome(), handle, sort_keys=True)
-
-    def write_jsonl(self, path) -> None:
-        open(path, "w").close()
 
 
 #: Shared no-op tracer instance.

@@ -65,7 +65,7 @@ import os
 import platform
 import time
 
-from repro.par.engine import CellTask, merge_cell_traces, run_cells
+from repro.par.engine import CellTask, run_cells
 from repro.par.pool import shared_pool
 from repro.par.seeds import derive_cell_seed
 
@@ -164,6 +164,18 @@ def digest_of(cells: list[dict]) -> str:
     return "sha256:" + hashlib.sha256(payload).hexdigest()
 
 
+def write_merged_trace(results, trace_dir: str) -> str:
+    """Fold the cells' obs traces into ``trace_dir/merged.trace.json``,
+    one pid block per cell in cell order; returns the path."""
+    from repro.telemetry.spans import merge_host_trace
+
+    out = os.path.join(trace_dir, "merged.trace.json")
+    merge_host_trace(trace_dir, out,
+                     guests=[(f"cell {r.index}", r.trace_path)
+                             for r in results if r.trace_path])
+    return out
+
+
 def run_bench(jobs: int = 1, quick: bool = False,
               scale: float | None = None, seed: int = 1,
               env: str | None = None,
@@ -200,8 +212,7 @@ def run_bench(jobs: int = 1, quick: bool = False,
             "failed": sum(1 for r in par_results if not r.ok),
         }
         if trace_dir is not None:
-            merged_trace = os.path.join(trace_dir, "merged.jsonl")
-            merge_cell_traces(par_results, merged_trace)
+            merged_trace = write_merged_trace(par_results, trace_dir)
         if environment_name == "process":
             pool_block = shared_pool(jobs).stats()
 

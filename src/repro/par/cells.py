@@ -18,7 +18,13 @@ inside.
 * :func:`execute_cell` runs one cell inline with per-cell error capture
   and optional obs-trace emission — the single code path shared by the
   inline runner, the executor's inline mode, and pool worker processes,
-  which is what makes both environments produce the same failure shape.
+  which is what makes both environments (:data:`ENVIRONMENT_NAMES`)
+  produce the same failure shape.
+* With ``with_obs`` and a trace directory, a cell writes its hub's
+  trace with :meth:`repro.obs.tracer.Tracer.write_chrome`, the format
+  ``repro run --trace-out`` writes;
+  :func:`repro.telemetry.spans.merge_host_trace` folds a batch's files
+  into one.
 """
 
 from __future__ import annotations
@@ -31,14 +37,28 @@ from repro.telemetry.spans import child_span
 
 
 __all__ = [
+    "ENVIRONMENT_NAMES",
     "CellTask",
     "CellResult",
     "ParallelCellError",
     "execute_cell",
     "raise_failures",
-    "merge_cell_traces",
-    "trace_path_for",
 ]
+
+
+#: Valid ``env`` names (the ``--env`` choices): ``inline`` runs cells
+#: serially in the calling thread — the determinism oracle; ``process``
+#: runs them on a persistent forked worker pool.  Both produce the same
+#: canonical digest (``tests/par/test_env_equivalence.py``).
+ENVIRONMENT_NAMES = ("inline", "process")
+
+
+def check_environment(env: str | None) -> None:
+    """Reject an ``env`` that is not ``None`` or a known name."""
+    if env is not None and env not in ENVIRONMENT_NAMES:
+        raise ValueError(
+            f"unknown execution environment {env!r}; choose from "
+            f"{', '.join(ENVIRONMENT_NAMES)}")
 
 
 @dataclass
@@ -79,7 +99,7 @@ class CellResult:
     duration_s: float = 0.0
     #: Pid of the worker that ran the cell (parent pid when inline).
     worker_pid: int = 0
-    #: JSONL trace written by the cell's ObsHub, when ``with_obs``.
+    #: Chrome trace written by the cell's ObsHub, when ``with_obs``.
     trace_path: str | None = None
 
 
@@ -101,10 +121,6 @@ def raise_failures(results: list[CellResult]) -> list[CellResult]:
     if failures:
         raise ParallelCellError(failures)
     return results
-
-
-def trace_path_for(trace_dir: str, task: CellTask) -> str:
-    return os.path.join(trace_dir, f"cell-{task.index:04d}.jsonl")
 
 
 def execute_cell(task: CellTask, trace_dir: str | None) -> CellResult:
@@ -135,36 +151,9 @@ def execute_cell(task: CellTask, trace_dir: str | None) -> CellResult:
     duration = time.perf_counter() - start
     if hub is not None and trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
-        trace_path = trace_path_for(trace_dir, task)
-        hub.tracer.write_jsonl(trace_path)
+        trace_path = os.path.join(trace_dir,
+                                  f"cell-{task.index:04d}.trace.json")
+        hub.tracer.write_chrome(trace_path)
     return CellResult(index=task.index, ok=True, value=value,
                       duration_s=duration, worker_pid=os.getpid(),
                       trace_path=trace_path)
-
-
-def merge_cell_traces(results: list[CellResult], out_path: str) -> int:
-    """Merge per-worker JSONL traces into one stream, in cell order.
-
-    Returns the number of events written.  Cells without a trace (failed
-    cells, ``with_obs=False`` tasks) are skipped.  Each merged line
-    gains a ``"cell"`` key naming the cell it came from, so a single
-    file remains attributable after the per-worker files are deleted.
-    """
-    import json
-
-    written = 0
-    with open(out_path, "w") as out:
-        for result in results:
-            if not result.trace_path:
-                continue
-            with open(result.trace_path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    event = json.loads(line)
-                    event["cell"] = result.index
-                    out.write(json.dumps(event, sort_keys=True))
-                    out.write("\n")
-                    written += 1
-    return written

@@ -4,7 +4,8 @@ Every sweep in the repo — the fault matrix, the race sweep, the Figure 5
 grid, table rows, the benchmark matrix — is a list of *cells*: pure
 functions of their parameters (including an explicit seed) that return a
 picklable result.  :func:`run_cells` executes such a list in one of
-two execution environments, named in :data:`ENVIRONMENT_NAMES` —
+two execution environments, named in
+:data:`~repro.par.cells.ENVIRONMENT_NAMES` —
 serially in the calling thread (``inline``), or on a persistent pool of
 forked processes (``process``) — with three guarantees that hold in
 both:
@@ -26,9 +27,9 @@ both:
 
 Observability composes: a task created with ``with_obs=True`` gets a
 fresh :class:`repro.obs.ObsHub` injected as its ``obs`` kwarg, and the
-worker writes the hub's trace as JSONL next to its siblings; the parent
-merges the per-worker files into one stream with
-:func:`merge_cell_traces` (ordered by cell index, like every other
+cell writes the hub's Chrome trace into ``trace_dir`` next to its
+siblings; :func:`repro.telemetry.spans.merge_host_trace` folds them
+into one file, one pid block per cell in cell order (like every other
 aggregate).
 
 :class:`CellExecutor` is the ticket-based face of the same machinery
@@ -47,11 +48,12 @@ from collections import deque
 # Re-exported envelope API (the historical public surface of this
 # module; sweeps and tests import these names from here).
 from repro.par.cells import (
+    ENVIRONMENT_NAMES,
     CellResult,
     CellTask,
     ParallelCellError,
+    check_environment,
     execute_cell,
-    merge_cell_traces,
     raise_failures,
 )
 from repro.par.pool import WorkerPool, shared_pool
@@ -66,41 +68,22 @@ __all__ = [
     "run_cells",
     "run_specs",
     "raise_failures",
-    "merge_cell_traces",
 ]
 
 
-#: Valid ``env`` names (the ``--env`` choices): ``inline`` runs cells
-#: serially in the calling thread — the determinism oracle; ``process``
-#: runs them on a persistent forked worker pool.  Both produce the same
-#: canonical digest (``tests/par/test_env_equivalence.py``).
-ENVIRONMENT_NAMES = ("inline", "process")
-
-
-def _check_environment(env: str | None) -> None:
-    """Reject an ``env`` that is not ``None`` or a known name."""
-    if env is not None and env not in ENVIRONMENT_NAMES:
-        raise ValueError(
-            f"unknown execution environment {env!r}; choose from "
-            f"{', '.join(ENVIRONMENT_NAMES)}")
-
-
 def run_cells(tasks, jobs: int = 1, trace_dir: str | None = None,
-              env: str | None = None,
-              stall_timeout_s: float | None = None) -> list[CellResult]:
+              env: str | None = None) -> list[CellResult]:
     """Run every task and return results **in task-list order**.
 
     ``jobs<=1``, a single task, or ``env="inline"`` runs the cells in
     the calling thread; anything else runs them on the process-wide
-    :func:`shared_pool` of ``jobs`` workers, where ``stall_timeout_s``
-    arms the wedged-worker harvester.
+    :func:`shared_pool` of ``jobs`` workers.
     """
     tasks = list(tasks)
-    _check_environment(env)
+    check_environment(env)
     if jobs <= 1 or len(tasks) <= 1 or env == "inline":
         return [execute_cell(task, trace_dir) for task in tasks]
-    return ProcessRunner(shared_pool(jobs), stall_timeout_s).run(
-        tasks, trace_dir)
+    return ProcessRunner(shared_pool(jobs)).run(tasks, trace_dir)
 
 
 def run_specs(sweep_id: str, cells, jobs: int = 1,
@@ -144,12 +127,9 @@ class CellExecutor:
     finds the cell done) hands the result over exactly once.
     """
 
-    def __init__(self, jobs: int = 2, trace_dir: str | None = None,
-                 env: str | None = None,
-                 stall_timeout_s: float | None = None):
-        _check_environment(env)
+    def __init__(self, jobs: int = 2, env: str | None = None):
+        check_environment(env)
         self.jobs = max(0, jobs)
-        self.trace_dir = trace_dir
         self.env = "inline" if self.jobs == 0 else env or "process"
         self._lock = threading.Lock()
         self._pending: deque = deque()
@@ -168,8 +148,7 @@ class CellExecutor:
             pool = WorkerPool(self.jobs)
             for slot in range(self.jobs):
                 pool.worker(slot)
-            self._runner = ProcessRunner(pool,
-                                         stall_timeout_s=stall_timeout_s)
+            self._runner = ProcessRunner(pool)
             self._wake_r, self._wake_w = os.pipe()
             # A full pipe already means "wake up": never block a submit.
             os.set_blocking(self._wake_w, False)
@@ -193,7 +172,7 @@ class CellExecutor:
                 self._wake()
                 return ticket
             # Inline mode: run right here, same envelope semantics.
-            self._done[ticket] = execute_cell(task, self.trace_dir)
+            self._done[ticket] = execute_cell(task, None)
             self.completed += 1
             self._events[ticket].set()
             return ticket
@@ -279,8 +258,7 @@ class CellExecutor:
 
     def _dispatch(self) -> None:
         survivors = self._runner.dispatch_loop(
-            self._next_cell, self._deliver, self.trace_dir,
-            wake_fd=self._wake_r)
+            self._next_cell, self._deliver, None, wake_fd=self._wake_r)
         # Shutdown: kill the survivors, fail their cells — never hang.
         for ticket, task, worker in survivors.values():
             if worker.proc.is_alive():

@@ -20,6 +20,9 @@ that with a small set of long-lived worker processes:
 * **stall harvesting** — a dispatch loop may declare a busy worker
   wedged (no result within its stall budget) and have the pool kill and
   replace it, converting a hung sweep into one failed cell.
+* **no orphans** — a forked worker closes the parent-side pipe ends
+  it inherited, so when its parent dies without
+  :meth:`WorkerPool.shutdown` it reads EOF and exits.
 
 Determinism is unaffected by any of this: cells are pure functions of
 their :class:`~repro.par.cells.CellTask` (seeds derive from the cell
@@ -92,6 +95,21 @@ def _pool_worker_main(conn) -> None:
         pass
 
 
+def _forked_worker_main(conn, parent_ends) -> None:
+    """Forked-child entry: close the parent-side pipe ends this process
+    inherited, so the parent's death reads as EOF here, then serve
+    cells.
+
+    A worker inherits only ends created before it forked, so ends of
+    an older pool's workers may stay open here: when the parent dies,
+    the newest worker reads EOF first, and each exit releases the ends
+    older workers wait on.
+    """
+    for end in parent_ends:
+        end.close()
+    _pool_worker_main(conn)
+
+
 class PoolWorker:
     """One persistent worker process and its parent-side bookkeeping."""
 
@@ -143,8 +161,10 @@ class WorkerPool:
         import repro.run  # noqa: F401
 
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(target=_pool_worker_main,
-                                 args=(child_conn,),
+        parent_ends = [parent_conn] + [
+            worker.conn for worker in self._slots if worker is not None]
+        proc = self._ctx.Process(target=_forked_worker_main,
+                                 args=(child_conn, parent_ends),
                                  name=f"repro-pool-{index}",
                                  daemon=True)
         proc.start()

@@ -13,9 +13,9 @@ yet dispatched:
   by ticket, and wakes the loop through a pipe when a cell arrives.
 
 Workers are persistent (:class:`~repro.par.pool.WorkerPool`), so
-consecutive batches amortise fork + import cost, and large results
-cross through shared memory (:mod:`repro.par.transport`).  A runner
-never owns its pool: whoever built the pool shuts it down.
+consecutive batches amortise fork + import cost, and every result
+crosses its worker's pipe as one pickle (:mod:`repro.par.transport`).
+A runner never owns its pool: whoever built the pool shuts it down.
 
 The loop waits on worker pipes *and* process sentinels, so a worker
 that dies without reporting (SIGKILL, ``os._exit``, OOM) fails only its
@@ -149,7 +149,7 @@ class ProcessRunner:
         result = None
         if worker.conn.poll():
             try:
-                result = transport.recv_result(worker.conn.recv())
+                result = transport.recv_result(worker.conn.recv_bytes())
             except (EOFError, OSError):
                 result = None
         if result is not None:

@@ -3,14 +3,14 @@
 Reuses the counter/gauge/histogram classes from
 :mod:`repro.obs.metrics` — the same deterministic-snapshot machinery
 that serves the guest — but holds *host* quantities: pool spawns and
-respawns, queue depth, shm-vs-pipe transport arms, session
-admission, daemon op latency.  One registry per process, guarded by a
+respawns, queue depth, session admission, daemon ops and their
+latency.  One registry per process, guarded by a
 lock (the daemon's handler threads write concurrently).
 
 Two feeding disciplines:
 
 * **event-time** — cheap increments at the site of the event
-  (:func:`inc`, :func:`observe_seconds`): op latency, transport arm.
+  (:func:`inc`, :func:`observe_seconds`): daemon ops and op latency.
 * **scrape-time** — cumulative counters that already live somewhere
   authoritative (the :class:`~repro.par.pool.WorkerPool`'s amortisation
   counters, the session registry) are *published*

@@ -6,7 +6,9 @@ append + flush per span, so spans survive a daemon kill mid-session
 (the recovery tests rely on this).  :func:`merge_host_trace` then folds
 all span logs into one Chrome ``trace_event`` file in which the CLI,
 the daemon, each session, and each worker process appear as separate
-processes, optionally alongside the guest's simulated-cycle trace.
+processes, alongside any number of labelled guest (simulated-cycle)
+Chrome traces.  It is the repo's one merged-trace writer: ``repro
+telemetry merge`` and ``repro bench --trace-dir`` both call it.
 
 Spans are stamped with :func:`time.monotonic_ns` — CLOCK_MONOTONIC is
 system-wide on Linux, so spans from different processes on one host
@@ -52,7 +54,8 @@ ENV_DIR = "REPRO_TELEMETRY_DIR"
 ENV_SERVICE = "REPRO_TELEMETRY_SERVICE"
 
 #: Synthetic pid offset for guest trace events in a merged file, so
-#: guest variants never collide with host track pids.
+#: guest variants never collide with host track pids: guest ``i``
+#: (0-based) owns pids from ``GUEST_PID_BASE * (i + 1)``.
 GUEST_PID_BASE = 1000
 
 _lock = threading.Lock()
@@ -278,7 +281,7 @@ def read_spans(directory: str) -> list[dict]:
     return spans
 
 
-def _load_guest_events(path: str) -> list[dict]:
+def _load_guest_events(label: str, path: str, base: int) -> list[dict]:
     with open(path) as handle:
         data = json.load(handle)
     events = data.get("traceEvents", data) if isinstance(data, dict) \
@@ -290,27 +293,31 @@ def _load_guest_events(path: str) -> list[dict]:
         if not isinstance(event, dict):
             continue
         event = dict(event)
-        event["pid"] = GUEST_PID_BASE + int(event.get("pid", 0) or 0)
+        event["pid"] = base + int(event.get("pid", 0) or 0)
         if (event.get("ph") == "M"
                 and event.get("name") == "process_name"):
             args = dict(event.get("args") or {})
-            args["name"] = f"guest: {args.get('name', 'variant')}"
+            args["name"] = f"{label}: {args.get('name', 'variant')}"
             event["args"] = args
         shifted.append(event)
     return shifted
 
 
 def merge_host_trace(directory: str, out_path: str,
-                     guest_trace: str | None = None) -> dict:
-    """Merge every span log under ``directory`` into one Chrome
-    ``trace_event`` file at ``out_path``.
+                     guests=()) -> dict:
+    """Merge every span log under ``directory`` and the guest Chrome
+    traces ``guests`` into one Chrome ``trace_event`` file at
+    ``out_path``.
 
     Each distinct span *track* ("cli", "daemon", "session <id>",
     "worker <pid>") becomes its own process in the Chrome view, with
-    host timestamps rebased so the earliest span starts at t=0.  With
-    ``guest_trace``, the guest's simulated-cycle events ride along
-    under pid >= :data:`GUEST_PID_BASE` (their timeline is simulated
-    microseconds — a different clock, kept for side-by-side reading).
+    host timestamps rebased so the earliest span starts at t=0.
+    ``guests`` is a sequence of ``(label, path)`` pairs; each guest's
+    simulated-cycle events ride along in their own pid block at or
+    above :data:`GUEST_PID_BASE`, their process names prefixed with the
+    label (``cell 3: variant 0 (master)``).  Their timeline is
+    simulated microseconds — a different clock, kept for side-by-side
+    reading.
 
     Returns ``{"spans", "tracks", "events", "out"}``.
     """
@@ -342,8 +349,9 @@ def merge_host_trace(directory: str, out_path: str,
             "dur": max(record.get("dur_ns", 0) / 1000.0, 0.001),
             "args": args,
         })
-    if guest_trace is not None:
-        events.extend(_load_guest_events(guest_trace))
+    for block, (label, path) in enumerate(guests, start=1):
+        events.extend(_load_guest_events(label, path,
+                                         GUEST_PID_BASE * block))
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
     with open(out_path, "w") as handle:
         json.dump(payload, handle, sort_keys=True)

@@ -34,11 +34,6 @@ _POOL_COUNTERS = (
     ("host.pool.stall_kills", "stall-kills"),
 )
 
-_TRANSPORT_COUNTERS = (
-    ("host.transport.inline_results", "inline"),
-    ("host.transport.shm_results", "shm"),
-)
-
 
 def _family_value(families: dict, registry_name: str,
                   kind: str = "counter") -> float | None:
@@ -113,8 +108,6 @@ def render_top(status: dict, metrics: dict) -> list[str]:
     if exposition:
         families = parse_prometheus(exposition)
         lines.append(_counter_line(families, _POOL_COUNTERS, "pool"))
-        lines.append(_counter_line(families, _TRANSPORT_COUNTERS,
-                                   "transport"))
         lines.append(_ops_line(families))
     rows = status.get("sessions_detail") or []
     if rows:

@@ -128,18 +128,6 @@ class TestChromeExport:
         assert any(event.get("name") == "a"
                    for event in data["traceEvents"])
 
-    def test_write_jsonl_round_trips_events(self, tmp_path):
-        tracer, clock = make_tracer()
-        clock.now = 10.0
-        tracer.instant("a", 0, "main", cat="call", args={"seq": 1})
-        tracer.complete("w", 1, "main", ts=2.0, dur=3.0)
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        lines = [json.loads(line)
-                 for line in path.read_text().splitlines()]
-        assert lines == [event.to_dict() for event in tracer.events]
-        assert lines[1]["dur"] == 3.0
-
 
 class TestNullTracer:
     def test_records_nothing(self):
@@ -156,11 +144,8 @@ class TestNullTracer:
 
     def test_exports_are_empty_but_valid(self, tmp_path):
         chrome = tmp_path / "c.json"
-        jsonl = tmp_path / "e.jsonl"
         NULL_TRACER.write_chrome(chrome)
-        NULL_TRACER.write_jsonl(jsonl)
         assert json.loads(chrome.read_text())["traceEvents"] == []
-        assert jsonl.read_text() == ""
 
 
 class TestTraceEvent:

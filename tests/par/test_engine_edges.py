@@ -1,7 +1,7 @@
 """Edge cases of the engine's result-transport and harvest paths.
 
 Each test pins one of the ways a cell result can take an unusual route
-home: oversized payloads diverted through POSIX shared memory,
+home: oversized payloads crossing the worker's pipe intact,
 unpicklable values downgraded to failed envelopes, workers that die
 without reporting (caught by the process sentinel), completions
 arriving out of task order (slotted back by position), and batch cells
@@ -23,15 +23,9 @@ from hypothesis import strategies as st
 from repro.par.cells import CellResult, CellTask
 from repro.par.pool import WorkerPool
 from repro.par.runners.process import ProcessRunner
-from repro.par.transport import (
-    SHM_THRESHOLD_BYTES,
-    ListBuffer,
-    recv_result,
-    send_result,
-    shm_available,
-)
+from repro.par.transport import ListBuffer, recv_result, send_result
 
-BIG_BYTES = 2 * 1024 * 1024  # comfortably past the 60KiB threshold
+BIG_BYTES = 2 * 1024 * 1024  # many times a 64KiB pipe buffer
 
 
 # Module-level so fork workers can pickle them by reference.
@@ -68,8 +62,9 @@ def _run_private(tasks, jobs=2):
 
 
 class TestSharedMemoryTransport:
-    @pytest.mark.skipif(not shm_available(),
-                        reason="no multiprocessing.shared_memory")
+    """The result transport: every result, whatever its size, crosses
+    the worker's pipe as one pickle."""
+
     def test_oversized_result_crosses_intact(self):
         results = _run_private(
             [_task(0, _big_blob, n=BIG_BYTES, fill=0xAB),
@@ -78,40 +73,15 @@ class TestSharedMemoryTransport:
         assert results[0].value == bytes([0xAB]) * BIG_BYTES
         assert results[1].value == bytes([0x01]) * 16
 
-    @pytest.mark.skipif(not shm_available(),
-                        reason="no multiprocessing.shared_memory")
-    def test_big_payload_takes_the_shm_arm(self):
-        parent, child = multiprocessing.Pipe()
-        big = CellResult(index=3, ok=True,
-                         value=b"x" * SHM_THRESHOLD_BYTES)
-        send_result(child, big)
-        message = parent.recv()
-        assert message[0] == "shm"
-        decoded = recv_result(message)
-        assert decoded.ok and decoded.value == big.value
-        assert decoded.index == 3
-        # The parent unlinked the segment after reading it.
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=message[1])
-
     def test_small_payload_stays_inline(self):
         parent, child = multiprocessing.Pipe()
-        send_result(child, CellResult(index=0, ok=True, value=42))
-        message = parent.recv()
-        assert message[0] == "inline"
+        result = CellResult(index=0, ok=True, value=42)
+        send_result(child, result)
+        message = parent.recv_bytes()
+        # One pickle on the wire: the bytes the worker checked.
+        assert message == pickle.dumps(result,
+                                       protocol=pickle.HIGHEST_PROTOCOL)
         assert recv_result(message).value == 42
-
-    def test_threshold_can_be_forced_low(self):
-        if not shm_available():
-            pytest.skip("no multiprocessing.shared_memory")
-        parent, child = multiprocessing.Pipe()
-        send_result(child, CellResult(index=0, ok=True, value="tiny"),
-                    threshold=1)
-        message = parent.recv()
-        assert message[0] == "shm"
-        assert recv_result(message).value == "tiny"
 
 
 class TestUnpicklableResults:
@@ -128,7 +98,7 @@ class TestUnpicklableResults:
         parent, child = multiprocessing.Pipe()
         bad = CellResult(index=5, ok=True, value=lambda: None)
         send_result(child, bad)  # must not raise
-        decoded = recv_result(parent.recv())
+        decoded = recv_result(parent.recv_bytes())
         assert not decoded.ok
         assert decoded.index == 5
         assert "result not picklable" in decoded.error

@@ -29,8 +29,13 @@ from repro.experiments.runner import (
     run_race_sweep,
 )
 from repro.experiments.tables import table2
-from repro.par.bench import bench_tasks, build_matrix, canonical_cells
-from repro.par.engine import ENVIRONMENT_NAMES, merge_cell_traces, run_cells
+from repro.par.bench import (
+    bench_tasks,
+    build_matrix,
+    canonical_cells,
+    write_merged_trace,
+)
+from repro.par.engine import ENVIRONMENT_NAMES, run_cells
 from repro.prof.runner import PROFILE_AGENTS, run_profiles
 
 SEEDS = (1, 2, 7)
@@ -166,10 +171,11 @@ class TestObsTraceEnvEquivalence:
             results = run_cells(bench_tasks(matrix, with_obs=True),
                                 jobs=jobs, env=env,
                                 trace_dir=str(trace_dir))
-            merged = tmp_path / f"{label}.jsonl"
-            count = merge_cell_traces(results, str(merged))
-            assert count > 0
-            return merged.read_bytes()
+            merged = write_merged_trace(results, str(trace_dir))
+            with open(merged, "rb") as handle:
+                data = handle.read()
+            assert json.loads(data)["traceEvents"]
+            return data
 
         baseline = merged_bytes(None, 1)
         for env in ENVIRONMENT_NAMES:

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 from repro.experiments.runner import reset_caches
 from repro.par.bench import bench_tasks, build_matrix, canonical_cells
@@ -193,3 +196,48 @@ class TestPoolLifecycle:
             assert "shut down" in str(exc)
         else:  # pragma: no cover
             raise AssertionError("expected RuntimeError")
+
+    def test_workers_die_with_their_parent(self):
+        """A parent that exits without ``shutdown`` leaves no worker
+        behind: each worker holds only its own end of its pipe, so the
+        parent's death reads as EOF."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        # Read one line, not to EOF: the workers inherit the stdout pipe.
+        with subprocess.Popen(
+                [sys.executable, "-c",
+                 "import os\n"
+                 "from repro.par.pool import WorkerPool\n"
+                 "pool = WorkerPool(2)\n"
+                 "print(pool.worker(0).pid, pool.worker(1).pid, "
+                 "flush=True)\n"
+                 "os._exit(0)\n"],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert proc.wait(timeout=60) == 0
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), pids
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live process (an unreaped zombie has
+    already exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True

@@ -15,6 +15,7 @@ the two paths and are excluded from the structural forms.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -26,7 +27,12 @@ from repro.experiments.runner import (
     run_race_sweep,
 )
 from repro.experiments.tables import table2
-from repro.par.bench import bench_tasks, build_matrix, canonical_cells
+from repro.par.bench import (
+    bench_tasks,
+    build_matrix,
+    canonical_cells,
+    write_merged_trace,
+)
 from repro.par.engine import run_cells
 
 SEEDS = (1, 2, 7)
@@ -119,8 +125,6 @@ class TestObsTraceMerging:
     def test_parallel_traces_match_serial(self, tmp_path):
         """Per-worker obs traces, merged in cell order, are identical to
         the traces an inline run writes."""
-        from repro.par.engine import merge_cell_traces
-
         matrix = build_matrix(quick=True, seed=1)
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
@@ -128,10 +132,9 @@ class TestObsTraceMerging:
                            trace_dir=str(serial_dir))
         parallel = run_cells(bench_tasks(matrix, with_obs=True), jobs=2,
                              trace_dir=str(parallel_dir))
-        merged_serial = tmp_path / "serial.jsonl"
-        merged_parallel = tmp_path / "parallel.jsonl"
-        count_serial = merge_cell_traces(serial, str(merged_serial))
-        count_parallel = merge_cell_traces(parallel,
-                                           str(merged_parallel))
-        assert count_serial == count_parallel > 0
-        assert merged_serial.read_text() == merged_parallel.read_text()
+        with open(write_merged_trace(serial, str(serial_dir))) as handle:
+            merged_serial = handle.read()
+        with open(write_merged_trace(parallel, str(parallel_dir))) as handle:
+            merged_parallel = handle.read()
+        assert json.loads(merged_serial)["traceEvents"]
+        assert merged_serial == merged_parallel

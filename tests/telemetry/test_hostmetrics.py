@@ -12,9 +12,9 @@ from repro.telemetry.hostmetrics import (
 
 class TestEventTimeFeeds:
     def test_inc_and_snapshot(self):
-        hostmetrics.inc("host.transport.inline_results")
-        hostmetrics.inc("host.transport.inline_results", 2)
-        assert host_snapshot()["host.transport.inline_results"] == 3
+        hostmetrics.inc("host.test.events")
+        hostmetrics.inc("host.test.events", 2)
+        assert host_snapshot()["host.test.events"] == 3
 
     def test_observe_seconds_buckets(self):
         hostmetrics.observe_seconds("host.serve.op_latency_s", 0.002)

@@ -128,7 +128,7 @@ class TestMergeHostTrace:
         ]}))
         out = tmp_path / "merged.trace.json"
         merged = merge_host_trace(str(tmp_path), str(out),
-                                  guest_trace=str(guest))
+                                  guests=[("guest", str(guest))])
         events = json.loads(out.read_text())["traceEvents"]
         guest_events = [e for e in events
                         if e.get("pid", 0) >= GUEST_PID_BASE]

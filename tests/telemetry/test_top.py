@@ -24,7 +24,6 @@ STATUS = {
 def _metrics_response() -> dict:
     registry = MetricsRegistry()
     registry.counter("host.pool.spawned").inc(4)
-    registry.counter("host.transport.inline_results").inc(10)
     registry.counter("host.serve.ops").inc(20)
     hist = registry.histogram("host.serve.op_latency_s", (0.01, 0.1))
     hist.observe(0.002)
@@ -40,7 +39,6 @@ class TestRenderTop:
         assert "active 2/64" in text
         assert "env process" in text and "done 6/8" in text
         assert "spawned 4" in text
-        assert "inline 10" in text
         assert "ops 20" in text and "mean latency 3.00ms" in text
         assert "s-7" in text and "running" in text
         assert "clean" in text

@@ -350,6 +350,26 @@ class TestErrorContract:
         assert captured.err.startswith("repro bench: ")
 
 
+class TestBenchTraceDir:
+    def test_trace_dir_writes_one_merged_chrome_trace(self, capsys,
+                                                      tmp_path):
+        trace_dir = tmp_path / "traces"
+        assert main(["bench", "--quick", "--jobs", "2", "-o", "",
+                     "--trace-dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        trace = json.loads((trace_dir / "merged.trace.json").read_text())
+        pids = {}
+        for event in trace["traceEvents"]:
+            if event.get("name") == "process_name":
+                cell, variant = event["args"]["name"].split(": ")
+                pids[(cell, variant)] = event["pid"]
+        cells = {cell for cell, _ in pids}
+        assert cells == {"cell 0", "cell 1"}
+        assert {variant for _, variant in pids} == {
+            "variant 0 (master)", "variant 1 (slave 1)"}
+        assert len(set(pids.values())) == len(pids) == 4
+
+
 class TestServeCommand:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "bench"])

@@ -80,6 +80,11 @@ def test_cli_loads_no_simulator():
                  if name.startswith(("repro.sched", "repro.core",
                                      "repro.kernel"))]
     assert simulator == []
+    # The --env choices come without the pool or multiprocessing.
+    assert "repro.par.pool" not in loaded
+    assert _python("import sys, repro.cli\n"
+                   "repro.cli.build_parser()\n"
+                   "print('multiprocessing' in sys.modules)\n") == "False\n"
 
 
 def test_pool_forks_with_the_simulator_loaded():
