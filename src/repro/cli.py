@@ -6,9 +6,9 @@ Commands
     Regenerate a paper table.
 ``fig5 [--benchmarks a,b,c]``
     Regenerate (a subset of) Figure 5.
-``run BENCH --agent AGENT --variants N``
+``run BENCH [--agent A] [--variants N] [...]``
     Run one benchmark twin under the MVEE and report the verdict and
-    slowdown.
+    slowdown (``--record LOG`` also writes its decision log).
 ``list``
     List the available benchmark twins with their Table 2 rates.
 ``nginx``
@@ -36,7 +36,8 @@ Commands
 ``bench [run|diff] [--compare REF]``
     Performance harness: run the benchmark matrix serially and through
     the parallel engine, measure the speedup, and write
-    ``BENCH_par.json`` (see ``docs/PERFORMANCE.md``).  Every run is
+    ``BENCH_par.json`` (``BENCH_quick.json`` for the ``--quick``
+    matrix; see ``docs/PERFORMANCE.md``).  Every run is
     checked against the report contract of :mod:`repro.prof.regress`;
     ``--compare REF`` also checks it against a committed reference
     (digest identity and profile category shifts hard-fail, wall-clock
@@ -47,36 +48,46 @@ Commands
     per-category cycle attribution, cross-variant lag series, collapsed
     flamegraph stacks, and a markdown comparison report.
 ``serve {start,status,bench}``
-    MVEE-as-a-service (``docs/SERVING.md``): ``start`` runs the session
-    daemon in the foreground, ``status`` queries a running daemon, and
-    ``bench`` load-tests an in-process daemon with hundreds of short
-    sessions and writes ``BENCH_serve.json``, checked against the same
-    report contract (``--compare REF`` adds a committed reference).
+    MVEE-as-a-service (``docs/SERVING.md``).  Each action owns its
+    flags: ``start [--host H] [--port P] [--state-dir D] [--bundle-dir
+    D] [--checkpoint-every C] [--telemetry-dir D] [--max-sessions N]
+    [--max-cycles C] [--jobs N]`` runs the session daemon in the
+    foreground; ``status [--host H] [--port P]`` queries a running
+    daemon; ``bench [--sessions N] [--concurrency N] [--max-sessions N]
+    [--workload W] [--mode M] [--seed S] [--compare REF] [-o PATH]
+    [--jobs N]`` load-tests an in-process daemon and writes
+    ``BENCH_serve.json``, checked against the same report contract.
 ``telemetry {dump,merge}`` / ``top``
-    Host-level observability (``docs/TELEMETRY.md``): ``dump`` scrapes
-    a running daemon's host metrics as Prometheus text, ``merge DIR``
-    folds multi-process span logs into one Chrome trace, and ``top``
-    is a refreshing terminal view of a live daemon.  Exporting
+    Host-level observability (``docs/TELEMETRY.md``): ``dump [--host H]
+    [--port P]`` scrapes a running daemon's host metrics as Prometheus
+    text, ``merge DIR [-o OUT] [--guest TRACE]`` folds multi-process
+    span logs (and a guest Chrome trace) into one Chrome trace, and
+    ``top`` is a refreshing terminal view of a live daemon.  Exporting
     ``REPRO_TELEMETRY_DIR`` makes every command record host spans and
     open a trace that serve requests carry into the daemon.
-``record BENCH -o LOG`` / ``replay LOG`` / ``checkpoint PATH``
-    Decision-stream record/replay (``docs/REPLAY.md``): ``record``
-    captures the master's decision stream into a replayable JSONL log
-    (also ``run --record OUT``), ``replay`` re-drives a run from a log
-    bit-identically (``--to-step N`` fast-forwards then single-steps
-    for time-travel forensics), and ``checkpoint`` inspects a
-    checkpoint store or decision log.
+``run BENCH --record LOG`` / ``replay LOG`` / ``checkpoint PATH``
+    Decision-stream record/replay (``docs/REPLAY.md``): ``run --record``
+    captures the master's decision stream into a replayable JSONL log,
+    ``replay`` re-drives a run from a log bit-identically
+    (``--to-step N`` fast-forwards then single-steps for time-travel
+    forensics), and ``checkpoint`` inspects a checkpoint store or
+    decision log.
 
 Every subcommand maps a :class:`repro.errors.ReproError` to exit code 2
 with a one-line message on stderr (no tracebacks for expected failures);
 see :func:`_run_guarded`.
 
-The ``run`` and ``trace`` commands accept ``--trace-out PATH`` (write a
-Perfetto-loadable Chrome trace of the run), ``--metrics`` (print the
-metrics snapshot), and ``--bundle-out PATH`` (write a forensics bundle
-if the run diverges).  All sweeps accept ``--scale`` (event-budget
-multiplier, default 0.25) and ``--jobs N`` (shard sweep cells across N
-worker processes via :mod:`repro.par`; output is identical to serial).
+``run``, ``trace``, ``profile`` and ``fault-matrix`` take the run-spec
+flags (``--agent``, ``--variants``, ``--seed``, ``--scale``; ``run`` all
+of :class:`repro.run.RunSpec`) from one declaration, and
+:meth:`RunSpec.validate` checks them as the serve daemon does: a spec it
+refuses exits 2.  ``run`` and ``trace`` also accept ``--trace-out PATH``
+(write a Perfetto-loadable Chrome trace of the run), ``--metrics``
+(print the metrics snapshot), and ``--bundle-out PATH`` (write a
+forensics bundle if the run diverges).  All sweeps accept ``--scale``
+(event-budget multiplier, default 0.25) and ``--jobs N`` (shard sweep
+cells across N worker processes via :mod:`repro.par`; output is
+identical to serial).
 """
 
 from __future__ import annotations
@@ -144,38 +155,38 @@ def _cmd_fig5(args) -> int:
     return 0
 
 
-def _run_spec(args):
-    """The :class:`repro.run.RunSpec` a ``run``/``record`` invocation
-    describes."""
+def _spec_from_args(args):
+    """The :class:`repro.run.RunSpec` the given spec flags describe,
+    checked by :meth:`RunSpec.validate` as the serve daemon checks it
+    (a refused spec is a :class:`repro.errors.BadRequest`: exit 2)."""
     from repro.run import RunSpec
 
-    return RunSpec(
-        workload=args.benchmark, agent=args.agent,
-        variants=args.variants, seed=args.seed, scale=args.scale,
-        faults=args.faults or None, fault_seed=args.fault_seed,
-        policy=args.policy, watchdog=args.watchdog,
-        race_detect=args.race_detect, resync_mode=args.resync_mode,
-        deadlock_detect=args.deadlock_detect, diversity=args.diversity)
+    given = {name: getattr(args, name) for name in _SPEC_FLAGS
+             if hasattr(args, name)}
+    if "faults" in given:
+        given["faults"] = given["faults"] or None
+    return RunSpec(args.benchmark, **given).validate()
 
 
 def _cmd_run(args) -> int:
     from repro.run import build_mvee
 
+    spec = _spec_from_args(args)
     if args.record:
-        return _record_to(args, args.record)
+        return _run_recorded(args, spec)
     hub = _make_hub(args)
-    mvee, native = build_mvee(_run_spec(args), obs=hub,
+    mvee, native = build_mvee(spec, obs=hub,
                               checkpoints=args.checkpoint_every)
     outcome = mvee.run()
-    print(f"benchmark : {args.benchmark}")
-    print(f"agent     : {args.agent}, variants: {args.variants}, "
-          f"diversity: {'ASLR+DCL' if args.diversity else 'off'}")
+    print(f"benchmark : {spec.workload}")
+    print(f"agent     : {spec.agent}, variants: {spec.variants}, "
+          f"diversity: {'ASLR+DCL' if spec.diversity else 'off'}")
     if mvee.fault_injector is not None:
         print(f"faults    : planned {len(mvee.fault_injector.plan)}, "
               f"injected {len(outcome.faults)} "
-              f"(policy: {args.policy}"
-              + (f", watchdog: {args.watchdog:.0f} cycles"
-                 if args.watchdog is not None else "") + ")")
+              f"(policy: {spec.policy}"
+              + (f", watchdog: {spec.watchdog:.0f} cycles"
+                 if spec.watchdog is not None else "") + ")")
     print(f"verdict   : {outcome.verdict}")
     print(f"cycles    : {outcome.cycles}")
     if mvee.checkpointer is not None and len(mvee.checkpointer.store):
@@ -205,14 +216,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.perf.timeline import render_timeline, summarize_trace
-    from repro.run import RunSpec, build_mvee
+    from repro.run import build_mvee
 
     hub = _make_hub(args)
-    spec = RunSpec(args.benchmark, agent=args.agent,
-                   variants=args.variants, seed=args.seed,
-                   scale=args.scale)
-    mvee, _ = build_mvee(spec, record_trace=True, record_sync_trace=True,
-                         obs=hub)
+    mvee, _ = build_mvee(_spec_from_args(args), record_trace=True,
+                         record_sync_trace=True, obs=hub)
     outcome = mvee.run()
     print(f"verdict: {outcome.verdict}\n")
     for vm in outcome.vms:
@@ -266,36 +274,35 @@ def _cmd_fault_matrix(args) -> int:
         run_fault_matrix,
     )
 
+    spec = _spec_from_args(args)
     kinds = args.kinds.split(",") if args.kinds else None
     policies = args.policies.split(",") if args.policies else None
-    cells = run_fault_matrix(benchmark=args.benchmark, kinds=kinds,
-                             policies=policies, variants=args.variants,
-                             agent=args.agent, scale=args.scale,
-                             seed=args.seed, jobs=args.jobs,
+    cells = run_fault_matrix(benchmark=spec.workload, kinds=kinds,
+                             policies=policies, variants=spec.variants,
+                             agent=spec.agent, scale=spec.scale,
+                             seed=spec.seed, jobs=args.jobs,
                              env=args.env,
-                             resync_mode=args.resync_mode,
+                             resync_mode=spec.resync_mode,
                              checkpoint_every=args.checkpoint_every)
     print(fault_matrix_table(cells))
     return 0
 
 
-def _record_to(args, out_path: str) -> int:
-    """Shared body of ``repro record`` and ``repro run --record``."""
+def _run_recorded(args, spec) -> int:
+    """``repro run --record OUT``: the run, with its decision log."""
     from repro.replay.driver import record_run
 
-    spec = _run_spec(args)
-    hub = _make_hub(args)
     recorded = record_run(
-        spec, out_path=out_path,
+        spec, out_path=args.record,
         checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.checkpoint_out, hub=hub)
+        checkpoint_path=args.checkpoint_out, hub=_make_hub(args))
     outcome = recorded.outcome
     footer = recorded.footer or {}
     print(f"recorded  : {spec.workload} x{spec.variants} "
           f"({spec.agent}, seed {spec.seed})")
     print(f"verdict   : {outcome.verdict}")
     print(f"cycles    : {outcome.cycles}")
-    print(f"log       : {out_path} ({len(recorded.log.records)} "
+    print(f"log       : {args.record} ({len(recorded.log.records)} "
           f"decision(s), {footer.get('steps')} step(s))")
     print(f"digest    : {recorded.log.digest()}")
     if recorded.checkpointer is not None:
@@ -304,10 +311,6 @@ def _record_to(args, out_path: str) -> int:
               + (f" in {store.path}" if store.path else " (in-memory)"))
     _emit_obs(args, recorded.hub, outcome)
     return 0 if outcome.verdict in ("clean", "degraded") else 1
-
-
-def _cmd_record(args) -> int:
-    return _record_to(args, args.out)
 
 
 def _cmd_replay(args) -> int:
@@ -549,7 +552,13 @@ def _check_report(report: dict, ref: dict | None) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.par.bench import render_bench, run_bench
+    from repro.errors import ConfigError
+    from repro.par.bench import (
+        DEFAULT_OUT,
+        QUICK_OUT,
+        render_bench,
+        run_bench,
+    )
     from repro.prof import regress
 
     if args.action == "diff":
@@ -559,20 +568,26 @@ def _cmd_bench(args) -> int:
             return 2
         ref, new = (regress.load_report(path) for path in args.reports)
         return _check_report(new, ref)
+    if args.trace_dir and args.jobs <= 1:
+        raise ConfigError("--trace-dir needs --jobs > 1 (guest traces "
+                          "come from the parallel pass)")
+    out = args.out
+    if out is None:
+        out = QUICK_OUT if args.quick else DEFAULT_OUT
     ref, trajectory = _load_reference(args.compare, "repro-bench")
     report = run_bench(jobs=args.jobs, quick=args.quick,
                        scale=args.scale, seed=args.seed,
                        env=args.env,
-                       out_path=args.out, trace_dir=args.trace_dir,
+                       out_path=out, trace_dir=args.trace_dir,
                        trajectory=trajectory)
     print(render_bench(report))
-    if args.out:
-        print(f"wrote    : {args.out}")
+    if out:
+        print(f"wrote    : {out}")
     return _check_report(report, ref)
 
 
 def _cmd_profile(args) -> int:
-    from repro.errors import ReproError
+    from repro.errors import ConfigError
     from repro.prof.analytics import (
         render_report,
         write_flamegraph,
@@ -582,21 +597,21 @@ def _cmd_profile(args) -> int:
     from repro.workloads.spec import ALL_SPECS
 
     if args.benchmark != "nginx" and args.benchmark not in ALL_SPECS:
-        print(f"repro profile: unknown benchmark {args.benchmark!r} "
-              "(see `repro list`; 'nginx' profiles the §5.5 server)",
-              file=sys.stderr)
-        return 2
-    agents = (list(PROFILE_AGENTS) if args.agent == "all"
-              else [args.agent])
-    try:
-        results = run_profiles(args.benchmark, agents,
-                               variants=args.variants,
-                               scale=args.scale, seed=args.seed,
-                               jobs=args.jobs, env=args.env,
-                               lag_sample_every=args.lag_sample_every)
-    except ReproError as exc:
-        print(f"repro profile: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown benchmark {args.benchmark!r} (see "
+                          "`repro list`; 'nginx' profiles the §5.5 "
+                          "server)")
+    # 'all' is no RunSpec agent: the spec takes the other flags.
+    agent = vars(args).pop("agent", None)
+    spec = _spec_from_args(args)
+    choices = PROFILE_AGENTS + ("all",)
+    if agent not in (None, *choices):
+        raise ConfigError(f"unknown agent {agent!r}; expected one of "
+                          + ", ".join(choices))
+    agents = PROFILE_AGENTS if agent == "all" else (agent or spec.agent,)
+    results = run_profiles(spec.workload, agents, variants=spec.variants,
+                           scale=spec.scale, seed=spec.seed,
+                           jobs=args.jobs, env=args.env,
+                           lag_sample_every=args.lag_sample_every)
     for result in results:
         profile = result["profile"]
         print(f"{result['agent']:15s} verdict={result['verdict']:9s} "
@@ -817,27 +832,16 @@ def _serve_bench(args) -> int:
     return _check_report(report, ref)
 
 
-def _cmd_serve(args) -> int:
-    if args.action == "start":
-        return _serve_start(args)
-    if args.action == "status":
-        return _serve_status(args)
-    return _serve_bench(args)
+def _telemetry_dump(args) -> int:
+    from repro.serve.client import ServeClient
+
+    with ServeClient(args.host, args.port) as client:
+        response = client.host_metrics()
+    sys.stdout.write(response.get("exposition") or "")
+    return 0
 
 
-def _cmd_telemetry(args) -> int:
-    if args.action == "dump":
-        from repro.serve.client import ServeClient
-
-        with ServeClient(args.host, args.port) as client:
-            response = client.host_metrics()
-        sys.stdout.write(response.get("exposition") or "")
-        return 0
-    # merge
-    if not args.dir:
-        print("repro telemetry merge: a span-log directory is required",
-              file=sys.stderr)
-        return 2
+def _telemetry_merge(args) -> int:
     from repro.telemetry.spans import merge_host_trace
 
     out = args.out or (args.dir.rstrip("/") + ".trace.json")
@@ -892,14 +896,64 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
                              "environments — see docs/PERFORMANCE.md)")
 
 
-def _add_replay_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--resync-mode", default="history",
-                        choices=("history", "checkpoint"),
-                        help="restart-policy resync strategy: replay "
-                             "full master history at cost, or "
-                             "fast-forward to the latest checkpoint "
-                             "frontier (docs/REPLAY.md; default: "
-                             "history)")
+#: The run-spec flags, declared once: ``{RunSpec field: add_argument
+#: keywords}``.  Defaults and choices belong to
+#: :class:`repro.run.RunSpec` and its validator (building the parser
+#: must not load the simulator), so each flag defaults to ``SUPPRESS``
+#: and only the given ones reach :func:`_spec_from_args`.
+_SPEC_FLAGS = {
+    "agent": {"help": "sync agent (default: wall_of_clocks; an unknown "
+                      "name lists the others)"},
+    "variants": {"type": int},
+    "seed": {"type": int},
+    "scale": {"type": float},
+    "diversity": {"action": "store_true", "help": "enable ASLR + DCL"},
+    "faults": {"metavar": "PLAN",
+               "help": "fault plan: 'random' (seeded by --fault-seed) "
+                       "or comma-separated KIND@vN:AT[:PARAM] specs; "
+                       "kinds: crash, stall, corrupt_sync, drop_wake, "
+                       "clock_skew"},
+    "fault_seed": {"type": int,
+                   "help": "seed for '--faults random' (default 0)"},
+    "policy": {"help": "degradation policy when a variant is condemned: "
+                       "kill-all (the default, the paper's behaviour), "
+                       "quarantine or restart"},
+    "race_detect": {"action": "store_true",
+                    "help": "attach the happens-before race detector "
+                            "(see docs/RACES.md); zero simulated-cycle "
+                            "cost, reports races after the run"},
+    "deadlock_detect": {"action": "store_true",
+                        "help": "attach the wait-for-graph deadlock "
+                                "detector (see docs/DEADLOCK.md); a "
+                                "guest lock cycle ends the run with a "
+                                "'deadlock' verdict at cycle formation"},
+    "watchdog": {"type": float, "metavar": "CYCLES",
+                 "help": "lockstep rendezvous deadline in simulated "
+                         "cycles; a variant missing the deadline is "
+                         "diagnosed (WATCHDOG_TIMEOUT) instead of "
+                         "hanging the run (default: off)"},
+    "resync_mode": {"metavar": "MODE",
+                    "help": "restart-policy resync strategy: 'history' "
+                            "(the default) replays full master history "
+                            "at cost, 'checkpoint' fast-forwards to the "
+                            "latest checkpoint frontier "
+                            "(docs/REPLAY.md)"},
+}
+
+#: The spec flags of the commands that sweep or trace a run rather than
+#: take the whole spec (``run`` does).
+_CORE_SPEC_FLAGS = ("agent", "variants", "seed", "scale")
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser, *fields) -> None:
+    """Add the run-spec flags named by ``fields`` (default: all)."""
+    for name in fields or _SPEC_FLAGS:
+        parser.add_argument("--" + name.replace("_", "-"),
+                            default=argparse.SUPPRESS,
+                            **_SPEC_FLAGS[name])
+
+
+def _add_checkpoint_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="CYCLES",
                         help="machine checkpoint cadence in simulated "
@@ -907,10 +961,14 @@ def _add_replay_flags(parser: argparse.ArgumentParser) -> None:
                              "checkpoint a benchmark twin checkpoints "
                              "every native/64 cycles, the cadence "
                              "replay rebuilds with)")
-    parser.add_argument("--checkpoint-out", default=None,
-                        metavar="PATH",
-                        help="persist checkpoints to PATH "
-                             "(.ckpt.json; default: in-memory only)")
+
+
+def _add_daemon_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="daemon host (default 127.0.0.1)")
+    parser.add_argument("--port", type=int, default=7333,
+                        help="daemon port (default 7333; for 'serve "
+                             "start', 0 picks an ephemeral port)")
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -922,6 +980,116 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bundle-out", default=None, metavar="PATH",
                         help="write a divergence forensics bundle here "
                              "if the run diverges")
+
+
+def _add_serve_parser(sub) -> None:
+    p_serve = sub.add_parser(
+        "serve",
+        help="MVEE-as-a-service: session daemon, status client, and "
+             "load test (see docs/SERVING.md)")
+    actions = p_serve.add_subparsers(dest="action", required=True)
+
+    p_start = actions.add_parser(
+        "start", help="run the session daemon in the foreground")
+    _add_daemon_flags(p_start)
+    p_start.add_argument("--state-dir", default=None, metavar="DIR",
+                         help="journal the session registry here so it "
+                              "survives daemon restarts (default: "
+                              "in-memory only)")
+    p_start.add_argument("--bundle-dir", default=None, metavar="DIR",
+                         help="write divergence forensics bundles for "
+                              "served sessions here")
+    p_start.add_argument("--checkpoint-every", type=float, default=None,
+                         metavar="CYCLES",
+                         help="record stepped sessions' decision "
+                              "streams and checkpoint them every CYCLES "
+                              "simulated cycles (needs --state-dir); "
+                              "interrupted restart-policy sessions then "
+                              "resume in-flight work after a daemon "
+                              "crash (docs/REPLAY.md)")
+    p_start.add_argument("--telemetry-dir", default=None, metavar="DIR",
+                         help="record host-time spans (daemon ops, "
+                              "sessions, pool workers) as JSONL under "
+                              "DIR; merge them with 'repro telemetry "
+                              "merge DIR' (docs/TELEMETRY.md)")
+    p_start.add_argument("--max-cycles", type=float, default=None,
+                         metavar="CYCLES",
+                         help="per-session simulated-cycle quota; a "
+                              "session exceeding it is killed "
+                              "(default: unlimited)")
+    p_start.set_defaults(func=_serve_start)
+
+    p_status = actions.add_parser(
+        "status", help="query a running daemon's status")
+    _add_daemon_flags(p_status)
+    p_status.set_defaults(func=_serve_status)
+
+    p_bench = actions.add_parser(
+        "bench",
+        help="load-test an in-process daemon with many short sessions "
+             "and write BENCH_serve.json")
+    p_bench.add_argument("--sessions", type=int, default=256,
+                         help="total sessions to push (default 256)")
+    p_bench.add_argument("--concurrency", type=int, default=72,
+                         help="concurrent client threads (default 72, "
+                              "above the default quota so admission "
+                              "control engages)")
+    p_bench.add_argument("--workload", default="nginx",
+                         help="workload for every session "
+                              "(default nginx)")
+    p_bench.add_argument("--mode", default="batch",
+                         choices=("batch", "step"),
+                         help="drive sessions through the worker pool "
+                              "('batch') or in step batches ('step'); "
+                              "digests are identical")
+    p_bench.add_argument("--seed", type=int, default=1,
+                         help="base seed for per-session seed "
+                              "derivation")
+    p_bench.add_argument("--compare", default=None, metavar="REF",
+                         help="gate the fresh report against REF "
+                              "(digest/completion hard-fail, throughput "
+                              "warns) and carry REF's trajectory "
+                              "forward")
+    p_bench.add_argument("-o", "--out", default="BENCH_serve.json",
+                         metavar="PATH",
+                         help="artifact path (default: BENCH_serve.json;"
+                              " empty string to skip)")
+    p_bench.set_defaults(func=_serve_bench)
+
+    for parser in (p_start, p_bench):
+        parser.add_argument("--max-sessions", type=int, default=64,
+                            help="admission control: max concurrently "
+                                 "active sessions (default 64)")
+        _add_jobs_flag(parser)
+
+
+def _add_telemetry_parser(sub) -> None:
+    p_tel = sub.add_parser(
+        "telemetry",
+        help="host-level observability: dump a daemon's Prometheus "
+             "exposition, or merge span logs into one Chrome trace "
+             "(see docs/TELEMETRY.md)")
+    actions = p_tel.add_subparsers(dest="action", required=True)
+
+    p_dump = actions.add_parser(
+        "dump",
+        help="scrape a running daemon's host metrics as Prometheus text")
+    _add_daemon_flags(p_dump)
+    p_dump.set_defaults(func=_telemetry_dump)
+
+    p_merge = actions.add_parser(
+        "merge",
+        help="fold every spans-*.jsonl under DIR into one trace_event "
+             "file")
+    p_merge.add_argument("dir",
+                         help="the span-log directory (the "
+                              "--telemetry-dir the daemon/CLI wrote to)")
+    p_merge.add_argument("-o", "--out", default=None, metavar="PATH",
+                         help="output path (default: DIR.trace.json)")
+    p_merge.add_argument("--guest", default=None, metavar="TRACE",
+                         help="also fold this guest Chrome trace (from "
+                              "--trace-out) into the merged view")
+    p_merge.set_defaults(func=_telemetry_merge)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -973,30 +1141,24 @@ def build_parser() -> argparse.ArgumentParser:
                          help="event-budget multiplier (default 0.1, "
                               "or 0.05 with --quick)")
     p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument("-o", "--out", default="BENCH_par.json",
-                         metavar="PATH",
-                         help="report path (default: BENCH_par.json; "
-                              "empty string to skip writing)")
+    p_bench.add_argument("-o", "--out", default=None, metavar="PATH",
+                         help="report path (default: BENCH_par.json, or "
+                              "BENCH_quick.json with --quick; empty "
+                              "string to skip writing)")
     p_bench.add_argument("--trace-dir", default=None, metavar="DIR",
-                         help="collect per-cell obs traces here and "
-                              "merge them into DIR/merged.trace.json")
+                         help="collect the parallel pass's per-cell obs "
+                              "traces here and merge them into "
+                              "DIR/merged.trace.json (needs --jobs > 1)")
     _add_jobs_flag(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_prof = sub.add_parser(
         "profile",
         help="cycle-accounting profile: per-category attribution, "
-             "cross-variant lag, flamegraph (see docs/PROFILING.md)")
+             "cross-variant lag, flamegraph; '--agent all' compares the "
+             "three main agents (see docs/PROFILING.md)")
     p_prof.add_argument("benchmark", help="benchmark twin or 'nginx'")
-    p_prof.add_argument("--agent", default="wall_of_clocks",
-                        choices=("total_order", "partial_order",
-                                 "wall_of_clocks", "all"),
-                        help="sync agent to profile, or 'all' to "
-                             "compare the three main agents "
-                             "(default: wall_of_clocks)")
-    p_prof.add_argument("--variants", type=int, default=2)
-    p_prof.add_argument("--seed", type=int, default=1)
-    p_prof.add_argument("--scale", type=float, default=0.25)
+    _add_spec_flags(p_prof, *_CORE_SPEC_FLAGS)
     p_prof.add_argument("--lag-sample-every", type=int, default=1,
                         metavar="K",
                         help="keep every K-th lag sample in the series "
@@ -1015,78 +1177,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one benchmark under the MVEE")
     p_run.add_argument("benchmark")
-    p_run.add_argument("--agent", default="wall_of_clocks",
-                       choices=("none", "total_order", "partial_order",
-                                "wall_of_clocks", "dmt"))
-    p_run.add_argument("--variants", type=int, default=2)
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--scale", type=float, default=0.25)
-    p_run.add_argument("--diversity", action="store_true",
-                       help="enable ASLR + DCL")
-    p_run.add_argument("--faults", default=None, metavar="PLAN",
-                       help="fault plan: 'random' (seeded by "
-                            "--fault-seed) or comma-separated "
-                            "KIND@vN:AT[:PARAM] specs; kinds: crash, "
-                            "stall, corrupt_sync, drop_wake, clock_skew")
-    p_run.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for '--faults random' (default 0)")
-    p_run.add_argument("--policy", default="kill-all",
-                       choices=("kill-all", "quarantine", "restart"),
-                       help="degradation policy when a variant is "
-                            "condemned (default: kill-all, the paper's "
-                            "behaviour)")
-    p_run.add_argument("--race-detect", action="store_true",
-                       help="attach the happens-before race detector "
-                            "(see docs/RACES.md); zero simulated-cycle "
-                            "cost, reports races after the run")
-    p_run.add_argument("--deadlock-detect", action="store_true",
-                       help="attach the wait-for-graph deadlock "
-                            "detector (see docs/DEADLOCK.md); a guest "
-                            "lock cycle ends the run with a 'deadlock' "
-                            "verdict at cycle formation")
-    p_run.add_argument("--watchdog", type=float, default=None,
-                       metavar="CYCLES",
-                       help="lockstep rendezvous deadline in simulated "
-                            "cycles; a variant missing the deadline is "
-                            "diagnosed (WATCHDOG_TIMEOUT) instead of "
-                            "hanging the run (default: off)")
-    _add_replay_flags(p_run)
+    _add_spec_flags(p_run)
+    _add_checkpoint_flag(p_run)
+    p_run.add_argument("--checkpoint-out", default=None, metavar="PATH",
+                       help="persist checkpoints to PATH "
+                            "(.ckpt.json; default: in-memory only)")
     p_run.add_argument("--record", default=None, metavar="OUT",
                        help="record the master's decision stream to "
                             "OUT (a JSONL decision log replayable with "
                             "'repro replay'; see docs/REPLAY.md)")
     _add_obs_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
-
-    p_record = sub.add_parser(
-        "record",
-        help="run a workload and record its decision stream "
-             "(docs/REPLAY.md)")
-    p_record.add_argument("benchmark",
-                          help="workload name ('nginx' or a benchmark "
-                               "twin; see 'repro list')")
-    p_record.add_argument("-o", "--out", required=True, metavar="PATH",
-                          help="decision-log output path")
-    p_record.add_argument("--agent", default="wall_of_clocks",
-                          choices=("none", "total_order",
-                                   "partial_order", "wall_of_clocks",
-                                   "dmt"))
-    p_record.add_argument("--variants", type=int, default=2)
-    p_record.add_argument("--seed", type=int, default=1)
-    p_record.add_argument("--scale", type=float, default=0.25)
-    p_record.add_argument("--faults", default=None, metavar="PLAN",
-                          help="fault plan (same syntax as 'repro run "
-                               "--faults')")
-    p_record.add_argument("--fault-seed", type=int, default=0)
-    p_record.add_argument("--policy", default="kill-all",
-                          choices=("kill-all", "quarantine", "restart"))
-    p_record.add_argument("--watchdog", type=float, default=None,
-                          metavar="CYCLES")
-    p_record.add_argument("--race-detect", action="store_true")
-    _add_replay_flags(p_record)
-    _add_obs_flags(p_record)
-    p_record.set_defaults(func=_cmd_record, diversity=False,
-                          deadlock_detect=False)
 
     p_replay = sub.add_parser(
         "replay",
@@ -1117,14 +1218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="run a benchmark and show lockstep/replay traces")
     p_trace.add_argument("benchmark")
-    p_trace.add_argument("--agent", default="wall_of_clocks",
-                         choices=("none", "total_order", "partial_order",
-                                  "wall_of_clocks"))
-    p_trace.add_argument("--variants", type=int, default=2)
-    p_trace.add_argument("--seed", type=int, default=1)
-    p_trace.add_argument("--scale", type=float, default=0.05)
+    _add_spec_flags(p_trace, *_CORE_SPEC_FLAGS)
     _add_obs_flags(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
+    p_trace.set_defaults(func=_cmd_trace, scale=0.05)
 
     p_obs = sub.add_parser(
         "obs", help="inspect observability artifacts (forensics bundles)")
@@ -1146,21 +1242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fm.add_argument("--policies", default=None,
                       help="comma-separated policies "
                            "(default: kill-all,quarantine,restart)")
-    p_fm.add_argument("--variants", type=int, default=3)
-    p_fm.add_argument("--agent", default="wall_of_clocks")
-    p_fm.add_argument("--scale", type=float, default=0.1)
-    p_fm.add_argument("--seed", type=int, default=1)
-    p_fm.add_argument("--resync-mode", default="history",
-                      choices=("history", "checkpoint"),
-                      help="how restart-policy cells resync condemned "
-                           "variants: full-history replay or "
-                           "checkpoint fast-forward (docs/REPLAY.md)")
-    p_fm.add_argument("--checkpoint-every", type=float, default=None,
-                      metavar="CYCLES",
-                      help="checkpoint cadence for --resync-mode "
-                           "checkpoint (default: native/64)")
+    _add_spec_flags(p_fm, *_CORE_SPEC_FLAGS, "resync_mode")
+    _add_checkpoint_flag(p_fm)
     _add_jobs_flag(p_fm)
-    p_fm.set_defaults(func=_cmd_fault_matrix)
+    p_fm.set_defaults(func=_cmd_fault_matrix, variants=3, scale=0.1)
 
     p_races = sub.add_parser(
         "races",
@@ -1213,106 +1298,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "'workloads' op returns)")
     p_list.set_defaults(func=_cmd_list)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="MVEE-as-a-service: session daemon, status client, and "
-             "load test (see docs/SERVING.md)")
-    p_serve.add_argument("action", choices=("start", "status", "bench"))
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=7333,
-                         help="daemon port (start: 0 picks an "
-                              "ephemeral port; default 7333)")
-    p_serve.add_argument("--state-dir", default=None, metavar="DIR",
-                         help="start: journal the session registry "
-                              "here so it survives daemon restarts "
-                              "(default: in-memory only)")
-    p_serve.add_argument("--bundle-dir", default=None, metavar="DIR",
-                         help="start: write divergence forensics "
-                              "bundles for served sessions here")
-    p_serve.add_argument("--checkpoint-every", type=float, default=None,
-                         metavar="CYCLES",
-                         help="start: record stepped sessions' "
-                              "decision streams and checkpoint them "
-                              "every CYCLES simulated cycles (needs "
-                              "--state-dir); interrupted restart-"
-                              "policy sessions then resume in-flight "
-                              "work after a daemon crash "
-                              "(docs/REPLAY.md)")
-    p_serve.add_argument("--telemetry-dir", default=None, metavar="DIR",
-                         help="start: record host-time spans (daemon "
-                              "ops, sessions, pool workers) as JSONL "
-                              "under DIR; merge them with 'repro "
-                              "telemetry merge DIR' "
-                              "(docs/TELEMETRY.md)")
-    p_serve.add_argument("--max-sessions", type=int, default=64,
-                         help="admission control: max concurrently "
-                              "active sessions (default 64)")
-    p_serve.add_argument("--max-cycles", type=float, default=None,
-                         metavar="CYCLES",
-                         help="per-session simulated-cycle quota; a "
-                              "session exceeding it is killed "
-                              "(default: unlimited)")
-    p_serve.add_argument("--sessions", type=int, default=256,
-                         help="bench: total sessions to push "
-                              "(default 256)")
-    p_serve.add_argument("--concurrency", type=int, default=72,
-                         help="bench: concurrent client threads "
-                              "(default 72, above the default quota so "
-                              "admission control engages)")
-    p_serve.add_argument("--workload", default="nginx",
-                         help="bench: workload for every session "
-                              "(default nginx)")
-    p_serve.add_argument("--mode", default="batch",
-                         choices=("batch", "step"),
-                         help="bench: drive sessions through the "
-                              "worker pool ('batch') or in step "
-                              "batches ('step'); digests are identical")
-    p_serve.add_argument("--seed", type=int, default=1,
-                         help="bench: base seed for per-session seed "
-                              "derivation")
-    p_serve.add_argument("--compare", default=None, metavar="REF",
-                         help="bench: gate the fresh report against "
-                              "REF (digest/completion hard-fail, "
-                              "throughput warns) and carry REF's "
-                              "trajectory forward")
-    p_serve.add_argument("-o", "--out", default="BENCH_serve.json",
-                         metavar="PATH",
-                         help="bench: artifact path (default: "
-                              "BENCH_serve.json; empty string to skip)")
-    _add_jobs_flag(p_serve)
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_tel = sub.add_parser(
-        "telemetry",
-        help="host-level observability: dump a daemon's Prometheus "
-             "exposition, or merge span logs into one Chrome trace "
-             "(see docs/TELEMETRY.md)")
-    p_tel.add_argument("action", choices=("dump", "merge"),
-                       help="'dump' scrapes a running daemon's host "
-                            "metrics as Prometheus text; 'merge DIR' "
-                            "folds every spans-*.jsonl under DIR into "
-                            "one trace_event file")
-    p_tel.add_argument("dir", nargs="?", default=None,
-                       help="merge: the span-log directory (the "
-                            "--telemetry-dir the daemon/CLI wrote to)")
-    p_tel.add_argument("-o", "--out", default=None, metavar="PATH",
-                       help="merge: output path "
-                            "(default: DIR.trace.json)")
-    p_tel.add_argument("--guest", default=None, metavar="TRACE",
-                       help="merge: also fold this guest Chrome trace "
-                            "(from --trace-out) into the merged view")
-    p_tel.add_argument("--host", default="127.0.0.1",
-                       help="dump: daemon host")
-    p_tel.add_argument("--port", type=int, default=7333,
-                       help="dump: daemon port")
-    p_tel.set_defaults(func=_cmd_telemetry)
+    _add_serve_parser(sub)
+    _add_telemetry_parser(sub)
 
     p_top = sub.add_parser(
         "top",
         help="live operations view of a serve daemon: sessions, "
              "executor, pool counters, op latency")
-    p_top.add_argument("--host", default="127.0.0.1")
-    p_top.add_argument("--port", type=int, default=7333)
+    _add_daemon_flags(p_top)
     p_top.add_argument("--interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="refresh interval (default 2s)")

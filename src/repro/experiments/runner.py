@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
+from repro.errors import BadRequest
 from repro.faults.plan import FAULT_KINDS, FaultSpec
 from repro.par.engine import run_specs
 from repro.perf.report import SlowdownReport
@@ -150,8 +151,14 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
     so every (jobs, env) combination is structurally identical to
     ``jobs=1``.
     """
-    if resync_mode not in ("history", "checkpoint"):
-        raise ValueError(f"unknown resync mode {resync_mode!r}")
+    # Every spec is validated here, in the parent, so a bad one fails
+    # before dispatch with a typed BadRequest, not in a worker.
+    base = RunSpec(benchmark, agent=agent, variants=variants, seed=seed,
+                   scale=scale, resync_mode=resync_mode).validate()
+    if benchmark not in ALL_SPECS:
+        raise BadRequest(f"{benchmark!r} has no native runtime to set "
+                         "the watchdog; use a benchmark twin (see "
+                         "'repro list')")
     kinds = tuple(kinds) if kinds else FAULT_KINDS
     policies = tuple(policies) if policies else FAULT_POLICIES
     watchdog = native_cycles(benchmark, scale, seed) * watchdog_factor
@@ -159,14 +166,12 @@ def run_fault_matrix(benchmark: str = "dedup", kinds=None, policies=None,
                    else None)
     cells = [(policy_name, kind) for policy_name in policies
              for kind in kinds]
+    specs = [replace(base, faults=_fault_spec_for(kind).describe(),
+                     policy=policy_name, watchdog=watchdog).validate()
+             for policy_name, kind in cells]
     records = run_specs("fault-matrix", [
-        {"spec": RunSpec(benchmark, agent=agent, variants=variants,
-                         seed=seed, scale=scale,
-                         faults=_fault_spec_for(kind).describe(),
-                         policy=policy_name, watchdog=watchdog,
-                         resync_mode=resync_mode),
-         "checkpoints": checkpoints}
-        for policy_name, kind in cells], jobs=jobs, env=env)
+        {"spec": spec, "checkpoints": checkpoints} for spec in specs],
+        jobs=jobs, env=env)
     return [FaultMatrixCell(
         benchmark=benchmark, policy=policy_name, kind=kind,
         verdict=record.verdict, injected=record.faults_injected,

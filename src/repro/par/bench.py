@@ -69,8 +69,10 @@ from repro.par.engine import CellTask, run_cells
 from repro.par.pool import shared_pool
 from repro.par.seeds import derive_cell_seed
 
-#: Default artifact path, at the repo root by convention.
+#: Default artifact paths, at the repo root by convention: the full
+#: matrix's reference, and the ``--quick`` matrix's (the one CI gates).
 DEFAULT_OUT = "BENCH_par.json"
+QUICK_OUT = "BENCH_quick.json"
 
 FORMAT_VERSION = 2
 

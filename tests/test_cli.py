@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _spec_from_args, build_parser, main
+from repro.run import RunSpec
 
 #: ``repro deadlock check`` at the default seed, byte for byte.
 PINNED_DEADLOCK_CHECK = (
@@ -29,10 +30,21 @@ class TestParser:
             build_parser().parse_args(["table", "7"])
 
     def test_run_defaults(self):
-        args = build_parser().parse_args(["run", "fft"])
-        assert args.agent == "wall_of_clocks"
-        assert args.variants == 2
-        assert not args.diversity
+        # The parser adds no defaults of its own: RunSpec owns them.
+        spec = _spec_from_args(build_parser().parse_args(["run", "fft"]))
+        assert spec == RunSpec("fft")
+        assert spec.agent == "wall_of_clocks"
+        assert spec.variants == 2
+        assert not spec.diversity
+
+    @pytest.mark.parametrize("argv,scale", [
+        (["trace", "fft"], 0.05),
+        (["profile", "fft"], 0.25),
+        (["fault-matrix"], 0.1),
+    ], ids=["trace", "profile", "fault-matrix"])
+    def test_spec_flag_command_defaults(self, argv, scale):
+        args = build_parser().parse_args(argv)
+        assert _spec_from_args(args).scale == scale
 
 
 class TestCommands:
@@ -105,10 +117,11 @@ class TestObservabilityFlags:
 
 class TestFaultFlags:
     def test_run_parser_fault_defaults(self):
-        args = build_parser().parse_args(["run", "fft"])
-        assert args.faults is None
-        assert args.policy == "kill-all"
-        assert args.watchdog is None
+        spec = _spec_from_args(build_parser().parse_args(["run", "fft"]))
+        assert spec == RunSpec("fft")
+        assert spec.faults is None
+        assert spec.policy == "kill-all"
+        assert spec.watchdog is None
 
     def test_injected_crash_kill_all_exits_nonzero(self, capsys):
         code = main(["run", "dedup", "--scale", "0.1", "--variants", "3",
@@ -349,8 +362,50 @@ class TestErrorContract:
         assert code == 2
         assert captured.err.startswith("repro bench: ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "fft", "--variants", "1"], "variants must be between"),
+        (["run", "fft", "--scale", "9"], "scale must be between"),
+        (["trace", "fft", "--variants", "40"],
+         "variants must be between"),
+        (["fault-matrix", "--agent", "bogus"], "unknown agent 'bogus'"),
+        (["fault-matrix", "--benchmark", "nginx"],
+         "'nginx' has no native runtime"),
+    ], ids=["run-variants", "run-scale", "trace-variants",
+            "fault-matrix-agent", "fault-matrix-nginx"])
+    def test_spec_the_daemon_refuses_exits_two(self, capsys, argv,
+                                                message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert message in lines[0]
+
 
 class TestBenchTraceDir:
+    def test_trace_dir_needs_parallel_jobs(self, capsys, tmp_path):
+        trace_dir = tmp_path / "traces"
+        code = main(["bench", "--quick", "--jobs", "1", "-o", "",
+                     "--trace-dir", str(trace_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.strip().splitlines() == [
+            "repro bench: --trace-dir needs --jobs > 1 (guest traces "
+            "come from the parallel pass)"]
+        assert not trace_dir.exists()
+
+    def test_quick_writes_the_quick_reference_path(self, capsys,
+                                                   tmp_path,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--quick"]) == 0
+        assert "wrote    : BENCH_quick.json" in capsys.readouterr().out
+        report = json.loads((tmp_path / "BENCH_quick.json").read_text())
+        assert report["kind"] == "repro-bench"
+        assert not (tmp_path / "BENCH_par.json").exists()
+
     def test_trace_dir_writes_one_merged_chrome_trace(self, capsys,
                                                       tmp_path):
         trace_dir = tmp_path / "traces"
@@ -371,13 +426,36 @@ class TestBenchTraceDir:
 
 
 class TestServeCommand:
+    def test_serve_start_parser_defaults(self):
+        args = build_parser().parse_args(["serve", "start"])
+        assert args.port == 7333
+        assert args.max_sessions == 64
+        assert not hasattr(args, "sessions")
+
+    def test_serve_status_parser_defaults(self):
+        args = build_parser().parse_args(["serve", "status"])
+        assert args.port == 7333
+        assert not hasattr(args, "max_sessions")
+
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "bench"])
-        assert args.port == 7333
         assert args.max_sessions == 64
         assert args.sessions == 256
         assert args.concurrency == 72
         assert args.mode == "batch"
+        assert not hasattr(args, "port")
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "status", "--sessions", "5"],
+        ["serve", "start", "--mode", "step"],
+        ["serve", "bench", "--state-dir", "d"],
+    ], ids=["status-sessions", "start-mode", "bench-state-dir"])
+    def test_serve_action_refuses_another_actions_flag(self, capsys,
+                                                       argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_bench_writes_artifact(self, capsys, tmp_path):
         out = tmp_path / "BENCH_serve.json"
@@ -413,11 +491,11 @@ class TestServeCommand:
 
 
 class TestReplayCommands:
-    """repro record / replay / checkpoint and the resync flags."""
+    """repro run --record / replay / checkpoint and the resync flags."""
 
     def _record(self, tmp_path, *extra):
         log = str(tmp_path / "run.decisions.jsonl")
-        code = main(["record", "fft", "-o", log, "--scale", "0.05",
+        code = main(["run", "fft", "--record", log, "--scale", "0.05",
                      "--variants", "2", "--seed", "5", *extra])
         return code, log
 
@@ -517,8 +595,8 @@ class TestReplayCommands:
         from repro.replay.log import DecisionLog
 
         log = str(tmp_path / "ckpt.decisions.jsonl")
-        assert main(["record", *argv, "--resync-mode", "checkpoint",
-                     "--checkpoint-every", "20000", "-o", log]) == 0
+        assert main(["run", *argv, "--resync-mode", "checkpoint",
+                     "--checkpoint-every", "20000", "--record", log]) == 0
         assert DecisionLog.load(log).meta["checkpoint_every"] == 20000.0
         capsys.readouterr()
         assert main(["replay", log]) == 0
@@ -563,7 +641,10 @@ class TestTelemetryCommands:
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["telemetry", "dump"])
-        assert args.port == 7333 and args.dir is None
+        assert args.port == 7333 and not hasattr(args, "dir")
+        args = build_parser().parse_args(["telemetry", "merge", "d"])
+        assert args.dir == "d" and args.out is None
+        assert not hasattr(args, "port")
         args = build_parser().parse_args(["top", "--once"])
         assert args.once and args.interval == 2.0
         assert args.iterations is None
@@ -591,8 +672,11 @@ class TestTelemetryCommands:
         assert "--telemetry-dir" in out
 
     def test_merge_without_dir_exits_two(self, capsys):
-        assert main(["telemetry", "merge"]) == 2
-        assert "directory is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["telemetry", "merge"])
+        assert exc.value.code == 2
+        assert ("the following arguments are required: dir"
+                in capsys.readouterr().err)
 
     def test_dump_dead_daemon_exits_two(self, capsys):
         code = main(["telemetry", "dump", "--port", "1"])

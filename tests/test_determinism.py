@@ -6,6 +6,11 @@ agree to the cycle.  This is what makes every other test in the suite
 meaningful, and what a debugging session on an MVEE trace depends on.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.divergence import MonitorPolicy
@@ -559,8 +564,8 @@ class TestReplayDeterminism:
         # reproduces the digest sealed into the footer.
         assert replayed.log.digest() == recorded.footer["digest"]
 
-    #: sha256 of the decision log ``repro record nginx --variants 3
-    #: --seed 7`` writes (the digest its footer seals and the command
+    #: sha256 of the decision log ``repro run nginx --variants 3
+    #: --seed 7 --record LOG`` writes (the digest its footer seals and the command
     #: prints), with the run's cycle count.  A guard for simulator-core
     #: changes meant to be pure host-speed work: it moves with any
     #: change to the RNG draw order or to any recorded decision.
@@ -573,13 +578,32 @@ class TestReplayDeterminism:
         from repro.replay.log import DecisionLog
 
         path = str(tmp_path / "nginx.decisions.jsonl")
-        assert main(["record", "nginx", "-o", path, "--variants", "3",
-                     "--seed", "7"]) == 0
+        assert main(["run", "nginx", "--variants", "3", "--seed", "7",
+                     "--record", path]) == 0
         assert self.NGINX_X3_SEED7_LOG_DIGEST in capsys.readouterr().out
         log = DecisionLog.load(path)
         assert log.digest() == self.NGINX_X3_SEED7_LOG_DIGEST
         assert log.footer["digest"] == self.NGINX_X3_SEED7_LOG_DIGEST
         assert log.footer["cycles"] == self.NGINX_X3_SEED7_CYCLES
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "12345"])
+    def test_nginx_log_digest_is_independent_of_hash_seed(self, tmp_path,
+                                                          hash_seed):
+        # A fresh interpreter per hash seed: a decision that iterated a
+        # str-keyed set or dict in hash order would move the digest.
+        from repro.replay.log import DecisionLog
+
+        path = str(tmp_path / "nginx.decisions.jsonl")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "nginx", "--variants",
+             "3", "--seed", "7", "--record", path],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert DecisionLog.load(path).digest() == (
+            self.NGINX_X3_SEED7_LOG_DIGEST)
 
     def test_replay_reproduces_divergence_report(self, tmp_path):
         from repro.replay.driver import record_run, replay_run
