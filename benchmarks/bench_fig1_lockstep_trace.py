@@ -15,6 +15,7 @@ from repro.core.mvee import MVEE
 from repro.diversity.spec import DiversitySpec
 from repro.guest.program import GuestProgram
 from repro.perf.report import format_table
+from repro.perf.timeline import VariantTraces
 
 
 class BrkWriteProgram(GuestProgram):
@@ -32,18 +33,20 @@ class BrkWriteProgram(GuestProgram):
 
 
 def test_fig1_lockstep_trace(benchmark, record_output):
+    traces = VariantTraces()
+
     def run():
         mvee = MVEE(BrkWriteProgram(), variants=2, agent=None, seed=1,
-                    record_trace=True,
+                    consumers=(traces,),
                     diversity=DiversitySpec(aslr=True, seed=3))
         return mvee, mvee.run()
 
     mvee, outcome = benchmark.pedantic(run, rounds=1, iterations=1)
     assert outcome.verdict == "clean"
+    trace0, trace1 = (traces.syscalls(vm) for vm in outcome.vms)
 
     rows = []
-    for entry0, entry1 in zip(outcome.vms[0].trace,
-                              outcome.vms[1].trace):
+    for entry0, entry1 in zip(trace0, trace1):
         rows.append([entry0.name,
                      f"{entry0.detail!r} -> {entry0.result!r}",
                      f"{entry1.detail!r} -> {entry1.result!r}"])
@@ -55,8 +58,8 @@ def test_fig1_lockstep_trace(benchmark, record_output):
     record_output("fig1_lockstep_trace", text)
 
     # Both variants made identical sequences of calls...
-    names0 = [entry.name for entry in outcome.vms[0].trace]
-    names1 = [entry.name for entry in outcome.vms[1].trace]
+    names0 = [entry.name for entry in trace0]
+    names1 = [entry.name for entry in trace1]
     assert names0 == names1
     # ... brk addresses differ under ASLR (masked as <addr> in traces),
     # while each write happened once.

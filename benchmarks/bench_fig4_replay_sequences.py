@@ -18,6 +18,7 @@ from repro.core.mvee import MVEE
 from repro.guest.program import GuestProgram
 from repro.guest.sync import SpinLock
 from repro.perf.report import format_table
+from repro.perf.timeline import VariantTraces
 
 
 class IndependentLocksProgram(GuestProgram):
@@ -47,8 +48,9 @@ class IndependentLocksProgram(GuestProgram):
 
 
 def run_agent(agent: str):
+    traces = VariantTraces()
     mvee = MVEE(IndependentLocksProgram(), variants=2, agent=agent,
-                seed=6, record_sync_trace=True)
+                seed=6, consumers=(traces,))
     outcome = mvee.run()
     assert outcome.verdict == "clean"
     stats = outcome.agent_shared.stats
@@ -59,7 +61,7 @@ def run_agent(agent: str):
         "scanned": stats.scanned_entries,
         "collision_stalls": stats.clock_collision_stalls,
         "cycles": outcome.cycles,
-        "slave_trace": outcome.vms[1].sync_trace,
+        "slave_trace": traces.sync_ops(outcome.vms[1]),
     }
 
 
@@ -112,11 +114,12 @@ class Figure4Scenario(GuestProgram):
 
 def first_op_delay(agent: str) -> tuple:
     """When does the slave's thread-2 commit its first sync op?"""
+    traces = VariantTraces()
     mvee = MVEE(Figure4Scenario(), variants=2, agent=agent, seed=3,
-                record_sync_trace=True)
+                consumers=(traces,))
     outcome = mvee.run()
     assert outcome.verdict == "clean"
-    trace = outcome.vms[1].sync_trace
+    trace = traces.sync_ops(outcome.vms[1])
     s2_first = min(entry.time for entry in trace
                    if entry.thread == "main/2")
     return s2_first, trace

@@ -20,19 +20,24 @@ Commands
     Survival table: inject each fault kind under each degradation policy
     and report the verdicts (see ``docs/RESILIENCE.md``).
 ``races {lint,check,bench}``
-    Two-sided race detection (see ``docs/RACES.md``): ``lint`` runs the
+    Two-sided race detection (see ``docs/RACES.md``): ``lint [--analysis
+    A] [--treat-volatile-as-sync] [--corpus] [--json]`` runs the
     Eraser-style lockset lint over the demo modules (optionally the full
-    corpus), ``check`` runs the §5.5 coverage cross-check (dynamic races
-    vs statically identified sites), ``bench`` prints the races +
-    detector-overhead experiment table.
+    corpus), ``check [--analysis A] [--treat-volatile-as-sync] [--seed
+    S]`` runs the §5.5 coverage cross-check (dynamic races vs statically
+    identified sites), ``bench [--benchmarks B] [--no-nginx] [--scale X]
+    [--seed S] [--jobs N]`` prints the races + detector-overhead
+    experiment table.
 ``deadlock {lint,check,bench}``
-    Two-sided deadlock detection (see ``docs/DEADLOCK.md``): ``lint``
-    runs the RacerX-style static lock-order analysis over the deadlock
-    corpus, ``check`` classifies every static candidate against dynamic
+    Two-sided deadlock detection (see ``docs/DEADLOCK.md``): ``lint
+    [--analysis A] [--json]`` runs the RacerX-style static lock-order
+    analysis over the deadlock corpus, ``check [--analysis A] [--seed
+    S]`` classifies every static candidate against dynamic
     dining-philosophers evidence (confirmed / unexercised /
-    refuted-by-guard), ``bench`` prints the diagnosis-latency sweep
-    (watchdog deadline vs detection at cycle formation).  Both lints
-    accept ``--json``.
+    refuted-by-guard), ``bench [--seed S] [--jobs N]`` prints the
+    diagnosis-latency sweep (watchdog deadline vs detection at cycle
+    formation).  Like ``serve`` and ``telemetry``, each action owns its
+    flags: another action's flag is a usage error.
 ``bench [run|diff] [--compare REF]``
     Performance harness: run the benchmark matrix serially and through
     the parallel engine, measure the speedup, and write
@@ -215,25 +220,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.perf.timeline import render_timeline, summarize_trace
+    from repro.perf.timeline import (VariantTraces, render_timeline,
+                                     summarize_trace)
     from repro.run import build_mvee
 
     hub = _make_hub(args)
-    mvee, _ = build_mvee(_spec_from_args(args), record_trace=True,
-                         record_sync_trace=True, obs=hub)
+    traces = VariantTraces()
+    mvee, _ = build_mvee(_spec_from_args(args), obs=hub,
+                         consumers=(traces,))
     outcome = mvee.run()
     print(f"verdict: {outcome.verdict}\n")
     for vm in outcome.vms:
         role = "master" if vm.index == 0 else f"slave {vm.index}"
-        calls = vm.per_thread_syscall_trace()
+        calls = traces.per_thread_syscalls(vm)
         print(f"-- variant {vm.index} ({role}): "
               f"{sum(len(c) for c in calls.values())} monitored "
               f"syscalls across {len(calls)} threads")
-        if vm.sync_trace:
-            print(render_timeline(vm.sync_trace,
+        sync_ops = traces.sync_ops(vm)
+        if sync_ops:
+            print(render_timeline(sync_ops,
                                   label=f"sync-op replay, v{vm.index}"))
-            for thread, stat in sorted(
-                    summarize_trace(vm.sync_trace).items()):
+            for thread, stat in sorted(summarize_trace(sync_ops).items()):
                 print(f"   {thread}: {stat['ops']} ops, mean gap "
                       f"{stat['mean_gap']:.0f} cycles")
         print()
@@ -636,14 +643,6 @@ def _cmd_profile(args) -> int:
                     for r in results) else 1
 
 
-def _cmd_races(args) -> int:
-    if args.action == "lint":
-        return _races_lint(args)
-    if args.action == "check":
-        return _races_check(args)
-    return _races_bench(args)
-
-
 def _deadlock_lint(args) -> int:
     from repro.analysis.corpus import deadlock_corpus
     from repro.analysis.lockorder import analyze_module
@@ -749,14 +748,6 @@ def _deadlock_bench(args) -> int:
                               env=args.env)
     print(deadlock_sweep_table(rows))
     return 0
-
-
-def _cmd_deadlock(args) -> int:
-    if args.action == "lint":
-        return _deadlock_lint(args)
-    if args.action == "check":
-        return _deadlock_check(args)
-    return _deadlock_bench(args)
 
 
 def _cmd_list(args) -> int:
@@ -1092,6 +1083,45 @@ def _add_telemetry_parser(sub) -> None:
     p_merge.set_defaults(func=_telemetry_merge)
 
 
+#: The flags of the static/dynamic analysis commands (``races``,
+#: ``deadlock``), declared once: ``{flag: add_argument keywords}``.
+_ANALYSIS_FLAGS = {
+    "--analysis": {"default": "andersen",
+                   "choices": ("andersen", "steensgaard"),
+                   "help": "points-to analysis (default: andersen)"},
+    "--treat-volatile-as-sync": {
+        "action": "store_true", "help": "treat volatile globals as sync "
+                                        "primitives (the Listing-2 fix)"},
+    "--corpus": {"action": "store_true",
+                 "help": "also lint the full paper corpus"},
+    "--json": {"action": "store_true",
+               "help": "machine-readable candidate dump"},
+    "--benchmarks": {"help": "comma-separated lockstep benchmarks "
+                             "(default: dedup,vips)"},
+    "--no-nginx": {"action": "store_true",
+                   "help": "skip the nginx conditions"},
+    "--scale": {"type": float, "default": 0.1},
+    "--seed": {"type": int, "default": 1},
+}
+
+
+def _add_analysis_parser(sub, command: str, summary: str,
+                         actions) -> None:
+    """Add ``command`` with one subparser per action; ``actions`` maps
+    each action to its handler and the :data:`_ANALYSIS_FLAGS` it owns
+    (``--jobs`` adds :func:`_add_jobs_flag`'s pair)."""
+    parsers = sub.add_parser(command, help=summary).add_subparsers(
+        dest="action", required=True)
+    for action, (func, flags) in actions.items():
+        parser = parsers.add_parser(action)
+        for flag in flags:
+            if flag == "--jobs":
+                _add_jobs_flag(parser)
+            else:
+                parser.add_argument(flag, **_ANALYSIS_FLAGS[flag])
+        parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1247,49 +1277,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p_fm)
     p_fm.set_defaults(func=_cmd_fault_matrix, variants=3, scale=0.1)
 
-    p_races = sub.add_parser(
-        "races",
-        help="two-sided race detection: lockset lint, §5.5 coverage "
-             "cross-check, detector-overhead sweep")
-    p_races.add_argument("action", choices=("lint", "check", "bench"))
-    p_races.add_argument("--analysis", default="andersen",
-                         choices=("andersen", "steensgaard"),
-                         help="points-to analysis for the lockset lint "
-                              "(default: andersen)")
-    p_races.add_argument("--treat-volatile-as-sync", action="store_true",
-                         help="treat volatile globals as sync primitives "
-                              "in the static analysis (the Listing-2 "
-                              "remediation)")
-    p_races.add_argument("--corpus", action="store_true",
-                         help="lint: also lint the full paper corpus")
-    p_races.add_argument("--benchmarks", default=None,
-                         help="bench: comma-separated lockstep "
-                              "benchmarks (default: dedup,vips)")
-    p_races.add_argument("--no-nginx", action="store_true",
-                         help="bench: skip the nginx conditions")
-    p_races.add_argument("--scale", type=float, default=0.1)
-    p_races.add_argument("--seed", type=int, default=1)
-    p_races.add_argument("--json", action="store_true",
-                         help="lint: machine-readable candidate dump")
-    _add_jobs_flag(p_races)
-    p_races.set_defaults(func=_cmd_races)
-
-    p_deadlock = sub.add_parser(
-        "deadlock",
-        help="two-sided deadlock detection: static lock-order lint, "
-             "cross-check vs the runtime wait-for graph, latency sweep "
-             "(see docs/DEADLOCK.md)")
-    p_deadlock.add_argument("action", choices=("lint", "check", "bench"))
-    p_deadlock.add_argument("--analysis", default="andersen",
-                            choices=("andersen", "steensgaard"),
-                            help="points-to analysis resolving lock "
-                                 "objects and indirect calls "
-                                 "(default: andersen)")
-    p_deadlock.add_argument("--seed", type=int, default=1)
-    p_deadlock.add_argument("--json", action="store_true",
-                            help="lint: machine-readable candidate dump")
-    _add_jobs_flag(p_deadlock)
-    p_deadlock.set_defaults(func=_cmd_deadlock)
+    _add_analysis_parser(sub, "races", (
+        "two-sided race detection: lockset lint, §5.5 coverage "
+        "cross-check, detector-overhead sweep"), {
+        "lint": (_races_lint, ("--analysis", "--treat-volatile-as-sync",
+                               "--corpus", "--json")),
+        "check": (_races_check, ("--analysis", "--treat-volatile-as-sync",
+                                 "--seed")),
+        "bench": (_races_bench, ("--benchmarks", "--no-nginx", "--scale",
+                                 "--seed", "--jobs"))})
+    _add_analysis_parser(sub, "deadlock", (
+        "two-sided deadlock detection: static lock-order lint, "
+        "cross-check vs the runtime wait-for graph, latency sweep "
+        "(see docs/DEADLOCK.md)"), {
+        "lint": (_deadlock_lint, ("--analysis", "--json")),
+        "check": (_deadlock_check, ("--analysis", "--seed")),
+        "bench": (_deadlock_bench, ("--seed", "--jobs"))})
 
     p_list = sub.add_parser("list", help="list benchmark twins")
     p_list.add_argument("--json", action="store_true",

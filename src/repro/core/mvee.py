@@ -92,14 +92,13 @@ class MVEE:
                  sched_policy: SchedulingPolicy | None = None,
                  diversity: DiversitySpec | None = None,
                  instrument: Callable[[str], bool] | None = instrument_all,
-                 record_trace: bool = False,
-                 record_sync_trace: bool = False,
                  disk: VirtualDisk | None = None,
                  with_network: bool = False,
                  traffic=None,
                  max_cycles: float | None = None,
                  agent_options: dict | None = None,
                  obs=None,
+                 consumers=(),
                  faults=None,
                  races=None,
                  deadlocks=None,
@@ -118,8 +117,6 @@ class MVEE:
         self.sched_policy = sched_policy
         self.diversity = diversity
         self.instrument = instrument
-        self.record_trace = record_trace
-        self.record_sync_trace = record_sync_trace
         self.disk = disk if disk is not None else VirtualDisk()
         self.network = Network() if with_network else None
         self.traffic = traffic
@@ -127,6 +124,9 @@ class MVEE:
         self.agent_options = agent_options or {}
         #: Optional :class:`repro.obs.ObsHub` observing this run.
         self.obs = obs
+        #: Further hook-table consumers (profiler, per-variant traces,
+        #: ...), attached right after ``obs``.
+        self.consumers = tuple(consumers)
         #: Optional fault injection: a :class:`repro.faults.plan.FaultPlan`
         #: (or a pre-built injector) driving deterministic faults.
         if faults is None:
@@ -194,9 +194,7 @@ class MVEE:
                 self.disk,
                 network=self.network if index == 0 else None,
                 bases=layouts[index], role=role, variant_index=index)
-            vm = VariantVM(index=index, kernel=kernel,
-                           record_trace=self.record_trace,
-                           record_sync_trace=self.record_sync_trace)
+            vm = VariantVM(index=index, kernel=kernel)
             self.vms.append(vm)
             self.machine.add_vm(vm)
         apply_diversity(self.diversity, self.vms)
@@ -223,18 +221,20 @@ class MVEE:
     def _attach_hooks(self) -> None:
         """Compile every optional consumer into the machine's hook table.
 
-        Attach order is fan-out order: obs, its profiler, races,
-        deadlocks, replay.  The monitor, orderer, agents, buffers and
-        futex tables already share the table (``bind_machine`` /
-        ``add_vm``), so this is the only wiring a consumer needs.  The
-        one intrusive move is replay's: the scheduler RNG is wrapped
-        (record) or substituted (replay) so every draw flows through
-        the decision stream.
+        Attach order is fan-out order: obs, the ``consumers`` in the
+        order given (e.g. a cycle profiler, per-variant traces), races,
+        deadlocks, replay.  Each is bound to the simulated clock (and to
+        obs, when it reports to the hub) before it is attached.  The
+        monitor, orderer, agents, buffers and futex tables already share
+        the table (``bind_machine`` / ``add_vm``), so this is the only
+        wiring a consumer needs.  The one intrusive move is replay's:
+        the scheduler RNG is wrapped (record) or substituted (replay) so
+        every draw flows through the decision stream.
         """
         machine = self.machine
         obs = self.obs
-        consumers = (obs, obs.prof if obs is not None else None,
-                     self.races, self.deadlocks, self.replay)
+        consumers = (obs, *self.consumers, self.races, self.deadlocks,
+                     self.replay)
         # The injector is bound like the rest, but it defines no
         # vocabulary event: its answers go through the one faults slot.
         for consumer in (*consumers, self.fault_injector):
@@ -295,9 +295,7 @@ class MVEE:
         kernel = VirtualKernel(self.disk, network=None,
                                bases=self._layouts[index], role="slave",
                                variant_index=index)
-        vm = VariantVM(index=index, kernel=kernel,
-                       record_trace=self.record_trace,
-                       record_sync_trace=self.record_sync_trace)
+        vm = VariantVM(index=index, kernel=kernel)
         vm.instrument = self.instrument
         apply_diversity(self.diversity, [vm])
         if self.agent_shared is not None and old.agent is not None:

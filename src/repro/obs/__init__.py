@@ -24,7 +24,7 @@ simulated timeline — a property the test suite pins down.
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import DEFAULT_RING_SIZE, NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 class ObsHub:
@@ -41,19 +41,9 @@ class ObsHub:
     stateless about observability.
     """
 
-    def __init__(self, trace: bool = True, ring_size: int | None = None,
-                 profile: bool = False, lag_sample_every: int = 1):
-        self.tracer = (Tracer(ring_size=ring_size or DEFAULT_RING_SIZE)
-                       if trace else NULL_TRACER)
+    def __init__(self, trace: bool = True):
+        self.tracer = Tracer() if trace else NULL_TRACER
         self.metrics = MetricsRegistry()
-        #: Optional cycle profiler (see :mod:`repro.prof.accounting`).
-        #: It rides along with the hub but attaches to the hook table
-        #: as a consumer of its own, right after the hub.
-        self.prof = None
-        if profile:
-            from repro.prof.accounting import CycleProfiler
-
-            self.prof = CycleProfiler(lag_sample_every=lag_sample_every)
         #: rendezvous key -> (first-arrival ts, arrival count).
         self._rdv_first: dict = {}
         self.divergence_report = None

@@ -93,8 +93,6 @@ class Tracer:
     until one is bound, events are stamped at cycle 0.
     """
 
-    enabled = True
-
     def __init__(self, clock=None, ring_size: int = DEFAULT_RING_SIZE):
         self._clock = clock or (lambda: 0.0)
         self.events: list[TraceEvent] = []
@@ -218,7 +216,6 @@ class NullTracer:
     even this without a hub attached to the hook table.
     """
 
-    enabled = False
     events: tuple = ()
 
     def bind_clock(self, clock) -> None:

@@ -6,7 +6,7 @@ Three layers (see ``docs/PROFILING.md``):
   :class:`~repro.prof.accounting.CycleProfiler` attributes every
   simulated cycle a variant thread spends to a category (guest compute,
   syscall service, agent waits, monitor ordering, futex sleeps, core
-  queueing, fault recovery) via the ObsHub hook stream; snapshots are
+  queueing, fault recovery) from the machine's hook table; snapshots are
   deterministic :class:`~repro.prof.accounting.CycleProfile` objects.
 * :mod:`repro.prof.analytics` — cross-variant lag series (the quantity
   wall-of-clocks exists to shrink), collapsed-stack flamegraph output,
@@ -16,7 +16,9 @@ Three layers (see ``docs/PROFILING.md``):
   profile category shifts, warn-only host metrics, and trajectory
   accumulation.
 
-Attach a profiler with ``ObsHub(profile=True)``; it obeys the same
-zero-cost contract as the rest of ``repro.obs`` — no simulated cycles
-charged, no randomness consumed, timeline byte-identical when detached.
+Attach a profiler like any other hook-table consumer, with
+``MVEE(consumers=(CycleProfiler(),))`` (``run_spec_cell`` does so for
+its ``profile`` extra); it obeys the zero-cost contract of every
+consumer — no simulated cycles charged, no randomness consumed,
+timeline byte-identical when detached.
 """

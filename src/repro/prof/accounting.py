@@ -183,11 +183,13 @@ class CycleProfile:
 class CycleProfiler:
     """Hook-table consumer building a :class:`CycleProfile`.
 
-    Create it via ``ObsHub(profile=True)``; the MVEE attaches
-    ``hub.prof`` to the hook table right after the hub, so it sees the
-    same scheduling, park/unpark, agent and futex events, plus the
-    step-commit and thread-lifecycle events.  All methods are cheap
-    dictionary work on host time only.
+    Pass it to ``MVEE(consumers=(profiler,))``; the MVEE binds it to
+    the simulated clock and attaches it right after the hub, if any.
+    It sees the scheduling, park/unpark, agent and futex events the
+    hub's tracer sees, plus the step-commit and thread-lifecycle
+    events.  Call :meth:`finalize` after the run, then
+    :meth:`snapshot`.  All methods are cheap dictionary work on host
+    time only.
     """
 
     def __init__(self, lag_sample_every: int = 1):

@@ -89,8 +89,8 @@ NGINX_COSTS = CostModel(monitor_syscall_overhead=2_000.0,
 #: The only :class:`MVEE` keywords :func:`build_mvee` passes through;
 #: everything else about a run comes from its spec.
 MVEE_KEYWORDS = frozenset((
-    "obs", "replay", "checkpoints", "races", "instrument", "cores",
-    "costs", "agent_options", "record_trace", "record_sync_trace"))
+    "obs", "consumers", "replay", "checkpoints", "races", "instrument",
+    "cores", "costs", "agent_options"))
 
 
 @dataclass
@@ -116,18 +116,25 @@ def run_native(program: GuestProgram, *, seed: int = 0, cores: int = 16,
                policy: SchedulingPolicy | None = None,
                disk: VirtualDisk | None = None,
                network: Network | None = None,
-               record_trace: bool = False,
+               consumers=(),
                traffic=None,
                max_cycles: float | None = None) -> NativeResult:
     """Run ``program`` natively and return its result.
 
-    ``traffic`` is an optional callable ``(machine, network) -> None``
-    that schedules external client activity (the nginx benchmarks).
+    ``consumers`` are hook-table consumers (e.g. a
+    :class:`repro.perf.timeline.VariantTraces`), bound to the machine
+    clock and attached in order.  ``traffic`` is an optional callable
+    ``(machine, network) -> None`` that schedules external client
+    activity (the nginx benchmarks).
     """
     disk = disk if disk is not None else VirtualDisk()
     kernel = VirtualKernel(disk, network=network, role="native")
-    vm = VariantVM(index=0, kernel=kernel, record_trace=record_trace)
+    vm = VariantVM(index=0, kernel=kernel)
     machine = Machine(cores=cores, seed=seed, costs=costs, policy=policy)
+    for consumer in consumers:
+        if hasattr(consumer, "bind_clock"):
+            consumer.bind_clock(lambda: machine.now)
+        machine.hooks.attach(consumer)
     if max_cycles is not None:
         machine.max_cycles = max_cycles
     machine.add_vm(vm)
@@ -485,9 +492,11 @@ def run_spec_cell(spec, outputs=(), session_id: str | None = None, *,
     ``spec`` is a :class:`RunSpec` or its dict form (validated: it may
     come off the wire).  ``outputs`` maps each requested extra to its
     argument: ``profile`` to the lag tracker's ``sample_every`` (the
-    cycle profile dict) and ``obs`` to the forensics bundle's path or
-    ``None`` (``{"digest", "bundle"}``: the ``ObsHub(trace=False)``
-    digest and the path the bundle was saved to).  ``session_id`` names
+    cycle profile dict of an attached
+    :class:`~repro.prof.accounting.CycleProfiler`) and ``obs`` to the
+    forensics bundle's path or ``None`` (``{"digest", "bundle"}``: the
+    ``ObsHub(trace=False)`` digest and the path the bundle was saved
+    to; see :func:`save_traced_bundle`).  ``session_id`` names
     a traced serve session's host span.  ``costs``, ``instrument`` and
     ``checkpoints`` are :func:`build_mvee` overrides; ``obs`` is the hub
     a ``with_obs`` engine task injects.  Without extras or a hub,
@@ -533,28 +542,55 @@ def _run_spec(spec: RunSpec, outputs: dict, session_id: str | None,
               keywords: dict, obs) -> RunRecord:
     from repro.telemetry.spans import child_span
 
-    if outputs:
+    consumers = ()
+    if "profile" in outputs:
+        from repro.prof.accounting import CycleProfiler
+
+        profiler = CycleProfiler(lag_sample_every=outputs["profile"] or 1)
+        consumers = (profiler,)
+    if "obs" in outputs:
         from repro.obs import ObsHub
 
-        obs = ObsHub(trace=False, profile="profile" in outputs,
-                     lag_sample_every=outputs.get("profile") or 1)
+        obs = ObsHub(trace=False)
     with child_span("session.run",
                     spec.trace if session_id is not None else None,
                     service="session", track=f"session {session_id}",
                     session=session_id):
-        mvee, native = build_mvee(spec, obs=obs, **keywords)
+        mvee, native = build_mvee(spec, obs=obs, consumers=consumers,
+                                  **keywords)
         start = time.perf_counter()
         outcome = mvee.run()
         wall = time.perf_counter() - start
     extras = {}
     if "profile" in outputs:
-        obs.prof.finalize(outcome.machine.now)
-        extras["profile"] = obs.prof.snapshot().to_dict()
+        profiler.finalize(outcome.machine.now)
+        extras["profile"] = profiler.snapshot().to_dict()
     if "obs" in outputs:
-        bundle = None
-        if outputs["obs"] and outcome.obs_bundle is not None:
-            bundle = outputs["obs"]
-            outcome.obs_bundle.save(bundle)
-        extras["obs"] = {"digest": obs.digest(), "bundle": bundle}
+        extras["obs"] = {"digest": obs.digest(),
+                         "bundle": save_traced_bundle(
+                             spec, outcome, outputs["obs"], **keywords)}
     return RunRecord.of(spec, outcome, native, build_keywords=keywords,
                         extras=extras, wall_s=wall)
+
+
+def save_traced_bundle(spec: RunSpec, outcome, path: str | None,
+                       **keywords) -> str | None:
+    """Save the forensics bundle of ``outcome``, a run of ``spec``
+    observed by ``ObsHub(trace=False)``, to ``path``; returns the path
+    saved to, or ``None`` (no path, or the run left no bundle: it
+    neither diverged, degraded nor deadlocked).
+
+    That hub's null tracer keeps no per-variant event rings, so its own
+    bundle would carry empty tails.  The bundle saved is that of a
+    re-run under a tracing ``ObsHub()``: a run is a pure function of
+    its spec and keywords, so the re-run is the same run, and its
+    bundle is the one ``repro run --bundle-out`` saves.  Only runs
+    that leave a bundle pay for the re-run.
+    """
+    if not path or outcome.obs_bundle is None:
+        return None
+    from repro.obs import ObsHub
+
+    mvee, _ = build_mvee(spec, obs=ObsHub(), **keywords)
+    mvee.run().obs_bundle.save(path)
+    return path

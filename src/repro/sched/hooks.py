@@ -3,10 +3,16 @@
 The paper's own mechanisms (the lockstep monitor, the syscall orderer,
 the sync agents) always run.  Everything around them is optional and
 purely observational: tracing and metrics (:class:`repro.obs.ObsHub`),
-cycle profiling (:class:`repro.prof.accounting.CycleProfiler`), race and
-deadlock detection (:mod:`repro.races`) and the record/replay decision stream
+cycle profiling (:class:`repro.prof.accounting.CycleProfiler`),
+per-variant syscall and sync-op traces
+(:class:`repro.perf.timeline.VariantTraces`), race and deadlock
+detection (:mod:`repro.races`) and the record/replay decision stream
 (:mod:`repro.replay`).  Each of them is a *consumer* of one fixed event
-vocabulary, :data:`EVENTS`.
+vocabulary, :data:`EVENTS`, and they all attach the same way: ``obs``,
+``races``, ``deadlocks`` and ``replay`` have their own
+:class:`repro.core.mvee.MVEE` keyword, and any other consumer goes in
+its ``consumers`` tuple (``run_native`` takes one too).  None of them
+has a branch of its own in the step loop.
 
 :meth:`Hooks.attach` compiles a consumer into the table once, at attach
 time: every vocabulary method the consumer defines is appended to that

@@ -51,7 +51,7 @@ from repro.sched.hooks import Hooks
 from repro.sched.interceptor import Kill, Result, Wait
 from repro.sched.scheduler import RandomPolicy, SchedulingPolicy
 from repro.sched.thread import GuestThread, ThreadState
-from repro.sched.vm import TraceEntry, VariantVM
+from repro.sched.vm import VariantVM
 
 #: Default simulation budget: generous, but finite so livelocks surface.
 DEFAULT_MAX_CYCLES = 5e12
@@ -566,11 +566,6 @@ class Machine:
             hook(vm, thread, event, value)
         thread.stats.sync_ops += 1
         vm.total_sync_ops += 1
-        if vm.record_sync_trace:
-            vm.sync_trace.append(TraceEntry(
-                thread=thread.logical_id, kind="syncop",
-                name=f"{event.op}@{event.site}", detail=(event.addr,),
-                result=value, time=self.now))
         if agent is not None:
             thread.carry_cost(agent.after_sync_op(vm, thread, event, value))
         thread.inbox = value
@@ -709,14 +704,6 @@ class Machine:
         vm.total_syscalls += 1
         for hook in self.hooks.syscall:
             hook(vm, thread, event, result)
-        if vm.record_trace:
-            detail = tuple(
-                "<addr>" if index in spec.address_args else arg
-                for index, arg in enumerate(event.args))
-            shown = "<addr>" if spec.address_result else result
-            vm.trace.append(TraceEntry(
-                thread=thread.logical_id, kind="syscall", name=event.name,
-                detail=detail, result=shown, time=self.now))
 
     # -- spawn / join / exit -----------------------------------------------------------------------------
 

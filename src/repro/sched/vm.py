@@ -2,53 +2,31 @@
 
 A :class:`VariantVM` bundles everything private to one variant: its kernel
 (address space, FDs, futexes), its injected synchronization agent (if any),
-the instrumentation filter that decides which sync-op sites call the agent,
-and optional traces used by tests and the figure benches.
+and the instrumentation filter that decides which sync-op sites call the
+agent.  Per-variant syscall and sync-op traces are kept outside it, by a
+hook-table consumer (:class:`repro.perf.timeline.VariantTraces`).
 
 The same class serves native runs (``index=0``, no agent, no interceptor).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.kernel.kernel import VirtualKernel
 
 
-@dataclass
-class TraceEntry:
-    """One traced event (syscall or sync op) for divergence comparison."""
-
-    thread: str
-    kind: str            # "syscall" | "syncop"
-    name: str            # syscall name or sync op "op@site"
-    detail: tuple        # normalized arguments
-    result: object = None
-    time: float = 0.0
-
-    def key(self) -> tuple:
-        """Comparison key: what an MVEE monitor would cross-check."""
-        return (self.thread, self.kind, self.name, self.detail)
-
-
 class VariantVM:
-    """One variant: kernel + agent + instrumentation + traces."""
+    """One variant: kernel + agent + instrumentation."""
 
     def __init__(self, index: int, kernel: VirtualKernel,
-                 instrument: Callable[[str], bool] | None = None,
-                 record_trace: bool = False,
-                 record_sync_trace: bool = False):
+                 instrument: Callable[[str], bool] | None = None):
         self.index = index
         self.kernel = kernel
         #: The injected synchronization agent (None when not injected —
         #: e.g. native runs, or the un-instrumented nginx demo).
         self.agent = None
         self.instrument = instrument
-        self.record_trace = record_trace
-        self.record_sync_trace = record_sync_trace
-        self.trace: list[TraceEntry] = []
-        self.sync_trace: list[TraceEntry] = []
         self.threads: dict[str, object] = {}
         #: Set when the monitor killed this variant (divergence).
         self.killed = False
@@ -118,15 +96,3 @@ class VariantVM:
             decided = self._instrumented[site] = (
                 self._instrument is not None and bool(self._instrument(site)))
         return decided
-
-    def per_thread_syscall_trace(self) -> dict[str, list[tuple]]:
-        """Traced syscalls grouped by logical thread (comparison keys).
-
-        This is the per-thread view an Orchestra-style monitor compares;
-        our strict monitor compares the same keys in lockstep instead.
-        """
-        grouped: dict[str, list[tuple]] = {}
-        for entry in self.trace:
-            if entry.kind == "syscall":
-                grouped.setdefault(entry.thread, []).append(entry.key())
-        return grouped

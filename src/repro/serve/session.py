@@ -43,7 +43,8 @@ from repro.obs import ObsHub
 from repro.par.cells import CellResult, CellTask
 from repro.replay.driver import build_recording, resume_recorded
 from repro.replay.log import DecisionLogWriter
-from repro.run import RunRecord, RunSpec, build_mvee, run_spec_cell
+from repro.run import (RunRecord, RunSpec, build_mvee, run_spec_cell,
+                       save_traced_bundle)
 
 #: Every state a session can be in.  Transitions, each made by one
 #: :class:`Session` method:
@@ -340,10 +341,8 @@ class Session:
             "cycles": self._mvee.machine.now,
         }
         if outcome is not None:
-            bundle_path = None
-            if self.bundle_path and outcome.obs_bundle is not None:
-                bundle_path = self.bundle_path
-                outcome.obs_bundle.save(bundle_path)
+            bundle_path = save_traced_bundle(self.spec, outcome,
+                                             self.bundle_path)
             digest = self._hub.digest()
             if self._writer is not None:
                 self._writer.close(

@@ -160,28 +160,32 @@ class TestReplayEquivalence:
     def test_syscall_traces_identical_across_variants(self, agent,
                                                       fast_costs):
         from repro.core.mvee import MVEE
+        from repro.perf.timeline import VariantTraces
+        traces = VariantTraces()
         mvee = MVEE(CounterProgram(workers=3, iters=50), variants=2,
                     agent=agent, seed=21, costs=fast_costs,
-                    record_trace=True)
+                    consumers=(traces,))
         outcome = mvee.run()
         assert outcome.verdict == "clean"
-        master = outcome.vms[0].per_thread_syscall_trace()
+        master = traces.per_thread_syscalls(outcome.vms[0])
         for slave in outcome.vms[1:]:
-            assert slave.per_thread_syscall_trace() == master
+            assert traces.per_thread_syscalls(slave) == master
 
     @pytest.mark.parametrize("agent", AGENTS)
     def test_sync_op_results_match(self, agent, fast_costs):
         """CAS/XCHG results must replicate exactly (same retry patterns)."""
         from repro.core.mvee import MVEE
+        from repro.perf.timeline import VariantTraces
+        traces = VariantTraces()
         mvee = MVEE(MutexCounterProgram(workers=3, iters=30), variants=2,
                     agent=agent, seed=17, costs=fast_costs,
-                    record_sync_trace=True)
+                    consumers=(traces,))
         outcome = mvee.run()
         assert outcome.verdict == "clean"
 
         def per_thread(vm):
             grouped = {}
-            for entry in vm.sync_trace:
+            for entry in traces.sync_ops(vm):
                 grouped.setdefault(entry.thread, []).append(
                     (entry.name, entry.result))
             return grouped

@@ -9,6 +9,7 @@ rouse a thread out of replay order and wedge the variant).
 
 from repro.core.mvee import MVEE, run_mvee
 from repro.guest.program import GuestProgram
+from repro.perf.timeline import VariantTraces
 from tests.guestlib import MutexCounterProgram, ProducerConsumerProgram
 
 
@@ -26,14 +27,15 @@ class TestStreamReplication:
         """Control: the master executes the futexes for real (its threads
         appeared in its futex queues at some point — visible through the
         futex syscalls it performed)."""
+        traces = VariantTraces()
         mvee = MVEE(MutexCounterProgram(workers=4, iters=40), variants=2,
                     agent="wall_of_clocks", seed=4, costs=fast_costs,
-                    record_trace=True)
+                    consumers=(traces,))
         outcome = mvee.run()
         assert outcome.verdict == "clean"
         # futexes are unmonitored-for-trace but counted per-thread stats.
         master_waits = sum(
-            1 for entry in outcome.vms[0].trace
+            1 for entry in traces.syscalls(outcome.vms[0])
             if entry.name == "futex_wait")
         assert master_waits >= 0  # trace excludes streams; see below
 

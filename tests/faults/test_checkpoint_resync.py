@@ -18,7 +18,7 @@ import pytest
 from repro.core.divergence import MonitorPolicy
 from repro.core.mvee import run_mvee
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs import ObsHub
+from repro.prof.accounting import CycleProfiler
 from tests.guestlib import MutexCounterProgram
 
 AGENTS = ["total_order", "partial_order", "wall_of_clocks"]
@@ -30,7 +30,7 @@ CRASH_V1 = FaultPlan((FaultSpec(kind="crash", variant=1, at=12),))
 CHECKPOINT_EVERY = 30_000.0
 
 
-def _run(agent, resync_mode, costs, obs=None):
+def _run(agent, resync_mode, costs, consumers=()):
     return run_mvee(
         MutexCounterProgram(workers=3, iters=25),
         variants=3, agent=agent, seed=7, costs=costs,
@@ -39,7 +39,7 @@ def _run(agent, resync_mode, costs, obs=None):
                              resync_mode=resync_mode),
         checkpoints=(CHECKPOINT_EVERY
                      if resync_mode == "checkpoint" else None),
-        obs=obs)
+        consumers=consumers)
 
 
 class TestCheckpointResync:
@@ -76,11 +76,11 @@ class TestCheckpointResync:
 
     def test_profiler_fault_recovery_bucket_shrinks(self, fast_costs):
         def recovery_cycles(resync_mode):
-            hub = ObsHub(profile=True)
+            profiler = CycleProfiler()
             outcome = _run("wall_of_clocks", resync_mode, fast_costs,
-                           obs=hub)
-            hub.prof.finalize(outcome.machine.now)
-            per_category = hub.prof.snapshot().per_category()
+                           consumers=(profiler,))
+            profiler.finalize(outcome.machine.now)
+            per_category = profiler.snapshot().per_category()
             return per_category.get("fault-recovery", 0.0)
 
         fr_history = recovery_cycles("history")

@@ -3,6 +3,7 @@
 from repro.guest.gomp import parallel_for
 from repro.guest.libc import ARENA_CHUNK, GuestLibc
 from repro.guest.program import GuestProgram
+from repro.perf.timeline import VariantTraces
 from repro.run import run_native
 from tests.guestlib import MallocStormProgram
 
@@ -38,8 +39,9 @@ class TestGuestLibc:
                 for _ in range(6):
                     yield from libc.malloc(ctx, ARENA_CHUNK // 2)
 
-        result = run_native(P(), seed=0, record_trace=True)
-        brks = [e for e in result.vm.trace if e.name == "brk"]
+        traces = VariantTraces()
+        result = run_native(P(), seed=0, consumers=(traces,))
+        brks = [e for e in traces.syscalls(result.vm) if e.name == "brk"]
         assert len(brks) >= 3  # setup (2) plus at least one growth
 
     def test_concurrent_malloc_blocks_disjoint(self):

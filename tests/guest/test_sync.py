@@ -80,10 +80,12 @@ class TestMutexProtocol:
         assert result.vm.threads["main"].result == (False, True)
 
     def test_contended_mutex_uses_futex(self):
+        from repro.perf.timeline import VariantTraces
         from tests.guestlib import MutexCounterProgram
+        traces = VariantTraces()
         result = run_native(MutexCounterProgram(workers=4, iters=40),
-                            seed=1, record_trace=True)
-        names = {entry.name for entry in result.vm.trace}
+                            seed=1, consumers=(traces,))
+        names = {entry.name for entry in traces.syscalls(result.vm)}
         assert "futex_wait" in names or "futex_wake" in names
 
 

@@ -107,15 +107,20 @@ class TestRecPlayOnBenchmarkTwin:
 
 class TestTimelineOnBenchmark:
     def test_slave_timeline_renders(self):
-        from repro.perf.timeline import render_timeline, summarize_trace
+        from repro.perf.timeline import (
+            VariantTraces,
+            render_timeline,
+            summarize_trace,
+        )
         from repro.workloads.synthetic import make_benchmark
 
+        traces = VariantTraces()
         mvee = MVEE(make_benchmark("volrend", scale=0.05), variants=2,
                     agent="wall_of_clocks", seed=2, costs=FAST,
-                    record_sync_trace=True)
+                    consumers=(traces,))
         outcome = mvee.run()
         assert outcome.verdict == "clean"
-        trace = outcome.vms[1].sync_trace
+        trace = traces.sync_ops(outcome.vms[1])
         text = render_timeline(trace, label="volrend slave")
         assert "volrend slave" in text
         stats = summarize_trace(trace)

@@ -140,7 +140,6 @@ class TestNullTracer:
         assert null.events == ()
         assert null.tail(0) == [] and null.variants() == []
         assert null.now == 0.0
-        assert not null.enabled and NULL_TRACER.enabled is False
 
     def test_exports_are_empty_but_valid(self, tmp_path):
         chrome = tmp_path / "c.json"

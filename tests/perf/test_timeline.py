@@ -1,7 +1,6 @@
 """Tests for the Figure 4-style timeline renderer."""
 
-from repro.perf.timeline import render_timeline, summarize_trace
-from repro.sched.vm import TraceEntry
+from repro.perf.timeline import TraceEntry, render_timeline, summarize_trace
 
 
 def entry(thread, time):

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.core.mvee import run_mvee
-from repro.obs import ObsHub
 from repro.prof.accounting import (
     CATEGORIES,
     CycleProfiler,
@@ -21,10 +20,11 @@ from tests.guestlib import MutexCounterProgram
 
 
 def profiled_run(program, fast_costs, **kwargs):
-    hub = ObsHub(trace=False, profile=True)
-    outcome = run_mvee(program, obs=hub, costs=fast_costs, **kwargs)
-    hub.prof.finalize(outcome.machine.now)
-    return outcome, hub.prof.snapshot()
+    profiler = CycleProfiler()
+    outcome = run_mvee(program, consumers=(profiler,), costs=fast_costs,
+                       **kwargs)
+    profiler.finalize(outcome.machine.now)
+    return outcome, profiler.snapshot()
 
 
 class TestClassifyWaitKey:

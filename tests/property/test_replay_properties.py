@@ -17,6 +17,7 @@ from repro.core.mvee import MVEE
 from repro.guest.program import GuestProgram
 from repro.guest.sync import SpinLock
 from repro.perf.costs import CostModel
+from repro.perf.timeline import VariantTraces
 
 FAST = CostModel(monitor_syscall_overhead=1_000.0)
 
@@ -74,12 +75,13 @@ program_plans = st.lists(                    # workers
                               "wall_of_clocks"]))
 def test_random_drf_programs_replay_cleanly(plan, seed, agent):
     program = RandomDRFProgram(plan, n_locks=4)
+    traces = VariantTraces()
     mvee = MVEE(program, variants=2, agent=agent, seed=seed,
-                costs=FAST, record_trace=True, max_cycles=5e9)
+                costs=FAST, consumers=(traces,), max_cycles=5e9)
     outcome = mvee.run()
     assert outcome.verdict == "clean"
-    master = outcome.vms[0].per_thread_syscall_trace()
-    assert outcome.vms[1].per_thread_syscall_trace() == master
+    master = traces.per_thread_syscalls(outcome.vms[0])
+    assert traces.per_thread_syscalls(outcome.vms[1]) == master
 
 
 @settings(max_examples=8, deadline=None,

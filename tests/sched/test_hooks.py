@@ -74,13 +74,15 @@ class TestHooks:
         """Every public method a shipped consumer defines for a
         vocabulary event lands in the table, and nothing else does."""
         from repro.obs import ObsHub
+        from repro.perf.timeline import VariantTraces
+        from repro.prof.accounting import CycleProfiler
         from repro.races.deadlock import DeadlockDetector
         from repro.races.detector import RaceDetector
         from repro.replay.recorder import DecisionRecorder
 
-        hub = ObsHub(profile=True)
-        consumers = (hub, hub.prof, RaceDetector(), DeadlockDetector(),
-                     DecisionRecorder())
+        hub, profiler = ObsHub(), CycleProfiler()
+        consumers = (hub, profiler, VariantTraces(), RaceDetector(),
+                     DeadlockDetector(), DecisionRecorder())
         hooks = Hooks()
         for consumer in consumers:
             hooks.attach(consumer)
@@ -89,8 +91,8 @@ class TestHooks:
                              for consumer in consumers
                              if hasattr(consumer, event))
             assert getattr(hooks, event) == expected, event
-        assert hooks.step_committed == (hub.prof.step_committed,
-                                        consumers[4].step_committed)
+        assert hooks.step_committed == (profiler.step_committed,
+                                        consumers[5].step_committed)
         assert not hasattr(hub, "step_committed")
 
 

@@ -81,7 +81,7 @@ class TestGuestLevelAtomics:
                 yield from ctx.atomic_load(addr, site="s3")
 
         from repro.sched.vm import VariantVM
-        result = run_native(P(), seed=0, record_trace=False)
+        result = run_native(P(), seed=0)
         # classes are enforced by the helper constructors:
         from repro.sched.events import SyncOp
         cas_event = SyncOp("cas", 0, (0, 1))

@@ -301,10 +301,19 @@ class TestShutdownOp:
 
 
 class TestBundles:
-    def test_diverged_sessions_save_their_bundle(self, tmp_path):
+    def test_diverged_sessions_save_their_bundle(self, tmp_path, capsys):
         # Batch and stepped runs both save a diverged run's forensics
-        # bundle as {bundle_dir}/{session id}.bundle.json.
+        # bundle as {bundle_dir}/{session id}.bundle.json, with the
+        # event tails ``repro run --bundle-out`` saves for the same spec.
+        from repro.cli import main
         from repro.obs.forensics import DivergenceBundle
+
+        single = tmp_path / "single.bundle.json"
+        assert main(["run", "radiosity", "--agent", "none", "--scale",
+                     "0.1", "--bundle-out", str(single)]) == 1
+        capsys.readouterr()
+        tails = DivergenceBundle.load(str(single)).tails
+        assert tails and all(tails.values())
 
         daemon = ServeDaemon(ServeConfig(port=0, bundle_dir=str(tmp_path)))
         spec = {"workload": "radiosity", "agent": "none", "scale": 0.1}
@@ -319,7 +328,9 @@ class TestBundles:
             result = envelope["result"]
             assert result["verdict"] == "divergence"
             assert result["bundle"] == f"{tmp_path}/{session_id}.bundle.json"
-            assert DivergenceBundle.load(result["bundle"]).report
+            bundle = DivergenceBundle.load(result["bundle"])
+            assert bundle.report
+            assert bundle.tails == tails
 
 
 class TestConnectBurst:

@@ -256,12 +256,32 @@ class TestRacesCommand:
                 "source_lines"} <= set(racy["candidates"][0])
 
 
+@pytest.mark.parametrize("argv", [
+    ["races", "check", "--corpus"],
+    ["races", "lint", "--scale", "9"],
+    ["races", "bench", "--treat-volatile-as-sync"],
+    ["deadlock", "lint", "--seed", "3"],
+    ["deadlock", "bench", "--analysis", "steensgaard"],
+], ids=["races-check-corpus", "races-lint-scale", "races-bench-volatile",
+        "deadlock-lint-seed", "deadlock-bench-analysis"])
+def test_analysis_action_refuses_another_actions_flag(capsys, argv):
+    """``races`` and ``deadlock`` actions own their flags, as the serve
+    actions do: another action's flag is a usage error (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDeadlockCommand:
     def test_deadlock_defaults(self):
         args = build_parser().parse_args(["deadlock", "lint"])
         assert args.analysis == "andersen"
         assert not args.json
-        assert args.seed == 1
+        # Each action owns its flags: the seed belongs to check and
+        # bench, which run the philosophers tables.
+        assert not hasattr(args, "seed")
+        assert build_parser().parse_args(["deadlock", "check"]).seed == 1
 
     def test_lint_flags_abba_and_suppresses_trylock(self, capsys):
         assert main(["deadlock", "lint"]) == 1  # linter-style exit

@@ -14,10 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.core.divergence import MonitorPolicy
-from repro.core.mvee import run_mvee
+from repro.core.mvee import MVEE, run_mvee
 from repro.diversity.spec import DiversitySpec
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import ObsHub
+from repro.perf.timeline import VariantTraces
+from repro.prof.accounting import CycleProfiler
 from repro.run import run_native
 from repro.workloads.synthetic import make_benchmark
 from tests.guestlib import (
@@ -277,16 +279,16 @@ class TestDeadlockDetectorDeterminism:
 
 class TestProfilerDeterminism:
     """The cycle profiler is an observer like the tracer and the race
-    detector: obs=None, a plain hub, and a profiling hub must all
-    produce the exact same simulated timeline — across agents and
-    composed with fault injection and race detection."""
+    detector: no observer, a plain hub, and a profiler must all produce
+    the exact same simulated timeline — across agents and composed with
+    fault injection and race detection."""
 
     def _run(self, agent, obs=None, costs=None, faults=None,
-             policy=None, races=None):
+             policy=None, races=None, consumers=()):
         return run_mvee(MutexCounterProgram(workers=3, iters=25),
                         variants=3, agent=agent, seed=7, costs=costs,
                         obs=obs, faults=faults, policy=policy,
-                        races=races)
+                        races=races, consumers=consumers)
 
     @pytest.mark.parametrize("agent", ["total_order", "partial_order",
                                        "wall_of_clocks"])
@@ -296,8 +298,8 @@ class TestProfilerDeterminism:
                                             fast_costs):
         from repro.races.detector import RaceDetector
 
-        def run_with(obs):
-            kwargs = {}
+        def run_with(**observers):
+            kwargs = dict(observers)
             if config == "faulted":
                 kwargs["faults"] = FaultPlan(
                     (FaultSpec(kind="crash", variant=1, at=4),))
@@ -305,12 +307,11 @@ class TestProfilerDeterminism:
                     degradation="quarantine")
             elif config == "race-detect":
                 kwargs["races"] = RaceDetector()
-            return self._run(agent, obs=obs, costs=fast_costs,
-                             **kwargs)
+            return self._run(agent, costs=fast_costs, **kwargs)
 
-        baseline = run_with(None)
-        plain_hub = run_with(ObsHub())
-        profiled = run_with(ObsHub(trace=False, profile=True))
+        baseline = run_with()
+        plain_hub = run_with(obs=ObsHub())
+        profiled = run_with(consumers=(CycleProfiler(),))
         expected = "degraded" if config == "faulted" else "clean"
         assert baseline.verdict == expected
         for outcome in (plain_hub, profiled):
@@ -322,11 +323,11 @@ class TestProfilerDeterminism:
         import json
 
         def profile_of():
-            hub = ObsHub(trace=False, profile=True)
-            outcome = self._run("wall_of_clocks", obs=hub,
-                                costs=fast_costs)
-            hub.prof.finalize(outcome.machine.now)
-            return hub.prof.snapshot().to_dict()
+            profiler = CycleProfiler()
+            outcome = self._run("wall_of_clocks", costs=fast_costs,
+                                consumers=(profiler,))
+            profiler.finalize(outcome.machine.now)
+            return profiler.snapshot().to_dict()
 
         first, second = profile_of(), profile_of()
         assert (json.dumps(first, sort_keys=True)
@@ -337,16 +338,23 @@ class TestAllConsumersAtOnce:
     """Every hook-table consumer attached to one run at once.
 
     Each optional observer is pinned alone above; this pins the fan-out:
-    obs with its profiler, both detectors and a decision recorder share
-    one hook table on one 3-variant run, and the run must still match
-    the bare run while every consumer produces exactly what it produces
+    obs, a cycle profiler and per-variant traces (both through
+    ``consumers=``), both detectors and a decision recorder share one
+    hook table on one 3-variant run, and the run must still match the
+    bare run while every consumer produces exactly what it produces
     when attached alone.
     """
 
+    #: The consumers with an MVEE keyword of their own; the rest go in
+    #: ``consumers=``, in order.
+    KEYWORDS = ("obs", "races", "deadlocks", "replay")
+
     def _run(self, agent, costs, **consumers):
+        keywords = {name: consumers.pop(name) for name in self.KEYWORDS
+                    if name in consumers}
         return run_mvee(MutexCounterProgram(workers=3, iters=25),
                         variants=3, agent=agent, seed=7, costs=costs,
-                        **consumers)
+                        consumers=tuple(consumers.values()), **keywords)
 
     @staticmethod
     def _consumers():
@@ -355,7 +363,8 @@ class TestAllConsumersAtOnce:
         from repro.replay.log import DecisionLog
         from repro.replay.recorder import DecisionRecorder
 
-        return {"obs": ObsHub(profile=True), "races": RaceDetector(),
+        return {"obs": ObsHub(), "prof": CycleProfiler(),
+                "traces": VariantTraces(), "races": RaceDetector(),
                 "deadlocks": DeadlockDetector(),
                 "replay": DecisionRecorder(DecisionLog(spec={}))}
 
@@ -363,11 +372,17 @@ class TestAllConsumersAtOnce:
     def _outputs(outcome, consumers):
         """Each attached consumer's output, keyed by consumer."""
         outputs = {}
-        hub = consumers.get("obs")
-        if hub is not None:
-            hub.prof.finalize(outcome.machine.now)
-            outputs["obs"] = hub.digest()
-            outputs["prof"] = hub.prof.snapshot().to_dict()
+        if "obs" in consumers:
+            outputs["obs"] = consumers["obs"].digest()
+        if "prof" in consumers:
+            profiler = consumers["prof"]
+            profiler.finalize(outcome.machine.now)
+            outputs["prof"] = profiler.snapshot().to_dict()
+        if "traces" in consumers:
+            traces = consumers["traces"]
+            outputs["traces"] = [
+                (traces.syscalls(vm), traces.sync_ops(vm))
+                for vm in outcome.vms]
         if "races" in consumers:
             outputs["races"] = consumers["races"].report
         if "deadlocks" in consumers:
@@ -387,8 +402,8 @@ class TestAllConsumersAtOnce:
         assert outcome.cycles == bare.cycles
         assert outcome.stdout == bare.stdout
         combined = self._outputs(outcome, together)
-        assert set(combined) == {"obs", "prof", "races", "deadlocks",
-                                 "replay"}
+        assert set(combined) == {"obs", "prof", "traces", "races",
+                                 "deadlocks", "replay"}
         alone = {}
         for name, consumer in self._consumers().items():
             single = self._run(agent, fast_costs, **{name: consumer})
@@ -400,6 +415,35 @@ class TestAllConsumersAtOnce:
         assert together["deadlocks"].report.acquires_seen > 0
         assert len(together["replay"].log.records) > 0
         assert combined["prof"]["total_cycles"] > 0
+        assert all(syscalls and sync_ops
+                   for syscalls, sync_ops in combined["traces"])
+
+    def test_restarted_variant_keeps_its_own_trace(self, fast_costs):
+        """Under the restart policy the replaced variant's entries stay
+        with it: its replacement's trace starts fresh at the restart."""
+        from repro.faults.plan import parse_fault_plan
+
+        traces = VariantTraces()
+        mvee = MVEE(MutexCounterProgram(workers=3, iters=25), variants=3,
+                    agent="wall_of_clocks", seed=7, costs=fast_costs,
+                    faults=parse_fault_plan("crash@v1:3", n_variants=3),
+                    policy=MonitorPolicy(degradation="restart"),
+                    consumers=(traces,))
+        outcome = mvee.run()
+        assert outcome.verdict == "degraded"
+        (retired,) = mvee.retired_vms
+        replacement = outcome.vms[1]
+        assert retired is not replacement and retired.index == 1
+        old, new = traces.syscalls(retired), traces.syscalls(replacement)
+        assert old and new
+        assert max(entry.time for entry in old) \
+            <= min(entry.time for entry in new)
+        # The replacement re-ran the program from its first call, so it
+        # holds the master's whole per-thread syscall trace, and the
+        # retired variant only a prefix of it.
+        master = traces.per_thread_syscalls(outcome.vms[0])
+        assert traces.per_thread_syscalls(replacement) == master
+        assert len(old) < len(traces.syscalls(outcome.vms[0]))
 
 
 class TestParallelSweepDeterminism:

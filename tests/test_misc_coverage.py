@@ -10,7 +10,7 @@ from repro.errors import (
     SyscallError,
 )
 from repro.kernel.net import Network
-from repro.sched.vm import TraceEntry
+from repro.perf.timeline import TraceEntry
 
 
 class TestErrorTypes:
