@@ -251,28 +251,23 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_obs(args) -> int:
-    from repro.errors import ReproError
     from repro.obs.forensics import (
         DivergenceBundle,
         bundle_to_chrome,
         summarize_bundle,
     )
 
-    try:
-        bundle = DivergenceBundle.load(args.bundle)
-        if args.action == "summarize":
-            print(summarize_bundle(bundle))
-            return 0
-        import json
-
-        out = args.out or (args.bundle + ".trace.json")
-        with open(out, "w") as handle:
-            json.dump(bundle_to_chrome(bundle), handle, sort_keys=True)
-        print(f"wrote Chrome trace to {out}")
+    bundle = DivergenceBundle.load(args.bundle)
+    if args.action == "summarize":
+        print(summarize_bundle(bundle))
         return 0
-    except ReproError as exc:
-        print(f"repro obs: {exc}", file=sys.stderr)
-        return 2
+    import json
+
+    out = args.out or (args.bundle + ".trace.json")
+    with open(out, "w") as handle:
+        json.dump(bundle_to_chrome(bundle), handle, sort_keys=True)
+    print(f"wrote Chrome trace to {out}")
+    return 0
 
 
 def _cmd_fault_matrix(args) -> int:

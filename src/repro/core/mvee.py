@@ -57,7 +57,7 @@ class MVEEOutcome:
     deadlock: DeadlockError | None = None
     #: The observability hub attached to the run (None when disabled).
     obs: object | None = None
-    #: Forensics bundle captured when the run diverged under observation.
+    #: Forensics bundle captured when the run diverged under a tracing hub.
     obs_bundle: object | None = None
     #: Graceful-degradation actions taken (QuarantineEvent list, in order).
     quarantines: list = field(default_factory=list)
@@ -125,7 +125,7 @@ class MVEE:
         #: Optional :class:`repro.obs.ObsHub` observing this run.
         self.obs = obs
         #: Further hook-table consumers (profiler, per-variant traces,
-        #: ...), attached right after ``obs``.
+        #: ...), attached right after ``obs`` and its tracer.
         self.consumers = tuple(consumers)
         #: Optional fault injection: a :class:`repro.faults.plan.FaultPlan`
         #: (or a pre-built injector) driving deterministic faults.
@@ -221,19 +221,22 @@ class MVEE:
     def _attach_hooks(self) -> None:
         """Compile every optional consumer into the machine's hook table.
 
-        Attach order is fan-out order: obs, the ``consumers`` in the
-        order given (e.g. a cycle profiler, per-variant traces), races,
-        deadlocks, replay.  Each is bound to the simulated clock (and to
-        obs, when it reports to the hub) before it is attached.  The
-        monitor, orderer, agents, buffers and futex tables already share
-        the table (``bind_machine`` / ``add_vm``), so this is the only
-        wiring a consumer needs.  The one intrusive move is replay's:
-        the scheduler RNG is wrapped (record) or substituted (replay) so
-        every draw flows through the decision stream.
+        Attach order is fan-out order: obs, its tracer, the
+        ``consumers`` in the order given (e.g. a cycle profiler,
+        per-variant traces), races, deadlocks, replay.  Each is bound to
+        the simulated clock before it is attached; one that reports what
+        it finds (the detectors, the replayer, the fault injector) is
+        also bound to the machine, on whose hook table it fires those
+        reports.  The monitor, orderer, agents, buffers and futex
+        tables already share the table (``bind_machine`` / ``add_vm``),
+        so this is the only wiring a consumer needs.  The one intrusive
+        move is replay's: the scheduler RNG is wrapped (record) or
+        substituted (replay) so every draw flows through the decision
+        stream.
         """
         machine = self.machine
-        obs = self.obs
-        consumers = (obs, *self.consumers, self.races, self.deadlocks,
+        consumers = (self.obs, getattr(self.obs, "tracer", None),
+                     *self.consumers, self.races, self.deadlocks,
                      self.replay)
         # The injector is bound like the rest, but it defines no
         # vocabulary event: its answers go through the one faults slot.
@@ -242,12 +245,10 @@ class MVEE:
                 continue
             if hasattr(consumer, "bind_clock"):
                 consumer.bind_clock(lambda: machine.now)
-            if obs is not None and hasattr(consumer, "bind_obs"):
-                consumer.bind_obs(obs)
+            if hasattr(consumer, "bind_machine"):
+                consumer.bind_machine(machine)
             machine.hooks.attach(consumer)
         machine.hooks.faults = self.fault_injector
-        if self.deadlocks is not None:
-            self.deadlocks.bind_machine(machine)
         if self.replay is not None:
             if self.replay.mode == "record":
                 machine.rng = RecordingRandom(machine.rng, self.replay)
@@ -271,8 +272,7 @@ class MVEE:
             recorder = (self.replay
                         if (self.replay is not None
                             and self.replay.mode == "record") else None)
-            checkpointer = Checkpointer(self, policy, recorder=recorder,
-                                        obs=self.obs)
+            checkpointer = Checkpointer(self, policy, recorder=recorder)
         self.checkpointer = checkpointer
         if hasattr(self.monitor, "checkpoints"):
             self.monitor.checkpoints = checkpointer.store
@@ -362,8 +362,10 @@ class MVEE:
             focus = quarantines[-1].report
         # A guest deadlock has no divergence report, but the forensics
         # bundle still carries the wait-for cycle (hub.deadlock_log).
-        if self.obs is not None and (focus is not None
-                                     or verdict == "deadlock"):
+        # The bundle's event tails come from the tracer, so an untraced
+        # hub leaves none.
+        if (getattr(self.obs, "tracer", None) is not None
+                and (focus is not None or verdict == "deadlock")):
             from repro.obs.forensics import capture_bundle
 
             bundle = capture_bundle(

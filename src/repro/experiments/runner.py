@@ -15,6 +15,7 @@ so the figure and table benches can share one sweep.
 from __future__ import annotations
 
 import re
+import statistics
 from dataclasses import dataclass, field, replace
 
 from repro.errors import BadRequest
@@ -263,12 +264,14 @@ def nginx_identified_sites(after_refactor: bool) -> frozenset[str]:
 
 
 def _race_twins(workload: str, scale: float, seed: int) -> dict:
-    """The race-sweep cell of one workload: its bare and detector twins
-    as one two-spec :func:`~repro.run.run_spec_cell` call, so both are
-    timed fresh, back to back, on one worker.  A workload is a lockstep
-    benchmark or a §5.5 nginx condition (``nginx/bare`` leaves the
-    custom ``nginx.*`` primitives uninstrumented, ``nginx/full`` wraps
-    every site).  Every twin runs at the nginx cost model."""
+    """The race-sweep cell of one workload: an untimed warm-up detector
+    run, then ``OVERHEAD_REPEATS`` alternating (bare, detector) twin
+    pairs, as one :func:`~repro.run.run_spec_cell` call, so every run
+    is timed fresh, back to back, on one worker.  A workload is a
+    lockstep benchmark or a §5.5 nginx condition (``nginx/bare`` leaves
+    the custom ``nginx.*`` primitives uninstrumented, ``nginx/full``
+    wraps every site).  Every twin runs at the nginx cost model."""
+    from repro.telemetry.overhead import OVERHEAD_REPEATS
     from repro.workloads.nginx import pthread_only_sites
 
     if workload.startswith("nginx/"):
@@ -276,7 +279,8 @@ def _race_twins(workload: str, scale: float, seed: int) -> dict:
                        params=NGINX_PAPER_SIZING)
     else:
         spec = RunSpec(workload, variants=2, seed=seed, scale=scale)
-    return {"spec": [spec, replace(spec, race_detect=True)],
+    detect = replace(spec, race_detect=True)
+    return {"spec": [detect] + [spec, detect] * OVERHEAD_REPEATS,
             "costs": NGINX_COSTS,
             "instrument": (pthread_only_sites if workload == "nginx/bare"
                            else None)}
@@ -288,8 +292,9 @@ def run_race_sweep(benchmarks=("dedup", "vips"), scale: float = 0.1,
                    env: str | None = None) -> list[RaceSweepRow]:
     """Race-detection experiment: races found + detector overhead.
 
-    Each workload runs twice — with and without the detector — so the
-    row can report both the wall-clock overhead of detection and that
+    Each workload runs with and without the detector, in alternating
+    pairs after a warm-up, so the row can report both the wall-clock
+    overhead of detection (the median of the per-pair deltas) and that
     the simulated timelines stayed identical (the zero-cost contract).
     The lockstep benchmarks run fully instrumented and must report zero
     races; the nginx conditions exercise the coverage cross-check.
@@ -309,8 +314,9 @@ def run_race_sweep(benchmarks=("dedup", "vips"), scale: float = 0.1,
                       [_race_twins(workload, scale, seed)
                        for workload in workloads], jobs=jobs, env=env)
     rows = []
-    for workload, (baseline, detected) in zip(workloads, twins,
-                                              strict=True):
+    for workload, (_, *runs) in zip(workloads, twins, strict=True):
+        pairs = list(zip(runs[0::2], runs[1::2], strict=True))
+        detected = runs[1]
         report = detected.races
         identified = (nginx_identified_sites(
             after_refactor=workload == "nginx/full")
@@ -323,10 +329,11 @@ def run_race_sweep(benchmarks=("dedup", "vips"), scale: float = 0.1,
             races=len(report.races),
             occurrences=report.total_occurrences,
             gaps=len(coverage.gaps),
-            overhead_pct=((detected.wall_s - baseline.wall_s)
-                          / baseline.wall_s * 100.0
-                          if baseline.wall_s > 0 else 0.0),
-            cycles_identical=detected.cycles == baseline.cycles))
+            overhead_pct=100.0 * statistics.median(
+                (twin.wall_s - bare.wall_s) / bare.wall_s
+                for bare, twin in pairs),
+            cycles_identical=all(twin.cycles == bare.cycles
+                                 for bare, twin in pairs)))
     return rows
 
 

@@ -65,7 +65,7 @@ class FaultInjector:
             plan = FaultPlan(plan)
         self.plan = plan
         self.injected: list[InjectedFault] = []
-        self.obs = None
+        self._hooks = None
         self._clock = lambda: 0.0
         #: (kind, variant) -> pending specs sorted by trigger index.
         self._pending: dict[tuple[str, int], list[FaultSpec]] = {}
@@ -85,8 +85,9 @@ class FaultInjector:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
         self._clock = clock
 
-    def bind_obs(self, hub) -> None:
-        self.obs = hub
+    def bind_machine(self, machine) -> None:
+        """Report each injected fault on the machine's hook table."""
+        self._hooks = machine.hooks
 
     # -- hook entry points ---------------------------------------------------
 
@@ -173,6 +174,5 @@ class FaultInjector:
                               variant=variant, thread=thread, site=site,
                               detail=detail)
         self.injected.append(event)
-        if self.obs is not None:
-            self.obs.fault_injected(spec.kind, variant, thread, site,
-                                    detail)
+        for hook in self._hooks.fault_injected if self._hooks else ():
+            hook(spec.kind, variant, thread, site, detail)

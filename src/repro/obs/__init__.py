@@ -6,46 +6,55 @@ it.  Without a hub attached (the default) an event's tuple of callbacks
 is empty and the run is observationally identical to the seed
 simulator; with a hub attached, each event feeds
 
-* the **tracer** (:mod:`repro.obs.tracer`) — spans/instants keyed by
-  (variant, logical thread), exportable to Chrome ``trace_event`` JSON
-  for Perfetto or to JSONL;
 * the **metrics registry** (:mod:`repro.obs.metrics`) — counters,
   gauges, and histograms with deterministic snapshots;
-* the **forensics rings** (:mod:`repro.obs.forensics`) — bounded
-  per-variant event tails captured into a divergence bundle when the
+* the hub's **logs** of injected faults, recovery actions, races and
+  deadlocks, which with the metrics make up :meth:`ObsHub.digest`;
+* the **tracer** (:mod:`repro.obs.tracer`) of a tracing hub — a second
+  consumer, attached right after the hub, recording spans/instants
+  keyed by (variant, logical thread), exportable to Chrome
+  ``trace_event`` JSON for Perfetto, whose per-variant rings feed the
+  **forensics** bundle (:mod:`repro.obs.forensics`) captured when the
   monitor kills the run.
 
-Wiring happens in :class:`repro.core.mvee.MVEE` (pass ``obs=ObsHub()``)
-and in the CLI (``--trace-out`` / ``--metrics``); hub methods never
-charge simulated cycles, so enabling observability does not perturb the
-simulated timeline — a property the test suite pins down.
+The hub reads the machine clock itself, so its metrics, logs and digest
+do not depend on whether it traces.  Wiring happens in
+:class:`repro.core.mvee.MVEE` (pass ``obs=ObsHub()``) and in the CLI
+(``--trace-out`` / ``--metrics``); hub methods never charge simulated
+cycles, so enabling observability does not perturb the simulated
+timeline — a property the test suite pins down.
 """
 
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 
 
 class ObsHub:
-    """One observability session: tracer + metrics + forensic state.
+    """One observability session: metrics, logs, and an optional tracer.
 
-    Every public method named in :data:`repro.sched.hooks.EVENTS` is a
-    hook-table callback: the simulator, monitor, agents, and kernel
-    fire them from their hot paths when (and only when) a hub is
-    attached.  The rest (``fault_injected``, ``race_detected``, ...)
-    are called by the other consumers the hub is bound to.  The hub
-    translates each occurrence into trace events and metric updates; it
-    holds whatever cross-call state that requires (e.g. rendezvous
-    first-arrival timestamps) so the instrumented components stay
-    stateless about observability.
+    Every public method is a hook-table callback named in
+    :data:`repro.sched.hooks.EVENTS`: the simulator, monitor, agents,
+    kernel, fault injector and detectors fire them when (and only when)
+    a hub is attached.  The hub translates each occurrence into metric
+    updates and log records; it holds whatever cross-call state that
+    requires (rendezvous first arrivals, park start times) so the
+    instrumented components stay stateless about observability.
+
+    ``trace`` gives the hub a :class:`~repro.obs.tracer.Tracer`, which
+    the MVEE attaches as its own consumer; with ``trace=False``,
+    ``tracer`` is None and no event reaches a tracer.
     """
 
     def __init__(self, trace: bool = True):
-        self.tracer = Tracer() if trace else NULL_TRACER
+        self.tracer = Tracer() if trace else None
         self.metrics = MetricsRegistry()
-        #: rendezvous key -> (first-arrival ts, arrival count).
+        self._clock = lambda: 0.0
+        #: rendezvous key -> first-arrival ts.
         self._rdv_first: dict = {}
+        #: thread global id -> ts it parked at.
+        self._parked: dict = {}
         self.divergence_report = None
         #: Injected-fault records (dicts), in injection order.
         self.fault_log: list[dict] = []
@@ -62,21 +71,24 @@ class ObsHub:
 
     def bind_clock(self, clock) -> None:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
-        self.tracer.bind_clock(clock)
+        self._clock = clock
 
     @property
     def now(self) -> float:
-        return self.tracer.now
+        return self._clock()
 
     def digest(self) -> str:
         """Canonical digest of everything the hub observed.
 
         Covers the metrics snapshot and the fault/recovery/race logs —
         all simulated quantities, so two runs of the same configuration
-        produce the same digest regardless of host, worker count, or
-        whether the run was driven in one shot or in step batches.
-        ``repro.serve`` uses this to prove a served session is
+        produce the same digest regardless of host, worker count,
+        tracing, or whether the run was driven in one shot or in step
+        batches.  ``repro.serve`` uses this to prove a served session is
         byte-identical to the equivalent single-shot ``repro run``.
+        Recording and checkpointing are not observed here (the hub
+        defines no ``checkpoint_taken`` or ``replay_diverged``), so a
+        recorded run can prove itself identical to an unrecorded one.
         """
         import hashlib
         import json
@@ -98,83 +110,62 @@ class ObsHub:
         self.metrics.counter("monitor.calls").inc()
         self.metrics.counter(f"monitor.calls.class.{call_class}").inc()
         self.metrics.counter(f"monitor.calls.name.{name}").inc()
-        self.tracer.instant(name, variant, thread, cat="call",
-                            args={"seq": seq, "class": call_class})
 
     def rendezvous_arrive(self, rdv_key, variant: int,
                           thread: str) -> None:
         """A variant registered at a lockstep rendezvous."""
         self.metrics.counter("monitor.rendezvous.arrivals").inc()
-        now = self.now
-        if rdv_key not in self._rdv_first:
-            self._rdv_first[rdv_key] = now
-        self.tracer.instant("rdv.arrive", variant, thread, cat="rdv",
-                            args={"seq": rdv_key[1]})
+        self._rdv_first.setdefault(rdv_key, self.now)
 
     def rendezvous_complete(self, rdv_key, variant: int, thread: str,
                             matched: bool) -> None:
         """The last variant arrived; the rendezvous was compared."""
-        first = self._rdv_first.pop(rdv_key, self.now)
-        latency = self.now - first
+        now = self.now
         self.metrics.counter("monitor.rendezvous.completed").inc()
-        self.metrics.histogram(
-            "monitor.rendezvous.latency_cycles").observe(latency)
-        self.tracer.complete("rdv.wait", variant, thread, ts=first,
-                             dur=latency, cat="rdv",
-                             args={"seq": rdv_key[1],
-                                   "matched": matched})
+        self.metrics.histogram("monitor.rendezvous.latency_cycles").observe(
+            now - self._rdv_first.pop(rdv_key, now))
         if not matched:
             self.metrics.counter("monitor.rendezvous.mismatches").inc()
 
     def clock_tick(self, variant: int, thread: str, time: int) -> None:
         """The master stamped the §4.1 syscall-ordering clock."""
         self.metrics.counter("monitor.order.ticks").inc()
-        self.tracer.instant("clock.tick", variant, thread, cat="clock",
-                            args={"time": time})
 
     def clock_stall(self, variant: int, thread: str, wait_key) -> None:
         """A §4.1 ordering-clock check parked the thread."""
         kind = wait_key[0] if wait_key else "order"
         self.metrics.counter("monitor.order.stalls").inc()
         self.metrics.counter(f"monitor.order.stalls.{kind}").inc()
-        self.tracer.instant("clock.stall", variant, thread, cat="clock",
-                            args={"kind": kind})
 
     def stream_publish(self, variant: int, thread: str,
                        index: int) -> None:
         """The master published a blocking-call stream result."""
         self.metrics.counter("monitor.stream.published").inc()
-        self.tracer.instant("stream.publish", variant, thread,
-                            cat="stream", args={"index": index})
 
     def stream_wait(self, variant: int, thread: str, index: int) -> None:
         """A slave stalled waiting for a stream result."""
         self.metrics.counter("monitor.stream.waits").inc()
-        self.tracer.instant("stream.wait", variant, thread,
-                            cat="stream", args={"index": index})
 
     # -- machine hooks -------------------------------------------------------
 
     def sched_grant(self, variant: int, thread: str) -> None:
         """The scheduler granted a core to a thread."""
         self.metrics.counter("sched.grants").inc()
-        self.tracer.instant("sched.grant", variant, thread, cat="sched")
 
     def park(self, variant: int, thread_global: str, thread: str,
              wait_key) -> None:
-        """A thread blocked on a wait key; opens a wait span."""
+        """A thread blocked on a wait key."""
         kind = wait_key[0] if wait_key else "?"
         self.metrics.counter("machine.parks").inc()
         self.metrics.counter(f"machine.parks.{kind}").inc()
-        self.tracer.begin_span(("park", thread_global),
-                               f"wait:{kind}", variant, thread,
-                               cat="wait")
+        self._parked[thread_global] = self.now
 
     def unpark(self, variant: int, thread_global: str,
                thread: str) -> None:
-        """A parked thread became runnable; closes its wait span."""
-        dur = self.tracer.end_span(("park", thread_global))
-        self.metrics.histogram("machine.park_cycles").observe(dur)
+        """A parked thread became runnable; observes its wait."""
+        start = self._parked.pop(thread_global, None)
+        self.metrics.histogram("machine.park_cycles").observe(
+            0.0 if start is None else self.now - start)
 
     def divergence(self, report) -> None:
         """The monitor killed the run."""
@@ -182,9 +173,6 @@ class ObsHub:
         kind = getattr(getattr(report, "kind", None), "value", "unknown")
         self.metrics.counter("divergence.total").inc()
         self.metrics.counter(f"divergence.kind.{kind}").inc()
-        self.tracer.instant("divergence", 0,
-                            getattr(report, "thread", ""),
-                            cat="divergence", args={"kind": kind})
 
     # -- fault / resilience hooks --------------------------------------------
 
@@ -196,9 +184,6 @@ class ObsHub:
                                "detail": detail, "at_cycles": self.now})
         self.metrics.counter("faults.injected").inc()
         self.metrics.counter(f"faults.injected.{kind}").inc()
-        self.tracer.instant(f"fault.{kind}", variant, thread,
-                            cat="fault", args={"site": site,
-                                               "detail": detail})
 
     def watchdog_timeout(self, thread: str, seq: int,
                          missing: list) -> None:
@@ -208,9 +193,6 @@ class ObsHub:
                                   "variants": list(missing),
                                   "at_cycles": self.now})
         self.metrics.counter("resilience.watchdog_timeouts").inc()
-        self.tracer.instant("watchdog.timeout", 0, thread,
-                            cat="resilience",
-                            args={"seq": seq, "missing": list(missing)})
 
     def variant_quarantined(self, variant: int, kind: str, thread: str,
                             seq: int) -> None:
@@ -221,9 +203,6 @@ class ObsHub:
                                   "at_cycles": self.now})
         self.metrics.counter("resilience.quarantines").inc()
         self.metrics.counter(f"resilience.quarantines.{kind}").inc()
-        self.tracer.instant("quarantine", variant, thread,
-                            cat="resilience",
-                            args={"kind": kind, "seq": seq})
 
     def variant_restarted(self, variant: int) -> None:
         """A quarantined variant was rebuilt and re-admitted."""
@@ -231,8 +210,6 @@ class ObsHub:
                                   "variant": variant,
                                   "at_cycles": self.now})
         self.metrics.counter("resilience.restarts").inc()
-        self.tracer.instant("restart", variant, "main",
-                            cat="resilience", args={})
 
     def variant_caught_up(self, variant: int) -> None:
         """A restarted variant drained the master history and went live."""
@@ -240,28 +217,8 @@ class ObsHub:
                                   "variant": variant,
                                   "at_cycles": self.now})
         self.metrics.counter("resilience.caught_up").inc()
-        self.tracer.instant("caught_up", variant, "main",
-                            cat="resilience", args={})
 
-    # -- replay / checkpoint hooks -------------------------------------------
-    # Tracer-only by design: the digest() payload (metrics + logs) must
-    # not move when recording or checkpointing is enabled, so a recorded
-    # run can prove itself identical to an unrecorded one.
-
-    def checkpoint_taken(self, index: int, at_cycles: float,
-                         decisions: int | None) -> None:
-        """The checkpointer snapshotted machine state."""
-        self.tracer.instant("checkpoint", 0, "main", cat="replay",
-                            args={"index": index,
-                                  "at_cycles": at_cycles,
-                                  "decisions": decisions})
-
-    def replay_diverged(self, step: int, index: int) -> None:
-        """A replayed run left its recorded decision stream."""
-        self.tracer.instant("replay.diverged", 0, "main", cat="replay",
-                            args={"step": step, "index": index})
-
-    # -- race detector hooks -------------------------------------------------
+    # -- race / deadlock detector hooks --------------------------------------
 
     def race_detected(self, race) -> None:
         """The happens-before detector recorded a new distinct race."""
@@ -270,13 +227,6 @@ class ObsHub:
         self.race_log.append(record)
         self.metrics.counter("races.detected").inc()
         self.metrics.counter(f"races.kind.{race.kind}").inc()
-        self.tracer.instant("race", race.current.variant,
-                            race.current.thread, cat="race",
-                            args={"kind": race.kind,
-                                  "site": race.current.site,
-                                  "prior_site": race.prior.site})
-
-    # -- deadlock detector hooks ---------------------------------------------
 
     def deadlock_detected(self, record) -> None:
         """The wait-for-graph detector completed a cycle."""
@@ -284,10 +234,6 @@ class ObsHub:
         entry["at_cycles"] = self.now
         self.deadlock_log.append(entry)
         self.metrics.counter("deadlocks.detected").inc()
-        self.tracer.instant("deadlock", record.variant,
-                            record.threads[0].thread, cat="deadlock",
-                            args={"cycle": record.cycle_name(),
-                                  "locks": list(record.locks())})
 
     # -- agent hooks ---------------------------------------------------------
 
@@ -295,25 +241,18 @@ class ObsHub:
                     occupancy: int) -> None:
         """The master logged one sync op; samples buffer occupancy."""
         self.metrics.counter("agent.recorded").inc()
-        gauge = self.metrics.gauge(f"agent.buffer.{buffer}.occupancy")
-        gauge.set(occupancy)
-        self.tracer.counter(f"buf:{buffer}", variant, occupancy,
-                            series="occupancy")
+        self.metrics.gauge(f"agent.buffer.{buffer}.occupancy").set(occupancy)
 
     def sync_replay(self, variant: int, thread: str, buffer: str,
                     occupancy: int) -> None:
         """A slave consumed one sync-op record."""
         self.metrics.counter("agent.replayed").inc()
-        self.tracer.counter(f"buf:{buffer}", variant, occupancy,
-                            series="occupancy")
 
     def sync_stall(self, variant: int, thread: str, kind: str,
                    buffer: str) -> None:
         """A sync-op wrapper parked (log/order/backpressure wait)."""
         self.metrics.counter("agent.stalls").inc()
         self.metrics.counter(f"agent.stalls.{kind}").inc()
-        self.tracer.instant(f"sync.{kind}", variant, thread, cat="sync",
-                            args={"buffer": buffer})
 
     def clock_lag(self, variant: int, thread: str, clock_id: int,
                   lag: float) -> None:
@@ -321,8 +260,6 @@ class ObsHub:
         self.metrics.histogram("woc.clock_lag",
                                bounds=(1, 2, 4, 8, 16, 32, 64, 128,
                                        256)).observe(lag)
-        self.tracer.instant("clock.stall", variant, thread, cat="clock",
-                            args={"clock": clock_id, "lag": lag})
 
     # -- kernel hooks --------------------------------------------------------
 
@@ -330,16 +267,9 @@ class ObsHub:
                    thread_global: str) -> None:
         """A thread queued on a futex word."""
         self.metrics.counter("futex.parks").inc()
-        self.tracer.instant("futex.park", variant,
-                            thread_global.partition(":")[2],
-                            cat="futex", args={"addr": addr})
 
     def futex_wake(self, variant: int, addr: int, waker,
                    woken: list) -> None:
         """A futex wake released queued threads."""
         self.metrics.counter("futex.wakes").inc()
         self.metrics.counter("futex.woken").inc(len(woken))
-        for thread_global in woken:
-            self.tracer.instant("futex.wake", variant,
-                                thread_global.partition(":")[2],
-                                cat="futex", args={"addr": addr})

@@ -14,14 +14,14 @@ wait spans render as slices, buffer occupancy as counter tracks.
 :func:`repro.telemetry.spans.merge_host_trace` folds several such files
 (and host span logs) into one.
 
-Cost discipline: the tracer is *never* consulted by hot paths unless an
-:class:`~repro.obs.ObsHub` was explicitly attached to the run — hook
-sites fire through the machine's hook table (:mod:`repro.sched.hooks`),
-whose tuples are empty without a hub — and :data:`NULL_TRACER` provides
-a no-op implementation for code that wants an unconditional
-tracer-shaped object.  Recording an event never touches the simulated clock, so an
-instrumented run spends the exact same number of simulated cycles as an
-uninstrumented one.
+The tracer is a consumer of the machine's hook table
+(:mod:`repro.sched.hooks`): each vocabulary method it defines turns one
+event into trace events.  A tracing :class:`~repro.obs.ObsHub` owns one
+and :class:`~repro.core.mvee.MVEE` attaches it right after the hub; an
+untraced hub (``ObsHub(trace=False)``) has none, so no hook reaches a
+tracer at all.  Recording an event never touches the simulated clock,
+so an instrumented run spends the exact same number of simulated cycles
+as an uninstrumented one.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class Tracer:
 
     ``clock`` is a zero-argument callable returning the current simulated
     time in cycles (bound to ``Machine.now`` by the MVEE bootstrap);
-    until one is bound, events are stamped at cycle 0.
+    until one is bound, events are stamped at cycle 0.  The methods
+    named in :data:`repro.sched.hooks.EVENTS` are hook-table callbacks.
     """
 
     def __init__(self, clock=None, ring_size: int = DEFAULT_RING_SIZE):
@@ -101,6 +102,8 @@ class Tracer:
         self._ring_size = ring_size
         #: span key -> (start ts, name, cat, variant, thread, args)
         self._open_spans: dict = {}
+        #: rendezvous key -> first-arrival ts.
+        self._rdv_first: dict = {}
 
     def bind_clock(self, clock) -> None:
         self._clock = clock
@@ -161,6 +164,145 @@ class Tracer:
                       cat=cat, args=args)
         return dur
 
+    # -- monitor hooks -------------------------------------------------------
+
+    def monitored_call(self, variant: int, thread: str, name: str,
+                       call_class: str, seq: int) -> None:
+        self.instant(name, variant, thread, cat="call",
+                     args={"seq": seq, "class": call_class})
+
+    def rendezvous_arrive(self, rdv_key, variant: int,
+                          thread: str) -> None:
+        self._rdv_first.setdefault(rdv_key, self._clock())
+        self.instant("rdv.arrive", variant, thread, cat="rdv",
+                     args={"seq": rdv_key[1]})
+
+    def rendezvous_complete(self, rdv_key, variant: int, thread: str,
+                            matched: bool) -> None:
+        now = self._clock()
+        first = self._rdv_first.pop(rdv_key, now)
+        self.complete("rdv.wait", variant, thread, ts=first,
+                      dur=now - first, cat="rdv",
+                      args={"seq": rdv_key[1], "matched": matched})
+
+    def clock_tick(self, variant: int, thread: str, time: int) -> None:
+        self.instant("clock.tick", variant, thread, cat="clock",
+                     args={"time": time})
+
+    def clock_stall(self, variant: int, thread: str, wait_key) -> None:
+        self.instant("clock.stall", variant, thread, cat="clock",
+                     args={"kind": wait_key[0] if wait_key else "order"})
+
+    def stream_publish(self, variant: int, thread: str,
+                       index: int) -> None:
+        self.instant("stream.publish", variant, thread, cat="stream",
+                     args={"index": index})
+
+    def stream_wait(self, variant: int, thread: str, index: int) -> None:
+        self.instant("stream.wait", variant, thread, cat="stream",
+                     args={"index": index})
+
+    # -- machine hooks -------------------------------------------------------
+
+    def sched_grant(self, variant: int, thread: str) -> None:
+        self.instant("sched.grant", variant, thread, cat="sched")
+
+    def park(self, variant: int, thread_global: str, thread: str,
+             wait_key) -> None:
+        kind = wait_key[0] if wait_key else "?"
+        self.begin_span(("park", thread_global), f"wait:{kind}", variant,
+                        thread, cat="wait")
+
+    def unpark(self, variant: int, thread_global: str,
+               thread: str) -> None:
+        self.end_span(("park", thread_global))
+
+    def divergence(self, report) -> None:
+        kind = getattr(getattr(report, "kind", None), "value", "unknown")
+        self.instant("divergence", 0, getattr(report, "thread", ""),
+                     cat="divergence", args={"kind": kind})
+
+    # -- fault / resilience hooks --------------------------------------------
+
+    def fault_injected(self, kind: str, variant: int, thread: str,
+                       site: str, detail: str) -> None:
+        self.instant(f"fault.{kind}", variant, thread, cat="fault",
+                     args={"site": site, "detail": detail})
+
+    def watchdog_timeout(self, thread: str, seq: int,
+                         missing: list) -> None:
+        self.instant("watchdog.timeout", 0, thread, cat="resilience",
+                     args={"seq": seq, "missing": list(missing)})
+
+    def variant_quarantined(self, variant: int, kind: str, thread: str,
+                            seq: int) -> None:
+        self.instant("quarantine", variant, thread, cat="resilience",
+                     args={"kind": kind, "seq": seq})
+
+    def variant_restarted(self, variant: int) -> None:
+        self.instant("restart", variant, "main", cat="resilience")
+
+    def variant_caught_up(self, variant: int) -> None:
+        self.instant("caught_up", variant, "main", cat="resilience")
+
+    # -- replay / checkpoint hooks -------------------------------------------
+
+    def checkpoint_taken(self, index: int, at_cycles: float,
+                         decisions: int | None) -> None:
+        self.instant("checkpoint", 0, "main", cat="replay",
+                     args={"index": index, "at_cycles": at_cycles,
+                           "decisions": decisions})
+
+    def replay_diverged(self, step: int, index: int) -> None:
+        self.instant("replay.diverged", 0, "main", cat="replay",
+                     args={"step": step, "index": index})
+
+    # -- race / deadlock detector hooks --------------------------------------
+
+    def race_detected(self, race) -> None:
+        self.instant("race", race.current.variant, race.current.thread,
+                     cat="race", args={"kind": race.kind,
+                                       "site": race.current.site,
+                                       "prior_site": race.prior.site})
+
+    def deadlock_detected(self, record) -> None:
+        self.instant("deadlock", record.variant, record.threads[0].thread,
+                     cat="deadlock", args={"cycle": record.cycle_name(),
+                                           "locks": list(record.locks())})
+
+    # -- agent hooks ---------------------------------------------------------
+
+    def sync_record(self, variant: int, thread: str, buffer: str,
+                    occupancy: int) -> None:
+        self.counter(f"buf:{buffer}", variant, occupancy,
+                     series="occupancy")
+
+    sync_replay = sync_record
+
+    def sync_stall(self, variant: int, thread: str, kind: str,
+                   buffer: str) -> None:
+        self.instant(f"sync.{kind}", variant, thread, cat="sync",
+                     args={"buffer": buffer})
+
+    def clock_lag(self, variant: int, thread: str, clock_id: int,
+                  lag: float) -> None:
+        self.instant("clock.stall", variant, thread, cat="clock",
+                     args={"clock": clock_id, "lag": lag})
+
+    # -- kernel hooks --------------------------------------------------------
+
+    def futex_park(self, variant: int, addr: int,
+                   thread_global: str) -> None:
+        self.instant("futex.park", variant, thread_global.partition(":")[2],
+                     cat="futex", args={"addr": addr})
+
+    def futex_wake(self, variant: int, addr: int, waker,
+                   woken: list) -> None:
+        for thread_global in woken:
+            self.instant("futex.wake", variant,
+                         thread_global.partition(":")[2], cat="futex",
+                         args={"addr": addr})
+
     # -- forensics support --------------------------------------------------
 
     def tail(self, variant: int) -> list[TraceEvent]:
@@ -206,53 +348,3 @@ class Tracer:
     def write_chrome(self, path) -> None:
         with open(path, "w") as handle:
             json.dump(self.to_chrome(), handle, sort_keys=True)
-
-
-class NullTracer:
-    """A tracer that records nothing; every method is a no-op.
-
-    Installed where callers want an unconditional tracer-shaped object
-    (``ObsHub(trace=False)``); the simulator's hook sites never reach
-    even this without a hub attached to the hook table.
-    """
-
-    events: tuple = ()
-
-    def bind_clock(self, clock) -> None:
-        pass
-
-    @property
-    def now(self) -> float:
-        return 0.0
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-    def complete(self, *args, **kwargs) -> None:
-        pass
-
-    def begin_span(self, *args, **kwargs) -> None:
-        pass
-
-    def end_span(self, *args, **kwargs) -> float:
-        return 0.0
-
-    def tail(self, variant: int) -> list:
-        return []
-
-    def variants(self) -> list:
-        return []
-
-    def to_chrome(self) -> dict:
-        return {"traceEvents": [], "displayTimeUnit": "ns"}
-
-    def write_chrome(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_chrome(), handle, sort_keys=True)
-
-
-#: Shared no-op tracer instance.
-NULL_TRACER = NullTracer()

@@ -137,7 +137,6 @@ class DeadlockDetector:
 
     def __init__(self):
         self.report = DeadlockReport()
-        self.obs = None
         self._clock = lambda: 0.0
         self._machine = None
         #: (variant, addr) -> owning thread global id.
@@ -158,13 +157,10 @@ class DeadlockDetector:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
         self._clock = clock
 
-    def bind_obs(self, hub) -> None:
-        """Mirror each detected cycle into an ObsHub's deadlock log."""
-        self.obs = hub
-
     def bind_machine(self, machine) -> None:
-        """Let a detected cycle end the run via the machine's sticky
-        deadlock flag (unit tests may leave this unbound)."""
+        """Report each detected cycle on the machine's hook table and
+        end the run via its sticky deadlock flag (unit tests may leave
+        this unbound)."""
         self._machine = machine
 
     def variant_restarted(self, variant: int) -> None:
@@ -306,7 +302,7 @@ class DeadlockDetector:
                                 at_cycles=self._clock(),
                                 threads=tuple(threads))
         self.report.records.append(record)
-        if self.obs is not None:
-            self.obs.deadlock_detected(record)
         if self._machine is not None:
+            for hook in self._machine.hooks.deadlock_detected:
+                hook(record)
             self._machine.flag_guest_deadlock(record)

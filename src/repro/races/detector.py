@@ -160,7 +160,7 @@ class RaceDetector:
         self.sync_sites = sync_sites
         self.max_races = max_races
         self.report = RaceReport()
-        self.obs = None
+        self._hooks = None
         self._clock = lambda: 0.0
         #: thread global id -> vector clock (survives thread exit so
         #: join edges can read the final clock).
@@ -176,9 +176,9 @@ class RaceDetector:
         """Attach the machine's simulated clock (``lambda: machine.now``)."""
         self._clock = clock
 
-    def bind_obs(self, hub) -> None:
-        """Mirror each detected race into an ObsHub's race log."""
-        self.obs = hub
+    def bind_machine(self, machine) -> None:
+        """Report each detected race on the machine's hook table."""
+        self._hooks = machine.hooks
 
     def variant_restarted(self, variant: int) -> None:
         """Forget one variant's state (quarantine-restart support).
@@ -314,5 +314,5 @@ class RaceDetector:
         self.report.occurrences[key] = 1
         race = RaceRecord(kind=kind, prior=prior, current=current)
         self.report.races.append(race)
-        if self.obs is not None:
-            self.obs.race_detected(race)
+        for hook in self._hooks.race_detected if self._hooks else ():
+            hook(race)

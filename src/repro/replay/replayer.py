@@ -104,8 +104,8 @@ class DecisionReplayer:
     verified: int = field(default=0, init=False)
     first_divergence: ReplayMismatch | None = field(default=None,
                                                     init=False)
-    #: Optional ObsHub notified (tracer-only) on divergence.
-    obs = None
+    #: Hook table the first divergence is reported on (``bind_machine``).
+    _hooks = None
     #: Checkpoint resume: RNG state to hand the live RNG at handoff
     #: (applied lazily by :class:`ReplayRandom`).
     pending_rng_state = None
@@ -135,13 +135,13 @@ class DecisionReplayer:
             self.first_divergence = ReplayMismatch(
                 step=self.steps, index=self.pos, expected=expected,
                 actual=actual)
-            if self.obs is not None:
-                self.obs.replay_diverged(self.steps, self.pos)
+            for hook in self._hooks.replay_diverged if self._hooks else ():
+                hook(self.steps, self.pos)
         # Desynced: stop steering/verifying, let the run limp on live.
         self.live = True
 
-    def bind_obs(self, hub) -> None:
-        self.obs = hub
+    def bind_machine(self, machine) -> None:
+        self._hooks = machine.hooks
 
     # -- hook-table events -------------------------------------------------
 

@@ -577,17 +577,17 @@ def save_traced_bundle(spec: RunSpec, outcome, path: str | None,
                        **keywords) -> str | None:
     """Save the forensics bundle of ``outcome``, a run of ``spec``
     observed by ``ObsHub(trace=False)``, to ``path``; returns the path
-    saved to, or ``None`` (no path, or the run left no bundle: it
-    neither diverged, degraded nor deadlocked).
+    saved to, or ``None`` (no path, or a clean run: one that neither
+    diverged, degraded nor deadlocked leaves no bundle).
 
-    That hub's null tracer keeps no per-variant event rings, so its own
-    bundle would carry empty tails.  The bundle saved is that of a
-    re-run under a tracing ``ObsHub()``: a run is a pure function of
-    its spec and keywords, so the re-run is the same run, and its
-    bundle is the one ``repro run --bundle-out`` saves.  Only runs
-    that leave a bundle pay for the re-run.
+    That hub has no tracer, so it keeps no per-variant event rings and
+    its run captured no bundle.  The bundle saved is that of a re-run
+    under a tracing ``ObsHub()``: a run is a pure function of its spec
+    and keywords, so the re-run is the same run, and its bundle is the
+    one ``repro run --bundle-out`` saves.  Only runs that leave a
+    bundle pay for the re-run.
     """
-    if not path or outcome.obs_bundle is None:
+    if not path or outcome.verdict == "clean":
         return None
     from repro.obs import ObsHub
 

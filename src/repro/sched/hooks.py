@@ -2,12 +2,12 @@
 
 The paper's own mechanisms (the lockstep monitor, the syscall orderer,
 the sync agents) always run.  Everything around them is optional and
-purely observational: tracing and metrics (:class:`repro.obs.ObsHub`),
-cycle profiling (:class:`repro.prof.accounting.CycleProfiler`),
-per-variant syscall and sync-op traces
-(:class:`repro.perf.timeline.VariantTraces`), race and deadlock
-detection (:mod:`repro.races`) and the record/replay decision stream
-(:mod:`repro.replay`).  Each of them is a *consumer* of one fixed event
+purely observational: metrics (:class:`repro.obs.ObsHub`) and tracing
+(its :class:`repro.obs.tracer.Tracer`), cycle profiling
+(:class:`repro.prof.accounting.CycleProfiler`), per-variant syscall and
+sync-op traces (:class:`repro.perf.timeline.VariantTraces`), race and
+deadlock detection (:mod:`repro.races`) and the record/replay decision
+stream (:mod:`repro.replay`).  Each of them is a *consumer* of one fixed event
 vocabulary, :data:`EVENTS`, and they all attach the same way: ``obs``,
 ``races``, ``deadlocks`` and ``replay`` have their own
 :class:`repro.core.mvee.MVEE` keyword, and any other consumer goes in
@@ -30,7 +30,14 @@ so any set of them leaves the simulated timeline byte-identical.
 Fault injection is the one exception.  Its calls answer a question
 ("does a planned fault trigger here?") and return the answer, so they
 cannot fan out.  The injector sits alone in :attr:`Hooks.faults`, which
-is None (falsy) when no fault plan is attached.
+is None (falsy) when no fault plan is attached.  What it, the race and
+deadlock detectors, the checkpointer and the decision replayer *find*
+is reported back through the table as ordinary events
+(``fault_injected`` ... ``replay_diverged``), so an observer such as
+the :class:`repro.obs.ObsHub` or its tracer hears about them the same
+way it hears about a park.  The injector, the detectors and the
+replayer reach the table through ``bind_machine``; the checkpointer
+already holds its machine.
 """
 
 from __future__ import annotations
@@ -70,6 +77,12 @@ EVENTS = (
     "futex_park",           # (variant, addr, thread_global)
     "futex_unpark",         # (variant, addr, thread_global)
     "futex_wake",           # (variant, addr, waker, woken)
+    # -- reports from the fault injector, detectors and replay -----------
+    "fault_injected",       # (kind, variant, thread, site, detail)
+    "race_detected",        # (race)
+    "deadlock_detected",    # (record)
+    "checkpoint_taken",     # (index, at_cycles, decisions)
+    "replay_diverged",      # (step, index)
 )
 
 

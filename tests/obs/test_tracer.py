@@ -2,12 +2,7 @@
 
 import json
 
-from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    TraceEvent,
-    Tracer,
-)
+from repro.obs.tracer import TraceEvent, Tracer
 
 
 class FakeClock:
@@ -129,22 +124,52 @@ class TestChromeExport:
                    for event in data["traceEvents"])
 
 
-class TestNullTracer:
-    def test_records_nothing(self):
-        null = NullTracer()
-        null.bind_clock(lambda: 99.0)
-        null.instant("a", 0, "main")
-        null.counter("b", 0, 1)
-        null.begin_span("k", "w", 0, "main")
-        assert null.end_span("k") == 0.0
-        assert null.events == ()
-        assert null.tail(0) == [] and null.variants() == []
-        assert null.now == 0.0
+class TestHookEvents:
+    """The tracer's hook-table callbacks: one consumer on the table."""
 
-    def test_exports_are_empty_but_valid(self, tmp_path):
-        chrome = tmp_path / "c.json"
-        NULL_TRACER.write_chrome(chrome)
-        assert json.loads(chrome.read_text())["traceEvents"] == []
+    def test_park_unpark_is_one_wait_span(self):
+        tracer, clock = make_tracer()
+        clock.now = 10.0
+        tracer.park(1, "v1:main", "main", ("futex", 0x40))
+        clock.now = 35.0
+        tracer.unpark(1, "v1:main", "main")
+        (event,) = tracer.events
+        assert (event.name, event.ph, event.ts, event.dur) == (
+            "wait:futex", "X", 10.0, 25.0)
+
+    def test_rendezvous_span_starts_at_first_arrival(self):
+        tracer, clock = make_tracer()
+        key = ("main", 3)
+        clock.now = 5.0
+        tracer.rendezvous_arrive(key, 0, "main")
+        clock.now = 9.0
+        tracer.rendezvous_arrive(key, 1, "main")
+        clock.now = 12.0
+        tracer.rendezvous_complete(key, 1, "main", matched=True)
+        wait = tracer.events[-1]
+        assert (wait.name, wait.ts, wait.dur) == ("rdv.wait", 5.0, 7.0)
+        assert wait.args == {"seq": 3, "matched": True}
+
+    def test_report_events_are_instants(self):
+        tracer, clock = make_tracer()
+        clock.now = 7.0
+        tracer.fault_injected("crash", 1, "main", "write", "boom")
+        tracer.checkpoint_taken(0, 7.0, 12)
+        tracer.replay_diverged(40, 11)
+        assert [(e.name, e.cat, e.ts) for e in tracer.events] == [
+            ("fault.crash", "fault", 7.0), ("checkpoint", "replay", 7.0),
+            ("replay.diverged", "replay", 7.0)]
+
+    def test_only_vocabulary_methods_are_hooks(self):
+        from repro.sched.hooks import EVENTS, Hooks
+
+        tracer, _ = make_tracer()
+        hooks = Hooks()
+        hooks.attach(tracer)
+        attached = {event for event in EVENTS if getattr(hooks, event)}
+        assert attached == {event for event in EVENTS
+                            if hasattr(tracer, event)}
+        assert {"park", "fault_injected", "replay_diverged"} <= attached
 
 
 class TestTraceEvent:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -113,6 +115,21 @@ class TestObsCLIErrors:
         err = capsys.readouterr().err
         assert err.startswith("repro obs:")
         assert "Traceback" not in err
+
+    def test_missing_bundle_is_one_line_from_the_guard(self, capsys,
+                                                       tmp_path):
+        """The CLI-wide error guard prints the one line; ``obs`` has no
+        error path of its own."""
+        from repro.errors import ReproError
+        from repro.obs.forensics import DivergenceBundle
+
+        path = str(tmp_path / "missing.json")
+        with pytest.raises(ReproError) as caught:
+            DivergenceBundle.load(path)
+        assert main(["obs", "summarize", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"repro obs: {caught.value}\n"
 
     def test_empty_bundle(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

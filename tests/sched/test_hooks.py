@@ -81,8 +81,9 @@ class TestHooks:
         from repro.replay.recorder import DecisionRecorder
 
         hub, profiler = ObsHub(), CycleProfiler()
-        consumers = (hub, profiler, VariantTraces(), RaceDetector(),
-                     DeadlockDetector(), DecisionRecorder())
+        consumers = (hub, hub.tracer, profiler, VariantTraces(),
+                     RaceDetector(), DeadlockDetector(),
+                     DecisionRecorder())
         hooks = Hooks()
         for consumer in consumers:
             hooks.attach(consumer)
@@ -92,8 +93,72 @@ class TestHooks:
                              if hasattr(consumer, event))
             assert getattr(hooks, event) == expected, event
         assert hooks.step_committed == (profiler.step_committed,
-                                        consumers[5].step_committed)
+                                        consumers[6].step_committed)
         assert not hasattr(hub, "step_committed")
+
+
+class TestReportEvents:
+    """What the injector, detectors, checkpointer and replayer find is
+    fired on the hook table like any other event."""
+
+    REPORTS = ("fault_injected", "race_detected", "deadlock_detected",
+               "checkpoint_taken", "replay_diverged")
+
+    def test_reports_are_vocabulary_events(self):
+        assert EVENTS[-len(self.REPORTS):] == self.REPORTS
+
+    def test_hub_does_not_observe_recording(self):
+        from repro.obs import ObsHub
+
+        hub = ObsHub()
+        assert not hasattr(hub, "checkpoint_taken")
+        assert not hasattr(hub, "replay_diverged")
+        assert callable(hub.tracer.checkpoint_taken)
+
+    def test_mvee_attaches_the_tracer_right_after_its_hub(self):
+        from repro.obs import ObsHub
+        from repro.run import RunSpec, build_mvee
+
+        spec = RunSpec("fft", scale=0.05, race_detect=True)
+        hub = ObsHub()
+        hooks = build_mvee(spec, obs=hub)[0].machine.hooks
+        assert hooks.park[:2] == (hub.park, hub.tracer.park)
+        assert hooks.race_detected == (hub.race_detected,
+                                       hub.tracer.race_detected)
+        untraced = ObsHub(trace=False)
+        hooks = build_mvee(spec, obs=untraced)[0].machine.hooks
+        assert hooks.race_detected == (untraced.race_detected,)
+
+    def test_checkpoints_reach_the_tracer_but_not_the_digest(self):
+        from repro.obs import ObsHub
+        from repro.run import RunSpec, build_mvee
+
+        spec = RunSpec("fft", scale=0.05)
+        plain, checkpointed = ObsHub(), ObsHub()
+        build_mvee(spec, obs=plain)[0].run()
+        mvee, _ = build_mvee(spec, obs=checkpointed, checkpoints=20_000.0)
+        mvee.run()
+        taken = [event.args for event in checkpointed.tracer.events
+                 if event.name == "checkpoint"]
+        assert len(taken) == len(mvee.checkpointer.store) > 0
+        assert taken[0]["index"] == 0 and taken[0]["at_cycles"] > 0
+        assert checkpointed.digest() == plain.digest()
+
+    def test_replay_divergence_reaches_the_tracer(self):
+        from repro.obs import ObsHub
+        from repro.replay.driver import record_run, replay_run
+        from repro.run import RunSpec
+
+        log = record_run(RunSpec("fft", scale=0.05)).log
+        record = next(r for r in log.records if r["k"] == "sync")
+        record["t"] = "no-such-thread"
+        hub = ObsHub()
+        mismatch = replay_run(log, hub=hub).replayer.first_divergence
+        assert mismatch is not None
+        assert [(event.name, event.args) for event in hub.tracer.events
+                if event.cat == "replay"] == [
+            ("replay.diverged", {"step": mismatch.step,
+                                 "index": mismatch.index})]
 
 
 class TestFutexTableVariant:
